@@ -30,15 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationError, SolverError
 from .fundamental import FundamentalSolution
+from .interp import MonotoneCubic
 from .model import ModelParams
 
 _SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
 _MAX_EXPANSIONS = 50
+_MAX_ROOT_ITER = 100
 
 
 class Regime(enum.Enum):
@@ -94,7 +94,44 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution,
         raise SolverError(
             f"no sign change of H after {_MAX_EXPANSIONS} bracket expansions: "
             f"H/psi'({lo}) = {f_lo:.6e}, H/psi'({hi}) = {f_hi:.6e}")
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps))
+    return _brent(f, lo, hi, f_lo, f_hi, xtol, 4.0 * np.finfo(float).eps)
+
+
+def _brent(f, x_pre, x_cur, f_pre, f_cur, xtol, rtol):
+    """Brent's root finder on a sign-changing bracket: inverse quadratic or
+    secant steps, falling back to bisection whenever a step would not shrink
+    the bracket fast enough (Brent 1973, as in SciPy's ``brentq``)."""
+    if f_pre == 0.0:
+        return float(x_pre)
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_MAX_ROOT_ITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return float(x_cur)
+        s_try = math.inf
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise SolverError(f"root of H not resolved to {xtol} in {_MAX_ROOT_ITER} iterations")
 
 
 def _n_d(params: ModelParams, fs: FundamentalSolution, y: float, z: float):
@@ -134,8 +171,8 @@ class FreeBoundary:
     x0: float
     x_bar: float
     f_grid: np.ndarray = field(repr=False)
-    _f_itp: PchipInterpolator = field(repr=False)
-    _finv_itp: PchipInterpolator = field(repr=False)
+    _f_itp: MonotoneCubic = field(repr=False)
+    _finv_itp: MonotoneCubic = field(repr=False)
 
     def f(self, y: float) -> float:
         """Boundary price F(y); installing is optimal once x >= F(y)."""
@@ -219,8 +256,8 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
         z = z_new
         zs[i - 1] = z
     f_grid = zs - params.beta * ys
-    f_itp = PchipInterpolator(ys, f_grid, extrapolate=False)
-    finv_itp = PchipInterpolator(f_grid, ys, extrapolate=False)
+    f_itp = MonotoneCubic(ys, f_grid)
+    finv_itp = MonotoneCubic(f_grid, ys)
     return FreeBoundary(
         params=params, ys=ys, f_tilde=zs, x_tilde=x_tilde,
         x0=float(f_grid[0]), x_bar=float(f_grid[-1]), f_grid=f_grid,

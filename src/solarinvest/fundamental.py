@@ -20,6 +20,11 @@ evaluated by deterministic tanh-sinh quadrature with level doubling,
 accumulated in log space so that neither the t^{s-1} endpoint singularity
 (s < 1) nor the interior peak e^{z^2/2} (z << 0) can overflow.
 
+``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
+call the quadrature per lookup: it interpolates ``log I_s`` on unit panels
+[j, j+1] in z by a Chebyshev polynomial through 20 first-kind nodes, each
+node one quadrature, and reproduces the quadrature to rounding.
+
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
 
@@ -31,7 +36,6 @@ Psi_k = (psi^(k+1))^2 / (psi^(k) psi^(k+2)).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -43,6 +47,8 @@ _LOG2 = math.log(2.0)
 _UMAX = 6.2          # tanh-sinh transform truncation; covers s >= 0.05
 _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; tail < 1e-16 relative
+_PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
+_PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14
 
 
 def _logcosh(a):
@@ -78,6 +84,22 @@ def _build_tables(max_level=_MAX_LEVEL):
 
 
 _TABLES = _build_tables()
+
+
+def _chebyshev_tables(n):
+    """First-kind Chebyshev nodes on [-1, 1] and the inverse Vandermonde.
+
+    ``inv @ values`` at the nodes gives the coefficients c_m of
+    sum_m c_m T_m(u) interpolating the values (discrete orthogonality of
+    T_m at these nodes makes the inverse explicit).
+    """
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    inv = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    inv[0] *= 0.5
+    return np.cos(theta), inv
+
+
+_CHEB_NODES, _CHEB_INV = _chebyshev_tables(_PANEL_NODES)
 
 
 def log_weighted_integral(s: float, z: float, rel_tol: float = 1e-12,
@@ -131,17 +153,28 @@ def cylinder_d(alpha: float, x: float, rel_tol: float = 1e-12) -> float:
     return math.exp(-0.25 * x * x + log_i - math.lgamma(-alpha))
 
 
+def _exp(log_value: float, name: str, x: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericalError(
+            f"{name}({x}) overflows float64: log {name} = {log_value:.6g}") from None
+
+
 class FundamentalSolution:
     """Evaluator for psi, phi, their derivatives of any order, and Q_k.
 
-    Immutable after construction; evaluations are memoized per instance
-    through a bounded, internally synchronized LRU cache, so concurrent
-    reads are safe.
+    Every value comes from ``log I_s(z)`` on Chebyshev panels: the panel of
+    z (order s, unit cell [j, j+1]) is built on first use from 20 quadrature
+    nodes and kept for the life of the instance, so a boundary solve, which
+    stays inside a few cells, needs a few hundred quadratures in all.
+    Panels are only ever added, and a panel's coefficients depend on
+    (s, j) and the quadrature settings alone, so concurrent reads are safe:
+    two threads that build the same panel store identical values.
     """
 
     def __init__(self, params: ModelParams, rel_tol: float = 1e-12,
-                 tail_pad: float = _TAIL_PAD, max_level: int = _MAX_LEVEL,
-                 cache_size: int = 8192):
+                 tail_pad: float = _TAIL_PAD, max_level: int = _MAX_LEVEL):
         self.params = params
         self.rel_tol = rel_tol
         self.tail_pad = tail_pad
@@ -150,14 +183,32 @@ class FundamentalSolution:
         self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
         self._log_scale = math.log(self._scale)
         self._lgamma_s0 = math.lgamma(self._s0)
-        self._log_i = functools.lru_cache(maxsize=cache_size)(self._log_i_uncached)
+        self._panels = {}
 
     # -- raw integrals ------------------------------------------------------
 
-    def _log_i_uncached(self, s: float, z: float) -> float:
-        value, _, _ = log_weighted_integral(s, z, self.rel_tol, self.tail_pad,
-                                            self.max_level)
-        return value
+    def _panel(self, s: float, j: int) -> tuple:
+        """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first."""
+        nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
+        values = [log_weighted_integral(s, float(z), self.rel_tol, self.tail_pad,
+                                        self.max_level)[0] for z in nodes]
+        coeffs = tuple(float(c) for c in (_CHEB_INV @ values)[::-1])
+        self._panels[(s, j)] = coeffs
+        return coeffs
+
+    def _log_i(self, s: float, z: float) -> float:
+        if not math.isfinite(z):
+            raise NumericalError(f"I_s(z) requested at non-finite z={z} (s={s})")
+        j = math.floor(z / _PANEL_WIDTH)
+        coeffs = self._panels.get((s, j)) or self._panel(s, j)
+        # Clenshaw recurrence on u in [-1, 1]; the loop ends with b1 = b_0
+        # and b2 = b_1, and the full-weight c_0 term gives b_0 - u b_1
+        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+        two_u = 2.0 * u
+        b1 = b2 = 0.0
+        for c in coeffs:
+            b1, b2 = two_u * b1 - b2 + c, b1
+        return b1 - u * b2
 
     def _z(self, x: float) -> float:
         return (self.params.mu - x) * self._scale
@@ -170,50 +221,51 @@ class FundamentalSolution:
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""
-        return math.exp(self.log_psi_deriv(0, x))
+        return _exp(self.log_psi_deriv(0, x), "psi", x)
 
     def phi(self, x: float) -> float:
         """Strictly decreasing positive solution of the generator equation."""
-        return math.exp(self._log_i(self._s0, -self._z(x)) - self._lgamma_s0)
+        return _exp(self._log_i(self._s0, -self._z(x)) - self._lgamma_s0, "phi", x)
 
     def phi_deriv(self, k: int, x: float) -> float:
         """k-th derivative of phi; alternates sign, |phi^(k)| > 0."""
         if k < 0:
             raise DomainError(f"derivative order k={k} must be >= 0")
-        mag = math.exp(k * self._log_scale
-                       + self._log_i(self._s0 + k, -self._z(x)) - self._lgamma_s0)
+        mag = _exp(k * self._log_scale
+                   + self._log_i(self._s0 + k, -self._z(x)) - self._lgamma_s0,
+                   f"|phi^({k})|", x)
         return mag if k % 2 == 0 else -mag
 
     def psi_deriv_direct(self, k: int, x: float) -> float:
-        """psi^(k) straight from quadrature; independent of the recurrence."""
+        """psi^(k) straight from the integral; independent of the recurrence."""
         if k < 0:
             raise DomainError(f"derivative order k={k} must be >= 0")
-        return math.exp(self.log_psi_deriv(k, x))
+        return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x): quadrature seeds k = 0, 1, then the two-term
+        """psi^(0..k_max)(x): integral seeds k = 0, 1, then the two-term
         recurrence psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
         + (2 (rho + k kappa)/sigma^2) psi^(k) from the generator equation."""
         p = self.params
-        out = np.empty(k_max + 1)
-        out[0] = self.psi(x)
+        out = [self.psi(x)]
         if k_max >= 1:
-            out[1] = math.exp(self.log_psi_deriv(1, x))
+            out.append(_exp(self.log_psi_deriv(1, x), "psi'", x))
         two_over_s2 = 2.0 / p.sigma**2
         for k in range(k_max - 1):
-            out[k + 2] = (-two_over_s2 * p.kappa * (p.mu - x) * out[k + 1]
-                          + two_over_s2 * (p.rho + k * p.kappa) * out[k])
-            if not out[k + 2] > 0.0:
+            nxt = (-two_over_s2 * p.kappa * (p.mu - x) * out[k + 1]
+                   + two_over_s2 * (p.rho + k * p.kappa) * out[k])
+            if not nxt > 0.0:
                 raise NumericalError(
                     f"derivative recurrence lost positivity at k={k + 2}, x={x}")
-        return out
+            out.append(nxt)
+        return np.array(out)
 
     def psi_deriv(self, k: int, x: float) -> float:
         """k-th derivative of psi (k = 0 is psi itself); strictly positive."""
         if k < 0:
             raise DomainError(f"derivative order k={k} must be >= 0")
         if k <= 1:
-            return math.exp(self.log_psi_deriv(k, x))
+            return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
         return float(self.psi_derivs(x, k)[k])
 
     def psi_over_dpsi(self, x: float) -> float:

@@ -18,7 +18,9 @@ which is linear in the price and concave quadratic in capacity.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ValidationError
 
@@ -74,24 +76,26 @@ class State:
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter constraints and normalize the production factor.
 
-    Returns a new parameter set with the cost rescaled to c/alpha and
+    Every field must be a finite real number (``bool`` is not one).  Returns
+    a new parameter set of floats with the cost rescaled to c/alpha and
     alpha set to 1; the control problem is invariant under this rescaling.
     Raises :class:`ValidationError` naming the first offending field.
     """
     strict_positive = ("kappa", "sigma", "rho", "beta", "y_bar", "alpha")
+    values = {}
     for name in PARAM_FIELDS:
         value = getattr(params, name)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(name, f"not a number: {value!r}")
-        if value != value or value in (float("inf"), float("-inf")):
+        value = float(value)
+        if not math.isfinite(value):
             raise ValidationError(name, "must be finite")
         if name in strict_positive and value <= 0.0:
             raise ValidationError(name, f"must be > 0, got {value}")
-    if params.c < 0.0:
-        raise ValidationError("c", f"must be >= 0, got {params.c}")
-    return replace(params, c=params.c / params.alpha, alpha=1.0)
+        values[name] = value
+    if values["c"] < 0.0:
+        raise ValidationError("c", f"must be >= 0, got {values['c']}")
+    return ModelParams(**{**values, "c": values["c"] / values["alpha"], "alpha": 1.0})
 
 
 def params_from_dict(data: dict) -> ModelParams:
@@ -102,7 +106,7 @@ def params_from_dict(data: dict) -> ModelParams:
     missing = set(PARAM_FIELDS) - {"alpha"} - set(data)
     if missing:
         raise ValidationError(sorted(missing)[0], "missing required parameter")
-    return validate(ModelParams(**{k: float(v) for k, v in data.items()}))
+    return validate(ModelParams(**data))
 
 
 def params_from_json(path) -> ModelParams:

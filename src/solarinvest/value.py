@@ -37,11 +37,11 @@ from __future__ import annotations
 from dataclasses import asdict
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .boundary import FreeBoundary, Region, r_tilde, y_star
 from .errors import DomainError
 from .fundamental import FundamentalSolution
+from .interp import MonotoneCubic
 from .model import ModelParams, r_partials, r_value
 
 
@@ -58,7 +58,7 @@ class ValueFunction:
         self.a_grid = np.array([self._a_closed_form(y, ft)
                                 for y, ft in zip(fb.ys, fb.f_tilde)])
         # the last node is A(y_bar) = 0 up to the anchor-root residual
-        self._a_itp = PchipInterpolator(fb.ys, self.a_grid, extrapolate=False)
+        self._a_itp = MonotoneCubic(fb.ys, self.a_grid)
 
     # -- coefficient function -------------------------------------------------
 

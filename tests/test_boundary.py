@@ -112,7 +112,8 @@ class TestIntegration:
             assert np.all(np.diff(fb.f_grid) > 0.0)
 
     def test_denominator_positive_along_solution(self, base):
-        # the integrator evaluated every node already, so this hits the cache
+        # re-evaluates D at every accepted node, independently of the
+        # integrator's own per-step check
         params, fs, fb, _ = base
         for y, z in zip(fb.ys, fb.f_tilde):
             _, d_val = _n_d(params, fs, float(y), float(z))

@@ -43,6 +43,12 @@ class TestBoundaryCommand:
         assert code == 2
         assert "sigma" in capsys.readouterr().err
 
+    def test_boolean_param_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MU14, "rho": True})
+        code = main(["--config", cfg, "--steps", "300", "--out", str(tmp_path), "boundary"])
+        assert code == 2
+        assert "rho" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "absent.json"), "classify"])
         assert code == 2

@@ -1,12 +1,22 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from solarinvest import (DomainError, FundamentalSolution, NumericalError,
-                         cylinder_d, table_preset)
+import solarinvest
+from solarinvest import (DomainError, FundamentalSolution, ModelParams,
+                         NumericalError, cylinder_d, integrate_boundary,
+                         table_preset)
+from solarinvest import fundamental
 from solarinvest.fundamental import log_weighted_integral
 
 from conftest import central_diff, rel_err
@@ -198,3 +208,83 @@ class TestEvaluatorBehavior:
             first = list(pool.map(fresh.psi, xs))
             second = list(pool.map(fresh.psi, xs))
         assert first == second
+
+
+def unit_scale_solution(s0):
+    # sqrt(2 kappa)/sigma = 1 and mu = 0 make z = -x exactly, so the grid
+    # below lands on panel edges without rounding
+    return FundamentalSolution(ModelParams(kappa=0.5, mu=0.0, sigma=1.0, rho=0.5 * s0,
+                                           c=0.3, beta=0.15, y_bar=5.0))
+
+
+def mp_log_psi_deriv(s0, k, z):
+    # log psi^(k) = log I_{s0+k}(z) - lgamma(s0) at unit scale, with
+    # I_s(z) = Gamma(s) e^{z^2/4} D_{-s}(z)
+    with mpmath.workdps(30):
+        s, z = mpmath.mpf(s0) + k, mpmath.mpf(z)
+        return float(mpmath.loggamma(s) + z * z / 4 + mpmath.log(mpmath.pcfd(-s, z))
+                     - mpmath.loggamma(s0))
+
+
+class TestChebyshevPanels:
+    Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -1.0, -0.5, 0.0, -1e-12, 0.37,
+              1.0 - 1e-12, 1.0, 2.999999, 5.0, 6.8)
+
+    @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
+    def test_against_mpmath_including_panel_edges(self, s0):
+        fs = unit_scale_solution(s0)
+        for z in self.Z_GRID:
+            for k in (0, 1):
+                exact = mp_log_psi_deriv(s0, k, z)
+                got = fs.log_psi_deriv(k, -z)
+                assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (s0, k, z)
+
+    def test_solve_quadrature_budget(self, monkeypatch):
+        calls = []
+        quad = fundamental.log_weighted_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
+        params = table_preset(1.4)
+        integrate_boundary(params, FundamentalSolution(params), n_steps=800)
+        assert 0 < len(calls) <= 400
+
+    def test_solved_instance_is_not_a_reference_cycle(self):
+        params = table_preset(1.4)
+        gc.disable()
+        try:
+            fs = FundamentalSolution(params)
+            integrate_boundary(params, fs, n_steps=200)
+            ref = weakref.ref(fs)
+            del fs
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_non_finite_argument_is_typed(self, fs):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NumericalError):
+                fs.psi(x)
+            with pytest.raises(NumericalError):
+                fs.psi_derivs(x, 3)
+
+    def test_overflow_is_typed_and_names_the_point(self, params, fs):
+        # log psi grows like z^2/2 for z << 0, past the float64 range near z = -38
+        x = params.mu + 45.0 * params.sigma / math.sqrt(2.0 * params.kappa)
+        with pytest.raises(NumericalError, match="log psi") as exc:
+            fs.psi_derivs(x, 3)
+        assert repr(x) in str(exc.value)
+
+
+def test_package_import_does_not_load_scipy():
+    src = str(Path(solarinvest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import solarinvest, sys; assert 'scipy' not in sys.modules, 'scipy loaded'"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -59,6 +59,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate(ModelParams(**{**TABLE, "mu": math.nan}))
 
+    @pytest.mark.parametrize("value", [True, False, "0.05", None, [0.05]])
+    def test_non_numeric_rejected_naming_field(self, value):
+        with pytest.raises(ValidationError) as exc:
+            params_from_dict({**TABLE, "rho": value})
+        assert exc.value.field == "rho"
+
+    def test_numpy_scalars_accepted_as_floats(self):
+        p = params_from_dict({**TABLE, "kappa": np.float64(0.1), "y_bar": np.int64(5)})
+        assert type(p.kappa) is float and type(p.y_bar) is float and p.y_bar == 5.0
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(TABLE))
