@@ -13,14 +13,14 @@ from .errors import (ConfigurationError, DomainError, IntegrationError,
                      NumericalError, SimulationError, SolarInvestError,
                      SolverError, ValidationError)
 from .fundamental import FundamentalSolution, cylinder_d
-from .model import (ModelParams, State, line_of_means, params_from_dict,
+from .model import (ModelParams, line_of_means, params_from_dict,
                     params_from_json, params_to_dict, r_partials, r_value,
                     table_preset, validate)
 from .simulate import (FixedThreshold, ImmediateFull, NeverInstall,
                        OptimalReflection, PathRecord, SimulationResult,
                        dominance_report, estimate_value, estimate_value_many,
                        initial_lump, simulate_path, verification_states)
-from .value import ValueFunction, build_value_function
+from .value import ValueFunction
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "FundamentalSolution", "ImmediateFull", "IntegrationError", "ModelParams",
     "NeverInstall", "NumericalError", "OptimalReflection", "PathRecord",
     "Regime", "Region", "SimulationError", "SimulationResult",
-    "SolarInvestError", "SolverError", "State", "ValidationError",
-    "ValueFunction", "build_value_function", "classify_regime", "cylinder_d",
+    "SolarInvestError", "SolverError", "ValidationError",
+    "ValueFunction", "classify_regime", "cylinder_d",
     "dominance_report", "estimate_value", "estimate_value_many", "h_func",
     "initial_lump",
     "integrate_boundary", "line_of_means", "ode_rhs", "params_from_dict",

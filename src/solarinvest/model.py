@@ -65,14 +65,6 @@ class ModelParams:
     alpha: float = 1.0
 
 
-@dataclass(frozen=True)
-class State:
-    """Joint state: electricity price ``x`` and installed power ``y``."""
-
-    x: float
-    y: float
-
-
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter constraints and normalize the production factor.
 

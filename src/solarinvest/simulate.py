@@ -16,6 +16,15 @@ initial lump undiscounted.  Paths draw from counter-based streams keyed by
 (seed, path index), so runs are reproducible, prefix-stable under horizon
 extension, and common random numbers across policies come from reusing the
 seed.
+
+One kernel steps every policy.  A policy supplies ``lump`` (the t=0
+installation), ``target`` (the desired capacity given prices) and
+``boundary_at`` (the price above which ``target`` is consulted: +inf never
+acts after t=0, -inf consults it every step).  All (policy, x, y) jobs of a
+call are stacked as rows of one (job, path) array and share the same float
+operations, so a job's payoffs do not depend on what it runs beside, and a
+recorded path (:func:`simulate_path`) reproduces its estimator payoff
+exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ class Policy:
     """Installation rule: an initial lump plus a per-step target level."""
 
     name = "abstract"
-    static_capacity = False  # True when capacity never moves after t = 0
 
     def lump(self, params: ModelParams, x: float, y: float) -> float:
         return 0.0
@@ -65,20 +73,29 @@ class Policy:
         """Desired capacity level given current prices; clamped by the caller."""
         return y_arr
 
+    def boundary_at(self, y_arr: np.ndarray):
+        """Price above which ``target`` is consulted at capacity ``y_arr``:
+        +inf never acts after t = 0, -inf consults it every step."""
+        return -math.inf
+
 
 class NeverInstall(Policy):
     name = "never_install"
-    static_capacity = True
+
+    def boundary_at(self, y_arr):
+        return math.inf
 
 
 class ImmediateFull(Policy):
     """Install everything at t = 0 and never act again."""
 
     name = "immediate_full"
-    static_capacity = True
 
     def lump(self, params, x, y):
         return params.y_bar - y
+
+    def boundary_at(self, y_arr):
+        return math.inf
 
 
 class OptimalReflection(Policy):
@@ -122,6 +139,9 @@ class FixedThreshold(Policy):
 
     def target(self, x_arr, y_arr):
         return np.where(x_arr >= self.threshold, self._y_bar, y_arr)
+
+    def boundary_at(self, y_arr):
+        return self.threshold
 
 
 # -- results -------------------------------------------------------------------
@@ -230,331 +250,146 @@ class _NoiseFeed:
         return noise
 
 
-def _step_constants(params, dt):
-    disc_step = math.exp(-params.rho * dt)
-    rev_weight = (1.0 - disc_step) / params.rho  # exact int of e^{-rho u} per step
-    return disc_step, rev_weight, params.sigma * math.sqrt(dt)
-
-
-class _StaticRunner:
-    """Jobs whose capacity is frozen after the lump, stacked along rows.
-
-    Only the price recursion runs; each job's payoff is
-    rev_weight * Y0 * sum_i disc_i X_i minus its lump cost.
-    """
-
-    def __init__(self, params, jobs, nb, dt):
-        p = params
-        self.params = p
-        self.ys = np.array([y for _, _, y in jobs])
-        self.lumps = np.array([pol.lump(p, x, y) for pol, x, y in jobs])
-        self.y0s = self.ys + self.lumps
-        _, self.rev_weight, _ = _step_constants(p, dt)
-        self.decay = 1.0 - p.kappa * dt
-        self.adds = (p.kappa * (p.mu - p.beta * self.y0s) * dt)[:, None]
-        x0s = np.array([x for _, x, _ in jobs])
-        self.x_arr = np.tile(x0s[:, None], (1, nb))
-        self.acc = np.zeros((len(jobs), nb))
-        self.tmp = np.empty((len(jobs), nb))
-
-    def step(self, noise_col, disc, t):
-        np.multiply(self.x_arr, disc, out=self.tmp)
-        self.acc += self.tmp
-        self.x_arr *= self.decay
-        self.x_arr += self.adds
-        self.x_arr += noise_col
-
-    def finish(self):
-        if not np.isfinite(self.x_arr).all():
-            raise SimulationError("non-finite price state encountered")
-        nb = self.x_arr.shape[1]
-        out = []
-        for j, lump in enumerate(self.lumps):
-            out.append({
-                "payoffs": self.rev_weight * self.y0s[j] * self.acc[j]
-                           - self.params.c * lump,
-                "lump": float(lump),
-                "total_installed": np.full(nb, lump),
-                "first_install_time": np.full(nb, 0.0 if lump > 0.0 else math.nan),
-                "max_overshoot": np.zeros(nb),
-                "record": None,
-            })
-        return out
-
-
-class _ReflectRunner:
-    """Boundary-projection jobs sharing one policy, stacked along rows.
-
-    thr caches F(Y) (+inf once capacity is exhausted) so crossing-free steps
-    cost one comparison plus the price recursion.
-    """
-
-    def __init__(self, params, policy, jobs, nb, dt):
-        p = params
-        self.params = p
-        self.policy = policy
-        self.ys = np.array([y for _, _, y in jobs])
-        self.lumps = np.array([policy.lump(p, x, y) for _, x, y in jobs])
-        _, self.rev_weight, _ = _step_constants(p, dt)
-        self.kdt = p.kappa * dt
-        self.cap = p.y_bar * (1.0 - 1e-15)
-        k = len(jobs)
-        x0s = np.array([x for _, x, _ in jobs])
-        self.x_arr = np.tile(x0s[:, None], (1, nb))
-        self.y_arr = np.tile((self.ys + self.lumps)[:, None], (1, nb))
-        self.pay = np.tile((-p.c * self.lumps)[:, None], (1, nb))
-        first0 = np.where(self.lumps > 0.0, 0.0, math.nan)
-        self.first_time = np.tile(first0[:, None], (1, nb))
-        self.m_level = p.mu - p.beta * self.y_arr
-        self.thr = np.where(self.y_arr >= self.cap, math.inf,
-                            self._boundary(self.y_arr))
-        self.tmp = np.empty((k, nb))
-
-    def _boundary(self, y_like):
-        return self.policy.boundary_at(np.ravel(y_like)).reshape(np.shape(y_like))
-
-    def step(self, noise_col, disc, t):
-        p = self.params
-        mask = self.x_arr > self.thr
-        if mask.any():
-            lvl = self.policy.target(self.x_arr[mask], self.y_arr[mask])
-            np.maximum(lvl, self.y_arr[mask], out=lvl)
-            np.minimum(lvl, p.y_bar, out=lvl)
-            dy = lvl - self.y_arr[mask]
-            self.pay[mask] -= disc * p.c * dy
-            fresh = mask & np.isnan(self.first_time)
-            if fresh.any():
-                self.first_time[fresh] = t
-            self.y_arr[mask] = lvl
-            self.m_level[mask] = p.mu - p.beta * lvl
-            self.thr[mask] = np.where(lvl >= self.cap, math.inf,
-                                      self.policy.boundary_at(lvl))
-        np.multiply(self.x_arr, self.y_arr, out=self.tmp)
-        self.pay += (disc * self.rev_weight) * self.tmp
-        np.subtract(self.m_level, self.x_arr, out=self.tmp)
-        self.tmp *= self.kdt
-        self.x_arr += self.tmp
-        self.x_arr += noise_col
-
-    def finish(self):
-        if not np.isfinite(self.x_arr).all():
-            raise SimulationError("non-finite price state encountered")
-        out = []
-        for j, lump in enumerate(self.lumps):
-            out.append({
-                "payoffs": self.pay[j],
-                "lump": float(lump),
-                "total_installed": self.y_arr[j] - self.ys[j],
-                "first_install_time": self.first_time[j],
-                "max_overshoot": np.zeros(self.x_arr.shape[1]),
-                "record": None,
-            })
-        return out
-
-
-class _GenericRunner:
-    """Fallback for custom policies: evaluates the target rule every step."""
-
-    def __init__(self, params, jobs, nb, dt):
-        p = params
-        (policy, x, y), = jobs
-        self.params = p
-        self.policy = policy
-        self.dt = dt
-        self.y = y
-        self.lump = policy.lump(p, x, y)
-        _, self.rev_weight, _ = _step_constants(p, dt)
-        self.x_arr = np.full(nb, float(x))
-        self.y_arr = np.full(nb, float(y + self.lump))
-        self.pay = np.full(nb, -p.c * self.lump)
-        self.first_time = np.full(nb, math.nan if self.lump <= 0.0 else 0.0)
-
-    def step(self, noise_col, disc, t):
-        p = self.params
-        target = np.asarray(self.policy.target(self.x_arr, self.y_arr), dtype=float)
-        np.clip(target, 0.0, p.y_bar, out=target)
-        np.maximum(target, self.y_arr, out=target)
-        dy = target - self.y_arr
-        installing = dy > 0.0
-        if installing.any():
-            self.pay -= disc * p.c * dy
-            np.copyto(self.first_time, t, where=installing & np.isnan(self.first_time))
-            self.y_arr = target
-        self.pay += disc * self.rev_weight * self.x_arr * self.y_arr
-        self.x_arr = self.x_arr + p.kappa * ((p.mu - p.beta * self.y_arr)
-                                             - self.x_arr) * self.dt + noise_col
-
-    def finish(self):
-        if not np.isfinite(self.x_arr).all():
-            raise SimulationError("non-finite price state encountered")
-        return [{
-            "payoffs": self.pay,
-            "lump": self.lump,
-            "total_installed": self.y_arr - self.y,
-            "first_install_time": self.first_time,
-            "max_overshoot": np.zeros(len(self.x_arr)),
-            "record": None,
-        }]
-
-
-def _group_runners(params, jobs, nb, dt):
-    """Group compatible jobs into stacked runners, remembering job order."""
-    groups = []
-    static = [(i, job) for i, job in enumerate(jobs) if job[0].static_capacity]
-    if static:
-        groups.append(([i for i, _ in static],
-                       _StaticRunner(params, [j for _, j in static], nb, dt)))
-    reflect = {}
-    for i, job in enumerate(jobs):
-        if isinstance(job[0], OptimalReflection):
-            reflect.setdefault(id(job[0]), (job[0], []))[1].append((i, job))
-    for policy, members in reflect.values():
-        groups.append(([i for i, _ in members],
-                       _ReflectRunner(params, policy, [j for _, j in members], nb, dt)))
-    for i, job in enumerate(jobs):
-        if not job[0].static_capacity and not isinstance(job[0], OptimalReflection):
-            groups.append(([i], _GenericRunner(params, [job], nb, dt)))
-    return groups
-
-
-def _run_jobs(params, jobs, dt, n_steps, seed, indices, antithetic=False):
+def _run(params, jobs, dt, n_steps, seed, indices, antithetic=False, record=False):
     """Advance every (policy, x, y) job through one shared noise stream.
 
-    All jobs see identical draws (common random numbers); each result is
-    bit-identical to running that job alone with the same seed.
+    Jobs are stacked as rows of (job, path) arrays, ordered so that each
+    policy object owns a contiguous block; every row sees the same draws
+    (common random numbers) and the same float operations, so a job's
+    payoffs are bit-identical whether it runs alone, in a batch, or recorded.
+    ``thr`` caches the price above which a row's policy acts (+inf once
+    capacity is exhausted), so crossing-free steps cost one comparison per
+    block plus the price recursion.
     """
-    feed = _NoiseFeed(seed, indices, antithetic)
-    nb = len(indices)
-    disc_step, _, sq = _step_constants(params, dt)
-    groups = _group_runners(params, jobs, nb, dt)
-    disc = 1.0
-    step = 0
-    chunk_cap = _chunk_size(nb, n_steps)
-    while step < n_steps:
-        chunk = min(chunk_cap, n_steps - step)
-        noise = feed.draw(chunk, sq)
-        for k in range(chunk):
-            t = step * dt
-            col = noise[:, k]
-            for _, runner in groups:
-                runner.step(col, disc, t)
-            disc *= disc_step
-            step += 1
-    outs = [None] * len(jobs)
-    for job_ids, runner in groups:
-        for i, out in zip(job_ids, runner.finish()):
-            outs[i] = out
-    return outs
-
-
-def _run_paths(params, policy, x, y, dt, n_steps, seed, indices,
-               antithetic=False, record=False, track_overshoot=False, fb=None):
-    if record or track_overshoot:
-        feed = _NoiseFeed(seed, indices, antithetic)
-        return _run_flexible(params, policy, x, y, dt, n_steps, feed,
-                             len(indices), record, track_overshoot, fb)
-    return _run_jobs(params, [(policy, x, y)], dt, n_steps, seed, indices,
-                     antithetic=antithetic)[0]
-
-
-def _run_flexible(params, policy, x, y, dt, n_steps, feed, nb,
-                  record, track_overshoot, fb):
     p = params
-    lump = policy.lump(p, x, y)
-    disc_step, rev_weight, sq = _step_constants(p, dt)
-    x_arr = np.full(nb, float(x))
-    y_arr = np.full(nb, float(y + lump))
-    pay = np.full(nb, -p.c * lump)
-    first_time = np.full(nb, math.nan if lump <= 0.0 else 0.0)
-    overshoot = np.full(nb, -math.inf)
-    disc = 1.0
-    if record:
-        t_rec = np.linspace(0.0, n_steps * dt, n_steps + 1)
-        x_rec = np.empty((nb, n_steps + 1))
-        y_rec = np.empty((nb, n_steps + 1))
-        cost_rec = np.empty((nb, n_steps + 1))
-        cum_cost = np.full(nb, p.c * lump)
+    blocks = {}
+    for i, (policy, _, _) in enumerate(jobs):
+        blocks.setdefault(id(policy), (policy, []))[1].append(i)
+    order = [i for _, ids in blocks.values() for i in ids]
+    nb = len(indices)
 
+    def rows(values):
+        return np.repeat(np.array(values, dtype=float)[:, None], nb, axis=1)
+
+    y_start = rows([jobs[i][2] for i in order])
+    lumps = [float(jobs[i][0].lump(p, jobs[i][1], jobs[i][2])) for i in order]
+    x = rows([jobs[i][1] for i in order])
+    y = y_start + rows(lumps)
+    pay = rows([-p.c * lump for lump in lumps])
+    first = rows([0.0 if lump > 0.0 else math.nan for lump in lumps])
+    disc_step = math.exp(-p.rho * dt)
+    rev_weight = (1.0 - disc_step) / p.rho  # exact int of e^{-rho u} per step
+    kdt = p.kappa * dt
+    decay = 1.0 - kdt
+    adds = kdt * (p.mu - p.beta * y)
+    cap = p.y_bar * (1.0 - 1e-15)
+
+    def threshold(policy, lvl):
+        return np.where(lvl >= cap, math.inf, policy.boundary_at(lvl))
+
+    thr = np.empty_like(x)
+    active = []  # (policy, flat views of x, y, thr, adds, pay, first) per block
+    lo = 0
+    for policy, ids in blocks.values():
+        hi = lo + len(ids)
+        views = [a[lo:hi].reshape(-1) for a in (x, y, thr, adds, pay, first)]
+        views[2][:] = threshold(policy, views[1])
+        if (views[2] < math.inf).any():  # all +inf: the block never acts
+            active.append((policy, *views))
+        lo = hi
+    tmp = np.empty_like(x)
+    if record:
+        x_rec = np.empty((n_steps + 1,) + x.shape)
+        y_rec = np.empty_like(x_rec)
+        overshoot = np.full_like(x, -math.inf)
+
+    feed = _NoiseFeed(seed, indices, antithetic)
+    sq = p.sigma * math.sqrt(dt)
+    disc = 1.0
     step = 0
     chunk_cap = _chunk_size(nb, n_steps)
     while step < n_steps:
         chunk = min(chunk_cap, n_steps - step)
         noise = feed.draw(chunk, sq)
         for k in range(chunk):
-            if track_overshoot and fb is not None:
-                # only while reflection is active; at y_bar the price is free
-                gap = x_arr - fb.f_values(y_arr)
-                active = y_arr < p.y_bar * (1.0 - 1e-12)
-                np.maximum(overshoot, np.where(active, gap, -np.inf), out=overshoot)
-            target = np.asarray(policy.target(x_arr, y_arr), dtype=float)
-            np.clip(target, 0.0, p.y_bar, out=target)
-            np.maximum(target, y_arr, out=target)
-            dy = target - y_arr
-            installing = dy > 0.0
-            if installing.any():
-                pay -= disc * p.c * dy
-                np.copyto(first_time, (step * dt),
-                          where=installing & np.isnan(first_time))
-                y_arr = target
-                if record:
-                    cum_cost += p.c * dy
             if record:
-                x_rec[:, step] = x_arr
-                y_rec[:, step] = y_arr
-                cost_rec[:, step] = cum_cost
-            pay += disc * rev_weight * x_arr * y_arr
-            x_arr = x_arr + p.kappa * ((p.mu - p.beta * y_arr) - x_arr) * dt \
-                + noise[:, k]
+                np.subtract(x, thr, out=tmp)
+                np.maximum(overshoot, tmp, out=overshoot)
+            for policy, xb, yb, tb, ab, pb, firstb in active:
+                idx = np.flatnonzero(xb > tb)
+                if idx.size:
+                    y_old = yb[idx]
+                    lvl = np.maximum(policy.target(xb[idx], y_old), y_old)
+                    np.minimum(lvl, p.y_bar, out=lvl)
+                    dy = lvl - y_old
+                    pb[idx] -= (disc * p.c) * dy
+                    fresh = idx[(dy > 0.0) & np.isnan(firstb[idx])]
+                    firstb[fresh] = step * dt
+                    yb[idx] = lvl
+                    ab[idx] = kdt * (p.mu - p.beta * lvl)
+                    tb[idx] = threshold(policy, lvl)
+            if record:
+                x_rec[step] = x
+                y_rec[step] = y
+            np.multiply(x, y, out=tmp)
+            tmp *= disc * rev_weight
+            pay += tmp
+            x *= decay
+            x += adds
+            x += noise[:, k]
             disc *= disc_step
             step += 1
-    if not np.isfinite(x_arr).all():
+    if not np.isfinite(x).all():
         raise SimulationError("non-finite price state encountered")
+
+    back = np.argsort(order)
+    out = {"payoffs": pay[back], "lumps": [lumps[i] for i in back],
+           "total_installed": (y - y_start)[back], "first_install_time": first[back]}
     if record:
-        x_rec[:, n_steps] = x_arr
-        y_rec[:, n_steps] = y_arr
-        cost_rec[:, n_steps] = cum_cost
-        rec = (t_rec, x_rec, y_rec, cost_rec)
-    else:
-        rec = None
-    return {
-        "payoffs": pay,
-        "lump": lump,
-        "total_installed": y_arr - y,
-        "first_install_time": first_time,
-        "max_overshoot": np.where(np.isfinite(overshoot),
-                                  np.maximum(overshoot, 0.0), 0.0),
-        "record": rec,
-    }
+        x_rec[n_steps] = x
+        y_rec[n_steps] = y
+        over = overshoot[back]
+        out.update(x=x_rec[:, back], y=y_rec[:, back],
+                   max_overshoot=np.where(np.isfinite(over), np.maximum(over, 0.0), 0.0))
+    return out
 
 
 def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
-                  dt: float, horizon: float, seed: int, path_index: int = 0,
-                  track_overshoot: bool = False, fb: FreeBoundary | None = None) -> PathRecord:
+                  dt: float, horizon: float, seed: int, path_index: int = 0) -> PathRecord:
     """Simulate one path with full state recording.
 
-    The path coincides with path ``path_index`` of :func:`estimate_value`
-    run with the same seed and step settings.
+    The path is path ``path_index`` of :func:`estimate_value` run with the
+    same seed and step settings, payoff included bit for bit.  ``x`` and
+    ``y`` are recorded after any installation at each step;
+    ``max_overshoot`` is the largest pre-installation excess of the price
+    over the policy's threshold (0 when the threshold is never finite).
     """
-    _check_mc_config(1, dt, horizon)
+    _check_mc_config(1, dt, horizon, seed)
+    if path_index < 0:
+        raise ConfigurationError(f"path_index must be >= 0, got {path_index}")
     n_steps = int(round(horizon / dt))
-    out = _run_paths(params, policy, x, y, dt, n_steps, seed, [path_index],
-                     record=True, track_overshoot=track_overshoot, fb=fb)
-    t_rec, x_rec, y_rec, cost_rec = out["record"]
+    out = _run(params, [(policy, x, y)], dt, n_steps, seed, [path_index], record=True)
+    y_path = out["y"][:, 0, 0]
     return PathRecord(
-        t=t_rec, x=x_rec[0], y=y_rec[0], cum_cost=cost_rec[0],
-        payoff=float(out["payoffs"][0]), initial_lump=out["lump"],
-        total_installed=float(out["total_installed"][0]),
-        first_install_time=float(out["first_install_time"][0]),
-        max_overshoot=float(out["max_overshoot"][0]))
+        t=np.linspace(0.0, n_steps * dt, n_steps + 1), x=out["x"][:, 0, 0],
+        y=y_path, cum_cost=params.c * (y_path - y),
+        payoff=float(out["payoffs"][0, 0]), initial_lump=out["lumps"][0],
+        total_installed=float(out["total_installed"][0, 0]),
+        first_install_time=float(out["first_install_time"][0, 0]),
+        max_overshoot=float(out["max_overshoot"][0, 0]))
 
 
-def _check_mc_config(n_paths, dt, horizon):
+def _check_mc_config(n_paths, dt, horizon, seed):
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if not math.isfinite(horizon):
+        raise ConfigurationError(f"horizon must be finite, got {horizon}")
     if not horizon > dt:
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
+    if not 0 <= seed < 2**128:
+        raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
@@ -587,7 +422,9 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     p = params
     if horizon is None:
         horizon = 10.0 / p.rho
-    _check_mc_config(n_paths, dt, horizon)
+    _check_mc_config(n_paths, dt, horizon, seed)
+    if not jobs:
+        raise ConfigurationError("jobs must hold at least one (policy, x, y)")
     if antithetic and n_paths % 2 != 0:
         raise ConfigurationError("antithetic estimation needs an even n_paths")
     tails = [discount_tail_bound(p, x, horizon) for _, x, _ in jobs]
@@ -596,11 +433,10 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
             f"discount tail bound {max(tails):.3e} exceeds tolerance "
             f"{tail_tol:.3e}; extend the horizon beyond {horizon}")
     n_steps = int(round(horizon / dt))
-    outs = _run_jobs(params, jobs, dt, n_steps, seed, np.arange(n_paths),
-                     antithetic=antithetic)
+    out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths), antithetic=antithetic)
     results = []
-    for out, tail in zip(outs, tails):
-        pay = out["payoffs"]
+    for j, tail in enumerate(tails):
+        pay = out["payoffs"][j]
         estimate = float(np.mean(pay))
         if antithetic:
             # mirrored pairs are dependent; the independent samples are pair means
@@ -610,12 +446,12 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
         else:
             std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
                          if n_paths > 1 else 0.0)
-        installed = out["total_installed"]
-        first = out["first_install_time"]
+        installed = out["total_installed"][j]
+        first = out["first_install_time"][j]
         frac = float(np.mean(installed > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,
-            horizon=horizon, discount_tail_bound=tail, initial_lump=out["lump"],
+            horizon=horizon, discount_tail_bound=tail, initial_lump=out["lumps"][j],
             mean_total_installed=float(np.mean(installed)),
             fraction_installing=frac,
             mean_first_install_time=float(np.nanmean(first)) if frac > 0 else math.nan,
@@ -697,13 +533,10 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
             "gap": opt.estimate - w_val,
             "tolerance": 3.0 * opt.std_error + opt.discount_tail_bound + allowance,
         })
-        # slack covers float reassociation between kernels when two policies
-        # produce identical strategies (optimal == immediate_full beyond x_bar)
-        slack = 1e-9 * (1.0 + abs(opt.estimate))
         for name, gap in gaps.items():
             checks.append({
                 "name": f"optimal dominates {name} at ({x:.6g}, {y:.6g})",
-                "passed": bool(gap["mean"] >= -3.0 * gap["std_error"] - slack),
+                "passed": bool(gap["mean"] >= -3.0 * gap["std_error"]),
                 "gap": gap["mean"],
                 "tolerance": 3.0 * gap["std_error"],
             })

@@ -214,8 +214,3 @@ class ValueFunction:
                 for y, f, a in zip(self.fb.ys, self.fb.f_grid, self.a_grid)
             ],
         }
-
-
-def build_value_function(params: ModelParams, fs: FundamentalSolution,
-                         fb: FreeBoundary) -> ValueFunction:
-    return ValueFunction(params, fs, fb)

@@ -114,6 +114,18 @@ class TestSimulateCommand:
     def test_zero_paths_usage_error(self, capsys):
         assert main(["simulate", "--paths", "0"]) == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        code = main(["--steps", "300", "--seed", "-1", "--out", str(tmp_path),
+                     "simulate", "--paths", "4"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_infinite_horizon_usage_error(self, tmp_path, capsys):
+        code = main(["--steps", "300", "--out", str(tmp_path), "simulate",
+                     "--paths", "4", "--horizon", "inf"])
+        assert code == 2
+        assert "horizon" in capsys.readouterr().err
+
     def test_path_traces_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MU14)
         code = main(["--config", cfg, "--steps", "300", "--seed", "7",

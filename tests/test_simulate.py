@@ -9,13 +9,31 @@ from solarinvest import (ConfigurationError, FixedThreshold, ImmediateFull,
                          NeverInstall, OptimalReflection, dominance_report,
                          estimate_value, estimate_value_many, initial_lump,
                          r_value, simulate_path, verification_states)
-from solarinvest.simulate import discount_tail_bound
+from solarinvest.simulate import Policy, discount_tail_bound
 
 
 @pytest.fixture(scope="module")
 def setup(base):
     params, fs, fb, vf = base
     return params, fb, vf
+
+
+class GradualAbove(Policy):
+    """Custom rule overriding only ``target``: consulted at every step."""
+
+    name = "gradual_above"
+
+    def target(self, x_arr, y_arr):
+        return y_arr + 0.5 * np.maximum(x_arr - 1.6, 0.0)
+
+
+POLICIES = {
+    "optimal": lambda params, fb: OptimalReflection(params, fb),
+    "never_install": lambda params, fb: NeverInstall(),
+    "immediate_full": lambda params, fb: ImmediateFull(),
+    "fixed_threshold": lambda params, fb: FixedThreshold(1.8, params.y_bar),
+    "custom_target": lambda params, fb: GradualAbove(),
+}
 
 
 class TestInitialLump:
@@ -51,7 +69,7 @@ class TestPaths:
         params, fb, _ = setup
         pol = OptimalReflection(params, fb)
         rec = simulate_path(params, pol, fb.f(1.0) - 0.1, 1.0, dt=0.01,
-                            horizon=60.0, seed=11, track_overshoot=True, fb=fb)
+                            horizon=60.0, seed=11)
         assert np.all(np.diff(rec.y) >= 0.0)
         assert np.all(rec.y <= params.y_bar + 1e-12)
         # post-projection states sit on or below the boundary while capacity
@@ -103,9 +121,32 @@ class TestPaths:
                              horizon=10.0, seed=99, keep_payoffs=True)
         rec = simulate_path(params, pol, 1.2, 1.0, dt=0.02, horizon=10.0,
                             seed=99, path_index=1)
-        # same stream, same decisions; only float association differs
-        # between the recording and the vectorized kernels
+        # same stream, same decisions, same kernel
         assert rec.payoff == pytest.approx(res.payoffs[1], rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_path_equals_estimator_payoff_exactly(self, setup, name):
+        params, fb, _ = setup
+        pol = POLICIES[name](params, fb)
+        settings = dict(dt=0.02, horizon=10.0, seed=5)
+        for x, y in verification_states(fb, 1.0):
+            res = estimate_value(params, pol, x, y, n_paths=20, keep_payoffs=True,
+                                 **settings)
+            for i in range(20):
+                rec = simulate_path(params, pol, x, y, path_index=i, **settings)
+                assert rec.payoff == res.payoffs[i]
+
+    def test_batched_equals_standalone_exactly(self, setup):
+        params, fb, _ = setup
+        policies = [make(params, fb) for make in POLICIES.values()]
+        states = verification_states(fb, 1.0)
+        jobs = [(pol, x, y) for x, y in states for pol in policies]
+        settings = dict(n_paths=30, dt=0.02, horizon=10.0, seed=8, keep_payoffs=True)
+        batched = estimate_value_many(params, jobs, **settings)
+        for (pol, x, y), res in zip(jobs, batched):
+            alone = estimate_value(params, pol, x, y, **settings)
+            assert np.array_equal(res.payoffs, alone.payoffs)
+            assert res.mean_total_installed == alone.mean_total_installed
 
     def test_monotone_coupling_under_common_noise(self, setup):
         # with shared noise, the higher-capacity path has the lower price
@@ -181,8 +222,8 @@ class TestEstimator:
         mean_over = {}
         for dt in (0.04, 0.01):
             overs = [simulate_path(params, pol, x, y, dt=dt, horizon=20.0,
-                                   seed=31, path_index=i, track_overshoot=True,
-                                   fb=fb).max_overshoot for i in range(60)]
+                                   seed=31, path_index=i).max_overshoot
+                     for i in range(60)]
             mean_over[dt] = np.mean(overs)
         ratio = mean_over[0.04] / mean_over[0.01]
         # sqrt(dt) scaling predicts 2
@@ -200,6 +241,44 @@ class TestEstimator:
         with pytest.raises(ConfigurationError):
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10,
                            dt=0.01, horizon=50.0, tail_tol=1e-6)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_rejected(self, setup, seed):
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match="seed"):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, dt=0.1,
+                           horizon=1.0, seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                          seed=seed)
+
+    def test_largest_seed_accepted(self, setup):
+        params, fb, _ = setup
+        res = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, dt=0.1,
+                             horizon=1.0, seed=2**128 - 1)
+        assert math.isfinite(res.estimate)
+
+    def test_negative_path_index_rejected(self, setup):
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match="path_index"):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                          seed=0, path_index=-1)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, setup, horizon):
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match="horizon"):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, dt=0.1,
+                           horizon=horizon)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1,
+                          horizon=horizon, seed=0)
+
+    def test_empty_jobs_rejected(self, setup):
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match="jobs"):
+            estimate_value_many(params, [], n_paths=4, dt=0.1, horizon=1.0,
+                                tail_tol=1e-3)
 
     def test_fixed_threshold_policy(self, setup):
         params, fb, _ = setup
