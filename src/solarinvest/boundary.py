@@ -17,10 +17,14 @@ From the anchor, Ftilde solves the first-order ODE
     D(y, z) = psi(z) [ (rho+kappa)(c - Rtilde(z, y)) Q1(z) + Q0'(z) ],
 
 integrated backward from y_bar to 0 with fixed-step classical RK4 (fixed
-steps keep regression baselines bit-stable).  Along the exact solution
-Ftilde' >= beta and D > 0, so both are monitored per step.  F is recovered
-as F(y) = Ftilde(y) - beta*y; its inverse is interpolated from the swapped
-grid, monotone piecewise-cubic throughout.
+steps keep regression baselines bit-stable).  N and D are both cubic in the
+psi-derivatives, so they are evaluated divided by psi(z)^3, from the ratios
+psi^(k)/psi: the quotient and the signs are unchanged, and neither can
+overflow where psi does.  Along the exact solution Ftilde' >= beta and
+D > 0, so both are monitored per step; the (N, D) pair of the D check at
+the new node is reused as the next step's k1, so a step evaluates (N, D)
+four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
+interpolated from the swapped grid, monotone piecewise-cubic throughout.
 """
 
 from __future__ import annotations
@@ -70,30 +74,39 @@ def h_func(params: ModelParams, fs: FundamentalSolution, x: float) -> float:
             + fs.psi(x) / (params.rho + params.kappa))
 
 
-def _h_scaled(params: ModelParams, fs: FundamentalSolution, x: float) -> float:
+def _h_scaled(params: ModelParams, x, psi_over_dpsi):
     # H / psi': same root and sign pattern (psi' > 0), but bounded for large
     # |x| where the literal H overflows; used for bracketing and root finding.
     return (params.c - r_tilde(params, x, params.y_bar)
-            + fs.psi_over_dpsi(x) / (params.rho + params.kappa))
+            + psi_over_dpsi / (params.rho + params.kappa))
 
 
 def solve_x_tilde(params: ModelParams, fs: FundamentalSolution,
                   xtol: float = 1e-13) -> float:
-    """Unique root of H, located by geometric bracket expansion + Brent."""
+    """Unique root of H, located by geometric bracket expansion + Brent.
+
+    The bracket ends are each visited once, so H/psi' there comes straight
+    from the quadrature (both ends in one call per order); Brent's iterates
+    cluster around the root and read the Chebyshev panels.
+    """
     half_width = 5.0 * params.sigma / math.sqrt(2.0 * params.kappa)
-    f = lambda x: _h_scaled(params, fs, x)
-    lo, hi = params.mu - half_width, params.mu + half_width
-    f_lo, f_hi = f(lo), f(hi)
+
+    def ends(width):
+        xs = np.array([params.mu - width, params.mu + width])
+        h = _h_scaled(params, xs, fs.psi_over_dpsi_quad(xs))
+        return (*xs.tolist(), *h.tolist())
+
+    lo, hi, f_lo, f_hi = ends(half_width)
     for _ in range(_MAX_EXPANSIONS):
         if f_lo * f_hi < 0.0 or f_lo == 0.0 or f_hi == 0.0:
             break
         half_width *= 2.0
-        lo, hi = params.mu - half_width, params.mu + half_width
-        f_lo, f_hi = f(lo), f(hi)
+        lo, hi, f_lo, f_hi = ends(half_width)
     else:
         raise SolverError(
             f"no sign change of H after {_MAX_EXPANSIONS} bracket expansions: "
             f"H/psi'({lo}) = {f_lo:.6e}, H/psi'({hi}) = {f_hi:.6e}")
+    f = lambda x: _h_scaled(params, x, fs.psi_over_dpsi(x))
     return _brent(f, lo, hi, f_lo, f_hi, xtol, 4.0 * np.finfo(float).eps)
 
 
@@ -135,24 +148,29 @@ def _brent(f, x_pre, x_cur, f_pre, f_cur, xtol, rtol):
 
 
 def _n_d(params: ModelParams, fs: FundamentalSolution, y: float, z: float):
-    p = fs.psi_derivs(z, 3)
-    q0 = p[0] * p[2] - p[1] * p[1]
-    q1 = p[1] * p[3] - p[2] * p[2]
-    q0_prime = p[0] * p[3] - p[1] * p[2]
+    """(N/psi^3, D/psi^3) at (y, z), from the ratios r_k = psi^(k)/psi(z):
+    same quotient and signs as (N, D), and neither can overflow."""
+    r1, r2, r3 = fs.psi_ratios(z)
+    q0 = r2 - r1 * r1
+    q1 = r1 * r3 - r2 * r2
+    q0_prime = r3 - r1 * r2
     crt = (params.rho + params.kappa) * (params.c - r_tilde(params, z, y))
-    n_val = q0 * ((params.rho + 2.0 * params.kappa) / params.rho * p[1]
-                  + crt * p[2] + p[1])
-    d_val = p[0] * (crt * q1 + q0_prime)
+    n_val = q0 * ((params.rho + 2.0 * params.kappa) / params.rho * r1 + crt * r2 + r1)
+    d_val = crt * q1 + q0_prime
     return n_val, d_val
+
+
+def _slope(params: ModelParams, y: float, z: float, n_val: float, d_val: float) -> float:
+    if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+        raise IntegrationError(
+            f"boundary ODE singular: D/psi^3({y}, {z}) = {d_val:.3e} "
+            f"with N/psi^3 = {n_val:.3e}")
+    return params.beta * n_val / d_val
 
 
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates."""
-    n_val, d_val = _n_d(params, fs, y, z)
-    if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-        raise IntegrationError(
-            f"boundary ODE singular: D({y}, {z}) = {d_val:.3e} with N = {n_val:.3e}")
-    return params.beta * n_val / d_val
+    return _slope(params, y, z, *_n_d(params, fs, y, z))
 
 
 @dataclass(frozen=True)
@@ -228,33 +246,34 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     Each accepted step checks the difference quotient against Ftilde' >= beta
     and D > 0 at the new point; a violation indicates a tolerance or
     special-function failure (the exact solution satisfies both) and raises
-    :class:`IntegrationError` naming the offending y.
+    :class:`IntegrationError` naming the offending y.  The (N, D) pair of
+    that D check is the next step's k1, so a step costs four evaluations.
     """
     if n_steps < 100:
         raise DomainError(f"n_steps={n_steps} too coarse; need >= 100")
     x_tilde = solve_x_tilde(params, fs)
     h = params.y_bar / n_steps
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
-    zs = np.empty(n_steps + 1)
-    zs[-1] = x_tilde
-    rhs = lambda yy, zz: ode_rhs(params, fs, yy, zz)
+    y_list = ys.tolist()
+    zs = [math.nan] * n_steps + [x_tilde]
     z = x_tilde
+    n_val, d_val = _n_d(params, fs, y_list[-1], z)
     for i in range(n_steps, 0, -1):
-        y = ys[i]
-        k1 = rhs(y, z)
-        k2 = rhs(y - 0.5 * h, z - 0.5 * h * k1)
-        k3 = rhs(y - 0.5 * h, z - 0.5 * h * k2)
-        k4 = rhs(y - h, z - h * k3)
+        y, y_new = y_list[i], y_list[i - 1]
+        k1 = _slope(params, y, z, n_val, d_val)
+        k2 = ode_rhs(params, fs, y - 0.5 * h, z - 0.5 * h * k1)
+        k3 = ode_rhs(params, fs, y - 0.5 * h, z - 0.5 * h * k2)
+        k4 = ode_rhs(params, fs, y - h, z - h * k3)
         z_new = z - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         slope = (z - z_new) / h
         if slope < params.beta * (1.0 - 1e-9):
             raise IntegrationError(
-                f"Ftilde' = {slope:.6e} fell below beta = {params.beta} at y = {ys[i-1]:.6g}")
-        _, d_val = _n_d(params, fs, ys[i - 1], z_new)
+                f"Ftilde' = {slope:.6e} fell below beta = {params.beta} at y = {y_new:.6g}")
+        n_val, d_val = _n_d(params, fs, y_new, z_new)
         if d_val <= 0.0:
-            raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {ys[i-1]:.6g}")
-        z = z_new
-        zs[i - 1] = z
+            raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_new:.6g}")
+        zs[i - 1] = z = z_new
+    zs = np.array(zs)
     f_grid = zs - params.beta * ys
     f_itp = MonotoneCubic(ys, f_grid)
     finv_itp = MonotoneCubic(f_grid, ys)

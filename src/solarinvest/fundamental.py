@@ -22,8 +22,15 @@ accumulated in log space so that neither the t^{s-1} endpoint singularity
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
 call the quadrature per lookup: it interpolates ``log I_s`` on unit panels
-[j, j+1] in z by a Chebyshev polynomial through 20 first-kind nodes, each
-node one quadrature, and reproduces the quadrature to rounding.
+[j, j+1] in z by a Chebyshev polynomial through 20 first-kind nodes, and
+reproduces the quadrature to rounding.  ``log_weighted_integral`` takes an
+array of z and runs the level doubling on all of them at once, so one panel
+is one vectorised quadrature call.
+
+The boundary ODE and the value function's coefficient need the
+derivatives only relative to psi: ``psi_ratios`` forms psi^(k)/psi from one
+exp of log I_{s0+1} - log I_{s0} and the generator recurrence, and stays
+finite where psi itself overflows float64.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -102,14 +109,19 @@ def _chebyshev_tables(n):
 _CHEB_NODES, _CHEB_INV = _chebyshev_tables(_PANEL_NODES)
 
 
-def log_weighted_integral(s: float, z: float, rel_tol: float = 1e-12,
+def log_weighted_integral(s: float, z, rel_tol: float = 1e-12,
                           tail_pad: float = _TAIL_PAD,
                           max_level: int = _MAX_LEVEL):
     """log of I_s(z) = int_0^inf t^{s-1} e^{-t^2/2 - z t} dt, s > 0.
 
-    Doubles the tanh-sinh level until two successive estimates agree to
-    ``rel_tol`` (difference of logs).  Returns (log_value, achieved, level).
-    Raises :class:`NumericalError` if the doubling budget is exhausted.
+    ``z`` is a float or a 1-d array.  Doubles the tanh-sinh level until two
+    successive estimates agree to ``rel_tol`` (difference of logs); the
+    nodes of an array share each level's pass, and each keeps the estimate
+    of the level at which it converged, so an array gives exactly the
+    values of one call per node.  Returns (log_value, achieved, level),
+    with the worst ``achieved`` and ``level`` over the nodes of an array.
+    Raises :class:`NumericalError` if the doubling budget is exhausted at
+    any node.
     """
     if s <= 0.0:
         raise DomainError(f"integral order s={s} must be positive")
@@ -118,31 +130,45 @@ def log_weighted_integral(s: float, z: float, rel_tol: float = 1e-12,
         # node (log t ~ -774) exceeds the target tolerance
         raise NumericalError(
             f"order s={s} too singular for the node range", achieved=math.exp(-700.0 * s))
-    t_max = max(0.0, -z) + tail_pad
-    log_t_max = math.log(t_max)
-    run_max = -math.inf
-    run_sum = 0.0
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    log_t_max = np.log(np.maximum(0.0, -zs) + tail_pad)
+    est = np.empty_like(zs)
+    achieved = np.full_like(zs, math.inf)
+    level = np.zeros(zs.shape, dtype=int)
+    # rows still doubling: their index, z, log T and running log-sum-exp
+    live = np.arange(zs.size)
+    z_col = zs[:, None]
+    run_max = np.full(zs.shape, -math.inf)
+    run_sum = np.zeros(zs.shape)
     prev = None
-    est = math.nan
-    achieved = math.inf
     for m, (logx, logw, h) in enumerate(_TABLES[:max_level + 1]):
-        logt = log_t_max + logx
+        logt = log_t_max[:, None] + logx
         t = np.exp(logt)
-        expo = logw + (s - 1.0) * logt - 0.5 * t * t - z * t
-        emax = float(np.max(expo))
-        if emax > run_max:
-            run_sum = run_sum * math.exp(run_max - emax) if run_sum > 0.0 else 0.0
-            run_max = emax
-        run_sum += float(np.sum(np.exp(expo - run_max)))
-        est = math.log(h) + log_t_max + run_max + math.log(run_sum)
+        expo = logw + (s - 1.0) * logt - 0.5 * t * t - z_col * t
+        emax = expo.max(axis=1)
+        grow = emax > run_max
+        run_sum = np.where(grow, run_sum * np.exp(np.minimum(run_max - emax, 0.0)), run_sum)
+        run_max = np.where(grow, emax, run_max)
+        run_sum = run_sum + np.exp(expo - run_max[:, None]).sum(axis=1)
+        cur = math.log(h) + log_t_max + run_max + np.log(run_sum)
         if prev is not None:
-            achieved = abs(est - prev)
-            if achieved <= rel_tol:
-                return est, achieved, m
-        prev = est
+            gap = np.abs(cur - prev)
+            achieved[live] = gap
+            done = gap <= rel_tol
+            est[live[done]] = cur[done]
+            level[live[done]] = m
+            if done.all():
+                if np.ndim(z) == 0:
+                    return float(est[0]), float(achieved[0]), int(level[0])
+                return est, float(achieved.max()), int(level.max())
+            keep = ~done
+            live, z_col, log_t_max = live[keep], z_col[keep], log_t_max[keep]
+            run_max, run_sum, cur = run_max[keep], run_sum[keep], cur[keep]
+        prev = cur
+    worst = live[np.argmax(achieved[live])]
     raise NumericalError(
-        f"quadrature for I_s(z) with s={s}, z={z} did not converge "
-        f"within {max_level} level doublings", achieved=achieved)
+        f"quadrature for I_s(z) with s={s}, z={zs[worst]} did not converge "
+        f"within {max_level} level doublings", achieved=float(achieved[worst]))
 
 
 def cylinder_d(alpha: float, x: float, rel_tol: float = 1e-12) -> float:
@@ -165,9 +191,9 @@ class FundamentalSolution:
     """Evaluator for psi, phi, their derivatives of any order, and Q_k.
 
     Every value comes from ``log I_s(z)`` on Chebyshev panels: the panel of
-    z (order s, unit cell [j, j+1]) is built on first use from 20 quadrature
-    nodes and kept for the life of the instance, so a boundary solve, which
-    stays inside a few cells, needs a few hundred quadratures in all.
+    z (order s, unit cell [j, j+1]) is built on first use from one quadrature
+    call over its 20 nodes and kept for the life of the instance, so a
+    boundary solve, which stays inside a few cells, builds a few panels.
     Panels are only ever added, and a panel's coefficients depend on
     (s, j) and the quadrature settings alone, so concurrent reads are safe:
     two threads that build the same panel store identical values.
@@ -180,6 +206,7 @@ class FundamentalSolution:
         self.tail_pad = tail_pad
         self.max_level = max_level
         self._s0 = params.rho / params.kappa
+        self._s1 = self._s0 + 1
         self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
         self._log_scale = math.log(self._scale)
         self._lgamma_s0 = math.lgamma(self._s0)
@@ -190,25 +217,60 @@ class FundamentalSolution:
     def _panel(self, s: float, j: int) -> tuple:
         """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first."""
         nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
-        values = [log_weighted_integral(s, float(z), self.rel_tol, self.tail_pad,
-                                        self.max_level)[0] for z in nodes]
-        coeffs = tuple(float(c) for c in (_CHEB_INV @ values)[::-1])
+        values = log_weighted_integral(s, nodes, self.rel_tol, self.tail_pad,
+                                       self.max_level)[0]
+        coeffs = tuple((_CHEB_INV @ values)[::-1].tolist())
         self._panels[(s, j)] = coeffs
         return coeffs
 
-    def _log_i(self, s: float, z: float) -> float:
+    @staticmethod
+    def _cell(s: float, z: float):
+        """Panel index j holding z, and z's position u in [-1, 1] inside it."""
         if not math.isfinite(z):
             raise NumericalError(f"I_s(z) requested at non-finite z={z} (s={s})")
         j = math.floor(z / _PANEL_WIDTH)
-        coeffs = self._panels.get((s, j)) or self._panel(s, j)
-        # Clenshaw recurrence on u in [-1, 1]; the loop ends with b1 = b_0
-        # and b2 = b_1, and the full-weight c_0 term gives b_0 - u b_1
-        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+        return j, 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+
+    # Clenshaw recurrence on u in [-1, 1]: each loop ends with b1 = b_0 and
+    # b2 = b_1, and the full-weight c_0 term gives b_0 - u b_1
+
+    def _log_i(self, s: float, z: float) -> float:
+        j, u = self._cell(s, z)
         two_u = 2.0 * u
         b1 = b2 = 0.0
-        for c in coeffs:
+        for c in self._panels.get((s, j)) or self._panel(s, j):
             b1, b2 = two_u * b1 - b2 + c, b1
         return b1 - u * b2
+
+    def _log_psi_ratios(self, x: float, k_max: int):
+        """log psi(x) and [psi^(k)(x)/psi(x) for k = 1..k_max].
+
+        One Clenshaw pass over the (s0, s0+1) panel pair gives log I_s0 and
+        log I_{s0+1}; the exp of their difference gives psi^(1)/psi, and the
+        two-term recurrence psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
+        + (2 (rho + k kappa)/sigma^2) psi^(k) of the generator equation,
+        divided by psi, gives the higher ratios.
+        """
+        s0, s1, panels = self._s0, self._s1, self._panels
+        j, u = self._cell(s0, self._z(x))
+        two_u = 2.0 * u
+        a1 = a2 = b1 = b2 = 0.0
+        for ca, cb in zip(panels.get((s0, j)) or self._panel(s0, j),
+                          panels.get((s1, j)) or self._panel(s1, j)):
+            a1, a2 = two_u * a1 - a2 + ca, a1
+            b1, b2 = two_u * b1 - b2 + cb, b1
+        log_i0 = a1 - u * a2
+        out = [1.0, self._scale * math.exp(b1 - u * b2 - log_i0)]
+        p = self.params
+        two_over_s2 = 2.0 / p.sigma**2
+        drift = -two_over_s2 * p.kappa * (p.mu - x)
+        for k in range(k_max - 1):
+            nxt = drift * out[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * out[k]
+            if not nxt > 0.0:
+                raise NumericalError(
+                    f"derivative recurrence lost positivity at k={k + 2}, x={x}")
+            out.append(nxt)
+        return log_i0 - self._lgamma_s0, out[1:k_max + 1]
 
     def _z(self, x: float) -> float:
         return (self.params.mu - x) * self._scale
@@ -242,22 +304,22 @@ class FundamentalSolution:
             raise DomainError(f"derivative order k={k} must be >= 0")
         return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
 
+    def psi_ratios(self, x: float) -> list:
+        """[psi^(k)(x)/psi(x) for k = 1, 2, 3], formed without psi itself:
+        finite wherever the quadrature converges, also where psi overflows."""
+        return self._log_psi_ratios(x, 3)[1]
+
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x): integral seeds k = 0, 1, then the two-term
-        recurrence psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
-        + (2 (rho + k kappa)/sigma^2) psi^(k) from the generator equation."""
-        p = self.params
-        out = [self.psi(x)]
-        if k_max >= 1:
-            out.append(_exp(self.log_psi_deriv(1, x), "psi'", x))
-        two_over_s2 = 2.0 / p.sigma**2
-        for k in range(k_max - 1):
-            nxt = (-two_over_s2 * p.kappa * (p.mu - x) * out[k + 1]
-                   + two_over_s2 * (p.rho + k * p.kappa) * out[k])
-            if not nxt > 0.0:
-                raise NumericalError(
-                    f"derivative recurrence lost positivity at k={k + 2}, x={x}")
-            out.append(nxt)
+        """psi^(0..k_max)(x): psi(x) times the ratios of :meth:`psi_ratios`,
+        the recurrence carried to order k_max."""
+        log_psi, ratios = self._log_psi_ratios(x, k_max)
+        psi = _exp(log_psi, "psi", x)
+        out = [psi] + [psi * r for r in ratios]
+        if math.inf in out:
+            k = out.index(math.inf)
+            raise NumericalError(
+                f"psi^({k})({x}) overflows float64: "
+                f"log psi^({k}) = {log_psi + math.log(ratios[k - 1]):.6g}")
         return np.array(out)
 
     def psi_deriv(self, k: int, x: float) -> float:
@@ -271,6 +333,16 @@ class FundamentalSolution:
     def psi_over_dpsi(self, x: float) -> float:
         """psi(x)/psi'(x), formed in log space; bounded for any x."""
         return math.exp(self.log_psi_deriv(0, x) - self.log_psi_deriv(1, x))
+
+    def psi_over_dpsi_quad(self, xs) -> np.ndarray:
+        """psi/psi' at each x of the 1-d array ``xs`` straight from the
+        quadrature, one vectorised call per order.  Builds no panel, for
+        points that are visited once."""
+        z = (self.params.mu - np.asarray(xs, dtype=float)) * self._scale
+        log_i0, log_i1 = (log_weighted_integral(s, z, self.rel_tol, self.tail_pad,
+                                                self.max_level)[0]
+                          for s in (self._s0, self._s1))
+        return np.exp(log_i0 - log_i1 - self._log_scale)
 
     # -- determinant combinations -------------------------------------------
 

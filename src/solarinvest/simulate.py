@@ -339,6 +339,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, antithetic=False, record=Fals
             x += noise[:, k]
             disc *= disc_step
             step += 1
+        del noise  # free this chunk before the next draw allocates its successor
     if not np.isfinite(x).all():
         raise SimulationError("non-finite price state encountered")
 

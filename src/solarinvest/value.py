@@ -63,15 +63,17 @@ class ValueFunction:
     # -- coefficient function -------------------------------------------------
 
     def _a_closed_form(self, y: float, f_tilde: float) -> float:
-        # smooth-fit representation with the explicit R-terms
+        # smooth-fit representation with the explicit R-terms, numerator and
+        # denominator divided by psi(Ft) and psi(Ft)^2: the ratios stay finite
+        # where the psi-derivatives themselves would overflow to inf/inf
         p = self.params
         f_val = f_tilde - p.beta * y
-        d = self.fs.psi_derivs(f_tilde, 2)
+        r1, r2, _ = self.fs.psi_ratios(f_tilde)
         rk = p.rho + p.kappa
-        num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * d[1]
-               + 0.5 * p.sigma**2 * d[2])
-        den = d[1] ** 2 - d[2] * d[0]
-        return num / den / (p.beta * p.rho * rk)
+        num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * r1
+               + 0.5 * p.sigma**2 * r2)
+        den = r1 ** 2 - r2
+        return num / den / (p.beta * p.rho * rk) / self.fs.psi(f_tilde)
 
     def a_alt(self, y: float) -> float:
         """A(y) through the Rtilde/Q0 representation; cross-check route."""

@@ -7,6 +7,7 @@ import pytest
 from solarinvest import (DomainError, FundamentalSolution, Regime, Region,
                          classify_regime, h_func, integrate_boundary, ode_rhs,
                          r_tilde, solve_x_tilde, table_preset, y_star)
+from solarinvest import boundary
 from solarinvest.boundary import _n_d, export_grid_csv
 
 from conftest import rel_err
@@ -66,6 +67,15 @@ class TestAnchor:
             floor = params.c * params.rho + params.kappa * params.beta * params.y_bar / (params.rho + params.kappa)
             assert fb.x_bar > floor
 
+    def test_bracket_ends_build_no_panels(self):
+        # only the cells that Brent and the RK4 path read hold panels: two
+        # orders over three cells, where evaluating H at the bracket ends
+        # through panels built four more
+        params = table_preset(1.4)
+        fs = FundamentalSolution(params)
+        integrate_boundary(params, fs, n_steps=800)
+        assert len(fs._panels) < 10
+
     def test_anchor_increasing_in_capacity_bound(self):
         roots = []
         for y_bar in (2.0, 5.0):
@@ -81,13 +91,14 @@ class TestOdeRightHandSide:
         assert ode_rhs(params, fs, params.y_bar, fb.x_tilde) > params.beta
 
     def test_denominator_identity_at_anchor(self, base):
-        # at the anchor, D collapses to Q0 psi psi'' / psi'
+        # at the anchor, D collapses to Q0 psi psi'' / psi'; _n_d returns
+        # D / psi^3, the same identity in the derivatives divided by psi
         params, fs, fb, _ = base
         xt = fb.x_tilde
         _, d_val = _n_d(params, fs, params.y_bar, xt)
-        d = fs.psi_derivs(xt, 2)
+        d = fs.psi_derivs(xt, 2) / fs.psi(xt)
         q0 = d[0] * d[2] - d[1] ** 2
-        assert rel_err(d_val, q0 * d[0] * d[2] / d[1]) < 1e-9
+        assert rel_err(d_val, q0 * d[2] / (d[0] * d[1])) < 1e-9
 
     def test_numerator_dominates_where_denominator_nonnegative(self, base):
         params, fs, _, _ = base
@@ -128,6 +139,22 @@ class TestIntegration:
         order = math.log2(abs((f0[100] - f0[200]) / (f0[200] - f0[400])))
         assert order >= 3.0
         assert abs(f0[200] - f0[400]) < 1e-6
+
+    def test_four_evaluations_per_step(self, monkeypatch):
+        # k2, k3, k4 and the D check per step; the D check's pair is the
+        # next step's k1, and the anchor's k1 is the one extra
+        calls = []
+        n_d = boundary._n_d
+
+        def counted(*args):
+            calls.append(args[2:])
+            return n_d(*args)
+
+        monkeypatch.setattr(boundary, "_n_d", counted)
+        params = table_preset(1.4)
+        n_steps = 150
+        integrate_boundary(params, FundamentalSolution(params), n_steps=n_steps)
+        assert len(calls) == 4 * n_steps + 1
 
     def test_too_coarse_rejected(self, base):
         params, fs, _, _ = base

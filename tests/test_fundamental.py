@@ -279,6 +279,61 @@ class TestChebyshevPanels:
         assert repr(x) in str(exc.value)
 
 
+class TestVectorisedQuadrature:
+    @pytest.mark.parametrize("s", [0.06, 0.5, 1.5, 3.0])
+    def test_array_equals_scalar_calls(self, s):
+        for j in (-7, -3, -1, 0, 2, 5):
+            zs = j + 0.5 * (1.0 + fundamental._CHEB_NODES)
+            log_vals, achieved, level = log_weighted_integral(s, zs)
+            scalar = [log_weighted_integral(s, float(z)) for z in zs]
+            assert log_vals.tolist() == [v for v, _, _ in scalar]
+            assert achieved == max(a for _, a, _ in scalar)
+            assert level == max(m for _, _, m in scalar)
+
+    def test_non_converging_node_reports_worst_achieved(self):
+        # with four doublings the nodes with z <= -4 (interior peak) fail
+        # and those with z >= -2 converge
+        zs = np.linspace(-12.0, 6.0, 10)
+        scalar = []
+        for z in zs:
+            try:
+                log_weighted_integral(0.5, float(z), max_level=4)
+            except NumericalError as exc:
+                scalar.append(exc.achieved)
+        assert 0 < len(scalar) < len(zs)
+        with pytest.raises(NumericalError) as exc:
+            log_weighted_integral(0.5, zs, max_level=4)
+        assert exc.value.achieved == max(scalar)
+
+
+class TestPsiRatios:
+    @pytest.mark.parametrize("mu", [0.2, 1.4, 2.25])
+    def test_agrees_with_derivatives_over_psi(self, mu):
+        p = table_preset(mu)
+        fs = FundamentalSolution(p)
+        half = 45.0 * p.sigma / math.sqrt(2.0 * p.kappa)
+        checked = 0
+        for x in np.linspace(p.mu - half, p.mu + half, 300):
+            try:
+                derivs = fs.psi_derivs(float(x), 3)
+            except NumericalError:
+                continue
+            ratios = fs.psi_ratios(float(x))
+            for k in (1, 2, 3):
+                assert rel_err(ratios[k - 1], derivs[k] / derivs[0]) < 1e-12, (x, k)
+            checked += 1
+        assert checked > 200
+
+    def test_finite_where_psi_overflows(self):
+        p = table_preset(1.4)
+        fs = FundamentalSolution(p)
+        x = p.mu + 60.0 * p.sigma / math.sqrt(2.0 * p.kappa)  # z = -60
+        with pytest.raises(NumericalError):
+            fs.psi(x)
+        ratios = fs.psi_ratios(x)
+        assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+
+
 def test_package_import_does_not_load_scipy():
     src = str(Path(solarinvest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from solarinvest import (ConfigurationError, FixedThreshold, ImmediateFull,
                          NeverInstall, OptimalReflection, dominance_report,
                          estimate_value, estimate_value_many, initial_lump,
                          r_value, simulate_path, verification_states)
+from solarinvest import simulate
 from solarinvest.simulate import Policy, discount_tail_bound
 
 
@@ -228,6 +230,22 @@ class TestEstimator:
         ratio = mean_over[0.04] / mean_over[0.01]
         # sqrt(dt) scaling predicts 2
         assert 1.4 <= ratio <= 2.8
+
+    def test_noise_chunk_released_before_next_draw(self, setup, monkeypatch):
+        # three chunks of 1024 steps x 256 paths; holding one chunk while
+        # the next is drawn would peak above two chunks' bytes
+        params, _, _ = setup
+        n_paths, chunk = 256, simulate._TIME_CHUNK
+        monkeypatch.setattr(simulate, "_CHUNK_BUDGET", n_paths * chunk)
+        dt = 0.01
+        tracemalloc.start()
+        try:
+            estimate_value(params, NeverInstall(), 1.0, 0.0, n_paths=n_paths, dt=dt,
+                           horizon=3 * chunk * dt, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n_paths * chunk * 8
 
     def test_config_errors(self, setup):
         params, fb, _ = setup
