@@ -38,8 +38,9 @@ import numpy as np
 from .errors import DomainError, IntegrationError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import MonotoneCubic
-from .model import ModelParams
+from .model import ModelParams, check_capacity
 
+MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
 _MAX_EXPANSIONS = 50
 _MAX_ROOT_ITER = 100
@@ -194,8 +195,7 @@ class FreeBoundary:
 
     def f(self, y: float) -> float:
         """Boundary price F(y); installing is optimal once x >= F(y)."""
-        self._check_y(y)
-        return float(self._f_itp(min(max(y, 0.0), self.params.y_bar)))
+        return float(self._f_itp(check_capacity(self.params, y)))
 
     def f_tilde_at(self, y: float) -> float:
         """Shifted boundary Ftilde(y) = F(y) + beta*y."""
@@ -221,7 +221,7 @@ class FreeBoundary:
 
     def region(self, x: float, y: float) -> Region:
         """Three-way state classification; at y = y_bar only waiting applies."""
-        self._check_y(y)
+        check_capacity(self.params, y)
         if y >= self.params.y_bar * (1.0 - 1e-15):
             return Region.W
         if x >= self.x_bar:
@@ -230,13 +230,16 @@ class FreeBoundary:
             return Region.I1
         return Region.W
 
-    def _check_y(self, y: float) -> None:
-        if not 0.0 <= y <= self.params.y_bar * (1.0 + 1e-12):
-            raise DomainError(f"capacity y={y} outside [0, {self.params.y_bar}]")
-
-    def grid_rows(self):
-        """Rows (y, Ftilde(y), F(y)) for CSV export."""
-        return [(y, ft, fv) for y, ft, fv in zip(self.ys, self.f_tilde, self.f_grid)]
+    def lump_target(self, x: float, y: float) -> float:
+        """Capacity right after the optimal installation at (x, y): y_bar
+        from x_bar up, max(Finv(x), y) in I1 (the interpolated inverse may
+        dip below y just above F(y)), y otherwise."""
+        region = self.region(x, y)  # also rejects y outside [0, y_bar]
+        if x >= self.x_bar:
+            return self.params.y_bar
+        if region is Region.I1:
+            return max(self.f_inverse(x), y)
+        return y
 
 
 def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
@@ -249,8 +252,8 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     :class:`IntegrationError` naming the offending y.  The (N, D) pair of
     that D check is the next step's k1, so a step costs four evaluations.
     """
-    if n_steps < 100:
-        raise DomainError(f"n_steps={n_steps} too coarse; need >= 100")
+    if n_steps < MIN_STEPS:
+        raise DomainError(f"n_steps={n_steps} too coarse; need >= {MIN_STEPS}")
     x_tilde = solve_x_tilde(params, fs)
     h = params.y_bar / n_steps
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
@@ -304,5 +307,5 @@ def export_grid_csv(fb: FreeBoundary, path) -> None:
     """Write the grid as CSV with header y,F_tilde,F at 12 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write("y,F_tilde,F\n")
-        for y, ft, fv in fb.grid_rows():
+        for y, ft, fv in zip(fb.ys, fb.f_tilde, fb.f_grid):
             fh.write(f"{y:.12g},{ft:.12g},{fv:.12g}\n")

@@ -105,9 +105,15 @@ def cmd_classify(args) -> int:
 
 def cmd_value(args) -> int:
     params = _load_params(args)
+    x, y = args.x, args.y
+    if not np.isfinite(x):
+        raise ConfigurationError(f"--x must be finite, got {x}")
+    try:
+        model.check_capacity(params, y)
+    except DomainError as exc:
+        raise ConfigurationError(f"--y: {exc}") from None
     fs, fb = _solve(params, args.steps)
     vf = ValueFunction(params, fs, fb)
-    x, y = args.x, args.y
     w_x, w_xx, w_y = vf.partials(x, y)
     payload = {
         "x": x, "y": y,
@@ -271,6 +277,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.steps < bd.MIN_STEPS:
+            raise ConfigurationError(f"--steps must be >= {bd.MIN_STEPS}, got {args.steps}")
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ against the e^{-z^2/4} inside D, leaving
 with I_s(z) = int_0^inf t^{s-1} e^{-t^2/2 - z t} dt.  The bare integral is
 evaluated by deterministic tanh-sinh quadrature with level doubling,
 accumulated in log space so that neither the t^{s-1} endpoint singularity
-(s < 1) nor the interior peak e^{z^2/2} (z << 0) can overflow.
+(s < 1) nor the interior peak e^{z^2/2} (z << 0) can overflow; its settings
+are module constants.
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
 call the quadrature per lookup: it interpolates ``log I_s`` on unit panels
@@ -30,7 +31,8 @@ is one vectorised quadrature call.
 The boundary ODE and the value function's coefficient need the
 derivatives only relative to psi: ``psi_ratios`` forms psi^(k)/psi from one
 exp of log I_{s0+1} - log I_{s0} and the generator recurrence, and stays
-finite where psi itself overflows float64.
+finite where psi itself overflows float64.  ``psi_derivs``, ``psi_deriv``
+and ``psi_over_dpsi`` read the same ratios.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -51,6 +53,7 @@ from .errors import DomainError, NumericalError
 from .model import ModelParams
 
 _LOG2 = math.log(2.0)
+_REL_TOL = 1e-12     # agreement of successive levels' logs that ends doubling
 _UMAX = 6.2          # tanh-sinh transform truncation; covers s >= 0.05
 _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; tail < 1e-16 relative
@@ -63,7 +66,7 @@ def _logcosh(a):
     return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
 
 
-def _build_tables(max_level=_MAX_LEVEL):
+def _build_tables():
     """Per-level tanh-sinh nodes on (0, 1); level m > 0 holds only new nodes.
 
     The map x(u) = 1/(1 + e^{-pi sinh u}) is evaluated through log x directly:
@@ -71,7 +74,7 @@ def _build_tables(max_level=_MAX_LEVEL):
     which is fatal for integrands with an x^{s-1}, s < 1, singularity.
     """
     tables = []
-    for m in range(max_level + 1):
+    for m in range(_MAX_LEVEL + 1):
         h = 0.5 / 2**m
         js = np.arange(-int(_UMAX / h), int(_UMAX / h) + 1)
         if m > 0:
@@ -109,13 +112,11 @@ def _chebyshev_tables(n):
 _CHEB_NODES, _CHEB_INV = _chebyshev_tables(_PANEL_NODES)
 
 
-def log_weighted_integral(s: float, z, rel_tol: float = 1e-12,
-                          tail_pad: float = _TAIL_PAD,
-                          max_level: int = _MAX_LEVEL):
+def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     """log of I_s(z) = int_0^inf t^{s-1} e^{-t^2/2 - z t} dt, s > 0.
 
     ``z`` is a float or a 1-d array.  Doubles the tanh-sinh level until two
-    successive estimates agree to ``rel_tol`` (difference of logs); the
+    successive estimates agree to 1e-12 (difference of logs); the
     nodes of an array share each level's pass, and each keeps the estimate
     of the level at which it converged, so an array gives exactly the
     values of one call per node.  Returns (log_value, achieved, level),
@@ -131,7 +132,7 @@ def log_weighted_integral(s: float, z, rel_tol: float = 1e-12,
         raise NumericalError(
             f"order s={s} too singular for the node range", achieved=math.exp(-700.0 * s))
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    log_t_max = np.log(np.maximum(0.0, -zs) + tail_pad)
+    log_t_max = np.log(np.maximum(0.0, -zs) + _TAIL_PAD)
     est = np.empty_like(zs)
     achieved = np.full_like(zs, math.inf)
     level = np.zeros(zs.shape, dtype=int)
@@ -154,7 +155,7 @@ def log_weighted_integral(s: float, z, rel_tol: float = 1e-12,
         if prev is not None:
             gap = np.abs(cur - prev)
             achieved[live] = gap
-            done = gap <= rel_tol
+            done = gap <= _REL_TOL
             est[live[done]] = cur[done]
             level[live[done]] = m
             if done.all():
@@ -171,11 +172,11 @@ def log_weighted_integral(s: float, z, rel_tol: float = 1e-12,
         f"within {max_level} level doublings", achieved=float(achieved[worst]))
 
 
-def cylinder_d(alpha: float, x: float, rel_tol: float = 1e-12) -> float:
+def cylinder_d(alpha: float, x: float) -> float:
     """Cylinder function D_alpha(x), alpha < 0, by deterministic quadrature."""
     if alpha >= 0.0:
         raise DomainError(f"cylinder_d requires alpha < 0, got {alpha}")
-    log_i, _, _ = log_weighted_integral(-alpha, x, rel_tol)
+    log_i, _, _ = log_weighted_integral(-alpha, x)
     return math.exp(-0.25 * x * x + log_i - math.lgamma(-alpha))
 
 
@@ -195,16 +196,12 @@ class FundamentalSolution:
     call over its 20 nodes and kept for the life of the instance, so a
     boundary solve, which stays inside a few cells, builds a few panels.
     Panels are only ever added, and a panel's coefficients depend on
-    (s, j) and the quadrature settings alone, so concurrent reads are safe:
+    (s, j) alone, so concurrent reads are safe:
     two threads that build the same panel store identical values.
     """
 
-    def __init__(self, params: ModelParams, rel_tol: float = 1e-12,
-                 tail_pad: float = _TAIL_PAD, max_level: int = _MAX_LEVEL):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.rel_tol = rel_tol
-        self.tail_pad = tail_pad
-        self.max_level = max_level
         self._s0 = params.rho / params.kappa
         self._s1 = self._s0 + 1
         self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
@@ -217,8 +214,7 @@ class FundamentalSolution:
     def _panel(self, s: float, j: int) -> tuple:
         """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first."""
         nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
-        values = log_weighted_integral(s, nodes, self.rel_tol, self.tail_pad,
-                                       self.max_level)[0]
+        values = log_weighted_integral(s, nodes)[0]
         coeffs = tuple((_CHEB_INV @ values)[::-1].tolist())
         self._panels[(s, j)] = coeffs
         return coeffs
@@ -326,22 +322,18 @@ class FundamentalSolution:
         """k-th derivative of psi (k = 0 is psi itself); strictly positive."""
         if k < 0:
             raise DomainError(f"derivative order k={k} must be >= 0")
-        if k <= 1:
-            return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
         return float(self.psi_derivs(x, k)[k])
 
     def psi_over_dpsi(self, x: float) -> float:
-        """psi(x)/psi'(x), formed in log space; bounded for any x."""
-        return math.exp(self.log_psi_deriv(0, x) - self.log_psi_deriv(1, x))
+        """psi(x)/psi'(x), the inverse of the first ratio; bounded for any x."""
+        return 1.0 / self._log_psi_ratios(x, 1)[1][0]
 
     def psi_over_dpsi_quad(self, xs) -> np.ndarray:
         """psi/psi' at each x of the 1-d array ``xs`` straight from the
         quadrature, one vectorised call per order.  Builds no panel, for
         points that are visited once."""
         z = (self.params.mu - np.asarray(xs, dtype=float)) * self._scale
-        log_i0, log_i1 = (log_weighted_integral(s, z, self.rel_tol, self.tail_pad,
-                                                self.max_level)[0]
-                          for s in (self._s0, self._s1))
+        log_i0, log_i1 = (log_weighted_integral(s, z)[0] for s in (self._s0, self._s1))
         return np.exp(log_i0 - log_i1 - self._log_scale)
 
     # -- determinant combinations -------------------------------------------
@@ -352,13 +344,6 @@ class FundamentalSolution:
             raise DomainError(f"order k={k} must be >= 0")
         d = self.psi_derivs(x, k + 2)
         return float(d[k] * d[k + 2] - d[k + 1] ** 2)
-
-    def q_prime(self, k: int, x: float) -> float:
-        """Q_k'(x) = psi^(k) psi^(k+3) - psi^(k+1) psi^(k+2)."""
-        if k < 0:
-            raise DomainError(f"order k={k} must be >= 0")
-        d = self.psi_derivs(x, k + 3)
-        return float(d[k] * d[k + 3] - d[k + 1] * d[k + 2])
 
     def ratio(self, k: int, x: float) -> float:
         """Psi_k(x) = (psi^(k+1))^2 / (psi^(k) psi^(k+2)); strictly increasing."""

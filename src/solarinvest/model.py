@@ -120,9 +120,11 @@ def table_preset(mu: float = 0.2) -> ModelParams:
     return params_from_dict(data)
 
 
-def check_capacity(params: ModelParams, y: float) -> None:
+def check_capacity(params: ModelParams, y: float) -> float:
+    """y clamped to [0, y_bar]; DomainError beyond a 1e-12 relative slack."""
     if not 0.0 <= y <= params.y_bar * (1.0 + 1e-12):
         raise DomainError(f"installed power y={y} outside [0, {params.y_bar}]")
+    return min(y, params.y_bar)
 
 
 def r_value(params: ModelParams, x: float, y: float) -> float:

@@ -3,12 +3,13 @@
 The price is stepped with Euler-Maruyama under the capacity-dependent drift
 kappa((mu - beta*Y) - X); the optimal policy applies the lump
 
-    Delta = (y_bar - y) 1{x >= x_bar} + (Finv(x) - y) 1{F(y) < x < x_bar}
+    Delta = (y_bar - y) 1{x >= x_bar} + (max(Finv(x), y) - y) 1{F(y) <= x < x_bar}
 
-at time 0- and afterwards projects Y onto min(Fbar_inv(X), y_bar) whenever
-the price crosses the boundary (the running-max construction of the reflected
-dynamics, discretized by projection; the scheme converges as dt -> 0 with an
-O(sqrt(dt)) one-step overshoot).
+(``FreeBoundary.lump_target(x, y) - y``) at time 0- and afterwards projects
+Y onto min(Fbar_inv(X), y_bar) whenever the price crosses the boundary (the
+running-max construction of the reflected dynamics, discretized by
+projection; the scheme converges as dt -> 0 with an O(sqrt(dt)) one-step
+overshoot).
 
 Revenue accrues as X_t * Y_t integrated against the exact per-step discount
 int e^{-rho u} du; installation costs are charged at e^{-rho t} c dY, with the
@@ -54,11 +55,7 @@ def _chunk_size(nb: int, n_steps: int) -> int:
 
 def initial_lump(params: ModelParams, fb: FreeBoundary, x: float, y: float) -> float:
     """Instantaneous installation prescribed by the optimal strategy at t=0."""
-    if x >= fb.x_bar:
-        return params.y_bar - y
-    if x > fb.f(y):
-        return fb.f_inverse(x) - y
-    return 0.0
+    return fb.lump_target(x, y) - y
 
 
 class Policy:
@@ -109,7 +106,6 @@ class OptimalReflection(Policy):
     name = "optimal"
 
     def __init__(self, params: ModelParams, fb: FreeBoundary):
-        self._params = params
         self._fb = fb
         self._x_knots = fb.f_grid
         self._y_knots = fb.ys

@@ -17,11 +17,12 @@ equivalently (after using the generator equation)
 with A > 0 strictly decreasing and A(y_bar) = 0.  The assembled function
 
     w = A(y) psi(x + beta y) + R(x, y)                     (wait)
-    w = value on the boundary at capacity Finv(x),
-        minus c (Finv(x) - y)                              (lump to boundary)
+    w = waiting value at y_hit = max(Finv(x), y),
+        minus c (y_hit - y)                                (lump to boundary)
     w = R(x, y_bar) - c (y_bar - y)                        (lump to capacity)
 
-is C^{2,1}, solves the variational inequality
+with y_hit = ``FreeBoundary.lump_target(x, y)`` (y when waiting), is C^{2,1},
+solves the variational inequality
 max{generator(w) - rho w + x y, w_y - c} = 0, and grows at most linearly.
 
 A is sampled on the boundary grid from the closed form and interpolated with
@@ -38,11 +39,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .boundary import FreeBoundary, Region, r_tilde, y_star
+from .boundary import FreeBoundary, r_tilde, y_star
 from .errors import DomainError
 from .fundamental import FundamentalSolution
 from .interp import MonotoneCubic
-from .model import ModelParams, r_partials, r_value
+from .model import ModelParams, check_capacity, r_partials, r_value
 
 
 class ValueFunction:
@@ -86,8 +87,7 @@ class ValueFunction:
 
     def a(self, y: float) -> float:
         """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
-        self.fb._check_y(y)
-        return float(self._a_itp(min(max(y, 0.0), self.params.y_bar)))
+        return float(self._a_itp(check_capacity(self.params, y)))
 
     def a_prime(self, y: float) -> float:
         """Closed-form A'(y) < 0 on [0, y_bar)."""
@@ -109,36 +109,24 @@ class ValueFunction:
     def w(self, x: float, y: float) -> float:
         """Value of optimally installing from state (x, y)."""
         p = self.params
-        region = self.fb.region(x, y)
-        if region is Region.W and not (y >= p.y_bar * (1.0 - 1e-15) and x >= self.fb.x_bar):
-            return self.a(y) * self.fs.psi(x + p.beta * y) + r_value(p, x, y)
-        if x >= self.fb.x_bar:
-            return r_value(p, x, p.y_bar) - p.c * (p.y_bar - y)
-        y_hit = self.fb.f_inverse(x)
-        return (self.a(y_hit) * self.fs.psi(x + p.beta * y_hit)
-                + r_value(p, x, y_hit) - p.c * (y_hit - y))
+        y_hit = self.fb.lump_target(x, y)
+        # A(y_bar) = 0: from x_bar up, drop the psi term, which may overflow
+        psi_term = (0.0 if x >= self.fb.x_bar
+                    else self.a(y_hit) * self.fs.psi(x + p.beta * y_hit))
+        return psi_term + r_value(p, x, y_hit) - p.c * (y_hit - y)
 
     def partials(self, x: float, y: float):
-        """(w_x, w_xx, w_y) from the region-wise closed forms."""
+        """(w_x, w_xx, w_y) from the closed forms at the lump target."""
         p = self.params
-        region = self.fb.region(x, y)
-        at_cap = y >= p.y_bar * (1.0 - 1e-15)
-        if region is Region.W and not (at_cap and x >= self.fb.x_bar):
-            d = self.fs.psi_derivs(x + p.beta * y, 2)
-            r_y, _, r_x = r_partials(p, x, y)
-            a_val = self.a(y)
-            w_x = a_val * d[1] + r_x
-            w_xx = a_val * d[2]
-            w_y = self.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y
-            return w_x, w_xx, w_y
+        y_hit = self.fb.lump_target(x, y)
+        r_y, _, r_x = r_partials(p, x, y_hit)
         if x >= self.fb.x_bar:
-            _, _, r_x = r_partials(p, x, p.y_bar)
             return r_x, 0.0, p.c
-        y_hit = self.fb.f_inverse(x)
         d = self.fs.psi_derivs(x + p.beta * y_hit, 2)
-        _, _, r_x = r_partials(p, x, y_hit)
         a_val = self.a(y_hit)
-        return a_val * d[1] + r_x, a_val * d[2], p.c
+        w_y = (p.c if y_hit > y
+               else self.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y)
+        return a_val * d[1] + r_x, a_val * d[2], w_y
 
     def hjb_residual(self, x: float, y: float):
         """(pde_term, gradient_term) of the variational inequality at (x, y)."""
@@ -158,13 +146,10 @@ class ValueFunction:
                                 + p.c * p.rho - x)
 
     def z_gap(self, x: float) -> float:
-        """c rho + kappa beta w_x(x, Finv(x)) - x; negative on [x0, x_bar]."""
+        """c rho + kappa beta w_x(x, Finv(x)) - x; negative on [x0, x_bar].
+        (On that range the lump takes (x, 0) to (x, Finv(x)).)"""
         p = self.params
-        y_hit = self.fb.f_inverse(x)
-        d = self.fs.psi_derivs(x + p.beta * y_hit, 2)
-        _, _, r_x = r_partials(p, x, y_hit)
-        w_x = self.a(y_hit) * d[1] + r_x
-        return p.c * p.rho + p.kappa * p.beta * w_x - x
+        return p.c * p.rho + p.kappa * p.beta * self.partials(x, 0.0)[0] - x
 
     def s_gap(self, x: float, y: float) -> float:
         """Installation-gradient gap w_y - c; zero with zero x-slope on the boundary."""

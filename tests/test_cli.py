@@ -68,6 +68,11 @@ class TestClassifyCommand:
         assert payload["tie"] is False
         assert {"y_star", "f0", "mu"} <= set(payload)
 
+    @pytest.mark.parametrize("steps", ["50", "0"])
+    def test_too_few_steps_is_a_configuration_error(self, capsys, steps):
+        assert main(["--steps", steps, "classify"]) == 2
+        assert "--steps" in capsys.readouterr().err
+
 
 class TestValueCommand:
     def test_waiting_state_query(self, tmp_path, capsys):
@@ -85,6 +90,12 @@ class TestValueCommand:
                      "--x", "0.8", "--y", "5.0"]) == 0
         payload = last_json(capsys)
         assert "pde_term" not in payload
+
+    @pytest.mark.parametrize("x,y,flag", [("1.0", "9", "--y"), ("1.0", "-0.5", "--y"),
+                                          ("nan", "1.0", "--x"), ("1.0", "nan", "--y")])
+    def test_state_outside_domain_is_a_configuration_error(self, capsys, x, y, flag):
+        assert main(["value", "--x", x, "--y", y]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -2,8 +2,15 @@
 
 A draw either yields a boundary and value function whose grids are finite,
 or raises a :class:`SolarInvestError` (which the CLI maps to exit 2 or 4);
-it never escapes as an untyped exception or a NaN.
+it never escapes as an untyped exception or a NaN.  The command line, run on
+the same box, returns 0, 2 or 4 and never raises.
 """
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +18,7 @@ from hypothesis import strategies as st
 
 from solarinvest import (FundamentalSolution, SolarInvestError, ValueFunction,
                          integrate_boundary, params_from_dict)
+from solarinvest.cli import main
 
 # the parameter box of the benchmark's fuzz workload (perfbench/workloads.py,
 # FUZZ_BOX); copied, not imported, so the tests do not depend on the benchmark
@@ -39,3 +47,19 @@ def test_solves_finite_or_raises_typed(data):
         return
     assert np.isfinite(fb.f_tilde).all()
     assert np.isfinite(vf.a_grid).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({name: st.floats(lo, hi)
+                              for name, (lo, hi) in FUZZ_BOX.items()}))
+def test_cli_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "params.json"
+        cfg.write_text(json.dumps(data))
+        base = ["--config", str(cfg), "--steps", "200"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            classify = main(base + ["classify"])
+            value = main(base + ["value", "--x", "0.5", "--y", "0.1"])
+    assert classify in (0, 2, 4)
+    assert value in (0, 2, 4)

@@ -57,6 +57,14 @@ class TestInitialLump:
         assert lump > 0.0
         assert abs(fb.f(y + lump) - x) < 1e-7
 
+    def test_never_negative_just_above_boundary(self, solved):
+        # the interpolated inverse of F dips below y right above F(y); the
+        # optimal strategy never removes panels
+        for mu, (params, _, fb, _) in solved.items():
+            for y in np.linspace(0.0, params.y_bar, 300)[:-1]:
+                x = math.nextafter(fb.f(float(y)), math.inf)
+                assert initial_lump(params, fb, x, float(y)) >= 0.0, (mu, y)
+
 
 class TestPaths:
     def test_never_install_keeps_capacity_constant(self, setup):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from solarinvest import DomainError, r_value
+from solarinvest import DomainError, r_partials, r_value
 
 from conftest import central_diff, rel_err
 
@@ -88,6 +88,26 @@ class TestValue:
         params, _, _, vf = base
         with pytest.raises(DomainError):
             vf.w(1.0, params.y_bar + 1.0)
+
+    def test_lump_never_below_capacity_just_above_boundary(self, solved):
+        # right above F(y) the interpolated inverse can fall below y; w and
+        # its partials must then read the waiting side at y_hit >= y
+        for mu, (params, fs, fb, vf) in solved.items():
+            for y in np.linspace(0.0, params.y_bar, 300)[:-1]:
+                y = float(y)
+                x = math.nextafter(fb.f(y), math.inf)
+                y_hit = fb.lump_target(x, y)
+                assert y_hit == max(fb.f_inverse(x), y), (mu, y)
+                d = fs.psi_derivs(x + params.beta * y_hit, 2)
+                a_val = vf.a(y_hit)
+                waiting = a_val * d[0] + r_value(params, x, y_hit)
+                assert vf.w(x, y) == pytest.approx(
+                    waiting - params.c * (y_hit - y), rel=1e-14, abs=1e-14), (mu, y)
+                w_x, w_xx, w_y = vf.partials(x, y)
+                assert w_x == pytest.approx(a_val * d[1] + r_partials(params, x, y_hit)[2],
+                                            rel=1e-14, abs=1e-14)
+                assert w_xx == pytest.approx(a_val * d[2], rel=1e-14, abs=1e-14)
+                assert abs(w_y - params.c) < 1e-7 * (1.0 + params.c)
 
 
 class TestPartials:
