@@ -38,12 +38,13 @@ import numpy as np
 from .errors import DomainError, IntegrationError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import MonotoneCubic
-from .model import ModelParams, check_capacity
+from .model import ModelParams, at_capacity, check_capacity
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
 _MAX_EXPANSIONS = 50
 _MAX_ROOT_ITER = 100
+_ROOT_XTOL = 1e-13        # absolute tolerance of the anchor root
 
 
 class Regime(enum.Enum):
@@ -82,8 +83,7 @@ def _h_scaled(params: ModelParams, x, psi_over_dpsi):
             + psi_over_dpsi / (params.rho + params.kappa))
 
 
-def solve_x_tilde(params: ModelParams, fs: FundamentalSolution,
-                  xtol: float = 1e-13) -> float:
+def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
     """Unique root of H, located by geometric bracket expansion + Brent.
 
     The bracket ends are each visited once, so H/psi' there comes straight
@@ -108,7 +108,7 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution,
             f"no sign change of H after {_MAX_EXPANSIONS} bracket expansions: "
             f"H/psi'({lo}) = {f_lo:.6e}, H/psi'({hi}) = {f_hi:.6e}")
     f = lambda x: _h_scaled(params, x, fs.psi_over_dpsi(x))
-    return _brent(f, lo, hi, f_lo, f_hi, xtol, 4.0 * np.finfo(float).eps)
+    return _brent(f, lo, hi, f_lo, f_hi, _ROOT_XTOL, 4.0 * np.finfo(float).eps)
 
 
 def _brent(f, x_pre, x_cur, f_pre, f_cur, xtol, rtol):
@@ -222,7 +222,7 @@ class FreeBoundary:
     def region(self, x: float, y: float) -> Region:
         """Three-way state classification; at y = y_bar only waiting applies."""
         check_capacity(self.params, y)
-        if y >= self.params.y_bar * (1.0 - 1e-15):
+        if at_capacity(self.params, y):
             return Region.W
         if x >= self.x_bar:
             return Region.I2

@@ -29,10 +29,15 @@ array of z and runs the level doubling on all of them at once, so one panel
 is one vectorised quadrature call.
 
 The boundary ODE and the value function's coefficient need the
-derivatives only relative to psi: ``psi_ratios`` forms psi^(k)/psi from one
-exp of log I_{s0+1} - log I_{s0} and the generator recurrence, and stays
-finite where psi itself overflows float64.  ``psi_derivs``, ``psi_deriv``
-and ``psi_over_dpsi`` read the same ratios.
+derivatives only relative to psi, and psi'/psi = (sqrt(2 kappa)/sigma)
+exp(log I_{s0+1} - log I_{s0}).  Chebyshev interpolation is linear, so the
+difference g = log I_{s0+1} - log I_{s0} has its own panel (a *ratio
+panel*), built from the same two quadrature calls as the s0 panel of the
+cell.  ``psi_ratios`` forms psi^(k)/psi from one Clenshaw pass over g, one
+exp and the generator recurrence, and stays finite where psi itself
+overflows float64; ``psi_over_dpsi`` reads the same pass, and
+``psi_derivs`` takes psi and psi'/psi from one pass over the (log I_{s0},
+g) pair.  No psi^(k)/psi comes from another route.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -180,6 +185,11 @@ def cylinder_d(alpha: float, x: float) -> float:
     return math.exp(-0.25 * x * x + log_i - math.lgamma(-alpha))
 
 
+def _coefficients(values) -> tuple:
+    """Chebyshev coefficients of a panel's node values, highest first."""
+    return tuple((_CHEB_INV @ values)[::-1].tolist())
+
+
 def _exp(log_value: float, name: str, x: float) -> float:
     try:
         return math.exp(log_value)
@@ -195,6 +205,8 @@ class FundamentalSolution:
     z (order s, unit cell [j, j+1]) is built on first use from one quadrature
     call over its 20 nodes and kept for the life of the instance, so a
     boundary solve, which stays inside a few cells, builds a few panels.
+    A cell's log I_{s0} panel and its ratio panel are built together, from
+    one quadrature call per order, so no cell runs the s0 quadrature twice.
     Panels are only ever added, and a panel's coefficients depend on
     (s, j) alone, so concurrent reads are safe:
     two threads that build the same panel store identical values.
@@ -207,17 +219,33 @@ class FundamentalSolution:
         self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
         self._log_scale = math.log(self._scale)
         self._lgamma_s0 = math.lgamma(self._s0)
-        self._panels = {}
+        # the generator equation differentiated k times and divided by psi:
+        # r_{k+2} = drift (mu - x) r_{k+1} + rec_k r_k, r_k = psi^(k)/psi,
+        # rec_k = 2 (rho + k kappa)/sigma^2
+        two_over_s2 = 2.0 / params.sigma**2
+        self._drift = -two_over_s2 * params.kappa
+        self._rec0 = two_over_s2 * params.rho
+        self._rec1 = two_over_s2 * (params.rho + params.kappa)
+        self._panels = {}        # (s, j) -> coefficients of log I_s
+        self._ratio_panels = {}  # j -> coefficients of log I_{s0+1} - log I_{s0}
 
     # -- raw integrals ------------------------------------------------------
 
     def _panel(self, s: float, j: int) -> tuple:
-        """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first."""
+        """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first.
+        The s0 panel is built with the cell's ratio panel."""
         nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
         values = log_weighted_integral(s, nodes)[0]
-        coeffs = tuple((_CHEB_INV @ values)[::-1].tolist())
-        self._panels[(s, j)] = coeffs
+        if s == self._s0:
+            ratio = log_weighted_integral(self._s1, nodes)[0] - values
+            self._ratio_panels[j] = _coefficients(ratio)
+        coeffs = self._panels[(s, j)] = _coefficients(values)
         return coeffs
+
+    def _ratio_panel(self, j: int) -> tuple:
+        """Chebyshev coefficients of log I_{s0+1} - log I_{s0} on cell j."""
+        self._panel(self._s0, j)
+        return self._ratio_panels[j]
 
     @staticmethod
     def _cell(s: float, z: float):
@@ -237,36 +265,6 @@ class FundamentalSolution:
         for c in self._panels.get((s, j)) or self._panel(s, j):
             b1, b2 = two_u * b1 - b2 + c, b1
         return b1 - u * b2
-
-    def _log_psi_ratios(self, x: float, k_max: int):
-        """log psi(x) and [psi^(k)(x)/psi(x) for k = 1..k_max].
-
-        One Clenshaw pass over the (s0, s0+1) panel pair gives log I_s0 and
-        log I_{s0+1}; the exp of their difference gives psi^(1)/psi, and the
-        two-term recurrence psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
-        + (2 (rho + k kappa)/sigma^2) psi^(k) of the generator equation,
-        divided by psi, gives the higher ratios.
-        """
-        s0, s1, panels = self._s0, self._s1, self._panels
-        j, u = self._cell(s0, self._z(x))
-        two_u = 2.0 * u
-        a1 = a2 = b1 = b2 = 0.0
-        for ca, cb in zip(panels.get((s0, j)) or self._panel(s0, j),
-                          panels.get((s1, j)) or self._panel(s1, j)):
-            a1, a2 = two_u * a1 - a2 + ca, a1
-            b1, b2 = two_u * b1 - b2 + cb, b1
-        log_i0 = a1 - u * a2
-        out = [1.0, self._scale * math.exp(b1 - u * b2 - log_i0)]
-        p = self.params
-        two_over_s2 = 2.0 / p.sigma**2
-        drift = -two_over_s2 * p.kappa * (p.mu - x)
-        for k in range(k_max - 1):
-            nxt = drift * out[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * out[k]
-            if not nxt > 0.0:
-                raise NumericalError(
-                    f"derivative recurrence lost positivity at k={k + 2}, x={x}")
-            out.append(nxt)
-        return log_i0 - self._lgamma_s0, out[1:k_max + 1]
 
     def _z(self, x: float) -> float:
         return (self.params.mu - x) * self._scale
@@ -300,22 +298,68 @@ class FundamentalSolution:
             raise DomainError(f"derivative order k={k} must be >= 0")
         return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
 
-    def psi_ratios(self, x: float) -> list:
-        """[psi^(k)(x)/psi(x) for k = 1, 2, 3], formed without psi itself:
-        finite wherever the quadrature converges, also where psi overflows."""
-        return self._log_psi_ratios(x, 3)[1]
+    def psi_ratios(self, x: float) -> tuple:
+        """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
+        finite wherever the quadrature converges, also where psi overflows.
+
+        One Clenshaw pass over the ratio panel of z's cell gives
+        g = log I_{s0+1}(z) - log I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/
+        sigma) exp(g); two steps of the generator recurrence
+        psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
+        + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
+        other two.  Raises :class:`NumericalError` at a non-finite z or
+        when a ratio comes out non-positive.
+        """
+        z = (self.params.mu - x) * self._scale
+        if not math.isfinite(z):
+            raise NumericalError(f"psi'/psi requested at non-finite z={z} (x={x})")
+        j = math.floor(z / _PANEL_WIDTH)
+        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+        two_u = 2.0 * u
+        b1 = b2 = 0.0
+        for c in self._ratio_panels.get(j) or self._ratio_panel(j):
+            b1, b2 = two_u * b1 - b2 + c, b1
+        r1 = self._scale * math.exp(b1 - u * b2)
+        drift = self._drift * (self.params.mu - x)
+        r2 = drift * r1 + self._rec0
+        if not r2 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
+        r3 = drift * r2 + self._rec1 * r1
+        if not r3 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={x}")
+        return r1, r2, r3
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x): psi(x) times the ratios of :meth:`psi_ratios`,
-        the recurrence carried to order k_max."""
-        log_psi, ratios = self._log_psi_ratios(x, k_max)
+        """psi^(0..k_max)(x).  One Clenshaw pass over the cell's (log I_{s0},
+        ratio) panel pair gives psi and, as in :meth:`psi_ratios`, psi'/psi;
+        the generator recurrence, carried to order k_max, gives the higher
+        ratios, and each ratio times psi is a derivative."""
+        s0 = self._s0
+        j, u = self._cell(s0, self._z(x))
+        two_u = 2.0 * u
+        a1 = a2 = b1 = b2 = 0.0
+        for ca, cb in zip(self._panels.get((s0, j)) or self._panel(s0, j),
+                          self._ratio_panels.get(j) or self._ratio_panel(j)):
+            a1, a2 = two_u * a1 - a2 + ca, a1
+            b1, b2 = two_u * b1 - b2 + cb, b1
+        log_psi = a1 - u * a2 - self._lgamma_s0
+        ratios = [1.0, self._scale * math.exp(b1 - u * b2)]
+        p = self.params
+        two_over_s2 = 2.0 / p.sigma**2
+        drift = self._drift * (p.mu - x)
+        for k in range(k_max - 1):
+            nxt = drift * ratios[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * ratios[k]
+            if not nxt > 0.0:
+                raise NumericalError(
+                    f"derivative recurrence lost positivity at k={k + 2}, x={x}")
+            ratios.append(nxt)
         psi = _exp(log_psi, "psi", x)
-        out = [psi] + [psi * r for r in ratios]
+        out = [psi * r for r in ratios[:k_max + 1]]
         if math.inf in out:
             k = out.index(math.inf)
             raise NumericalError(
                 f"psi^({k})({x}) overflows float64: "
-                f"log psi^({k}) = {log_psi + math.log(ratios[k - 1]):.6g}")
+                f"log psi^({k}) = {log_psi + math.log(ratios[k]):.6g}")
         return np.array(out)
 
     def psi_deriv(self, k: int, x: float) -> float:
@@ -326,7 +370,7 @@ class FundamentalSolution:
 
     def psi_over_dpsi(self, x: float) -> float:
         """psi(x)/psi'(x), the inverse of the first ratio; bounded for any x."""
-        return 1.0 / self._log_psi_ratios(x, 1)[1][0]
+        return 1.0 / self.psi_ratios(x)[0]
 
     def psi_over_dpsi_quad(self, xs) -> np.ndarray:
         """psi/psi' at each x of the 1-d array ``xs`` straight from the

@@ -127,6 +127,12 @@ def check_capacity(params: ModelParams, y: float) -> float:
     return min(y, params.y_bar)
 
 
+def at_capacity(params: ModelParams, y):
+    """Whether capacity ``y`` (a float or an array) is exhausted: within
+    1e-15 relative of y_bar, where nothing is left to install."""
+    return y >= params.y_bar * (1.0 - 1e-15)
+
+
 def r_value(params: ModelParams, x: float, y: float) -> float:
     """Expected discounted profit of the never-install strategy from (x, y)."""
     check_capacity(params, y)

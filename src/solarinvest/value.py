@@ -155,10 +155,10 @@ class ValueFunction:
         """Installation-gradient gap w_y - c; zero with zero x-slope on the boundary."""
         return self.partials(x, y)[2] - self.params.c
 
-    def growth_ratio(self, xs, ys=None) -> float:
-        """max |w(x, y)| / (1 + |x|) over the given grids; finite and stable."""
-        if ys is None:
-            ys = self.fb.ys[:: max(1, len(self.fb.ys) // 20)]
+    def growth_ratio(self, xs) -> float:
+        """max |w(x, y)| / (1 + |x|) over the prices ``xs`` and about 20
+        capacities of the boundary grid; finite and stable."""
+        ys = self.fb.ys[:: max(1, len(self.fb.ys) // 20)]
         return max(abs(self.w(float(x), float(y))) / (1.0 + abs(float(x)))
                    for x in xs for y in ys)
 

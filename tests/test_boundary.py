@@ -68,13 +68,22 @@ class TestAnchor:
             assert fb.x_bar > floor
 
     def test_bracket_ends_build_no_panels(self):
-        # only the cells that Brent and the RK4 path read hold panels: two
-        # orders over three cells, where evaluating H at the bracket ends
-        # through panels built four more
+        # only the cells that Brent and the RK4 path read hold panels: a
+        # log I_s0 panel and a ratio panel on each of three cells, where
+        # evaluating H at the bracket ends through panels built four more
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         integrate_boundary(params, fs, n_steps=800)
-        assert len(fs._panels) < 10
+        assert len(fs._panels) + len(fs._ratio_panels) < 10
+
+    def test_solve_builds_no_s0_plus_one_panel(self):
+        # psi'/psi reads the ratio panel of log I_{s0+1} - log I_{s0};
+        # the s0+1 quadrature values go into it and are not kept
+        params = table_preset(1.4)
+        fs = FundamentalSolution(params)
+        integrate_boundary(params, fs, n_steps=800)
+        assert fs._ratio_panels
+        assert all(s == fs._s0 for s, _ in fs._panels)
 
     def test_anchor_increasing_in_capacity_bound(self):
         roots = []

@@ -239,6 +239,14 @@ class TestChebyshevPanels:
                 got = fs.log_psi_deriv(k, -z)
                 assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (s0, k, z)
 
+    @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
+    def test_ratio_panel_against_mpmath_including_panel_edges(self, s0):
+        # unit scale: psi'/psi = exp(log psi' - log psi)
+        fs = unit_scale_solution(s0)
+        for z in self.Z_GRID:
+            exact = math.exp(mp_log_psi_deriv(s0, 1, z) - mp_log_psi_deriv(s0, 0, z))
+            assert rel_err(fs.psi_ratios(-z)[0], exact) <= 1e-13, (s0, z)
+
     def test_solve_quadrature_budget(self, monkeypatch):
         calls = []
         quad = fundamental.log_weighted_integral

@@ -40,20 +40,20 @@ POLICIES = {
 
 class TestInitialLump:
     def test_waiting_state_no_lump(self, setup):
-        params, fb, _ = setup
+        _, fb, _ = setup
         y = 1.0
-        assert initial_lump(params, fb, fb.f(y) - 0.2, y) == 0.0
+        assert initial_lump(fb, fb.f(y) - 0.2, y) == 0.0
 
     def test_high_price_fills_capacity(self, setup):
         params, fb, _ = setup
         y = 1.0
-        assert initial_lump(params, fb, fb.x_bar + 0.3, y) == params.y_bar - y
+        assert initial_lump(fb, fb.x_bar + 0.3, y) == params.y_bar - y
 
     def test_intermediate_price_jumps_to_boundary(self, setup):
-        params, fb, _ = setup
+        _, fb, _ = setup
         y = 1.0
         x = 0.5 * (fb.f(y) + fb.x_bar)
-        lump = initial_lump(params, fb, x, y)
+        lump = initial_lump(fb, x, y)
         assert lump > 0.0
         assert abs(fb.f(y + lump) - x) < 1e-7
 
@@ -63,7 +63,7 @@ class TestInitialLump:
         for mu, (params, _, fb, _) in solved.items():
             for y in np.linspace(0.0, params.y_bar, 300)[:-1]:
                 x = math.nextafter(fb.f(float(y)), math.inf)
-                assert initial_lump(params, fb, x, float(y)) >= 0.0, (mu, y)
+                assert initial_lump(fb, x, float(y)) >= 0.0, (mu, y)
 
 
 class TestPaths:
