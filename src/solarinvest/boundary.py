@@ -42,9 +42,9 @@ from .model import ModelParams, at_capacity, check_capacity
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
-_MAX_EXPANSIONS = 50
 _MAX_ROOT_ITER = 100
 _ROOT_XTOL = 1e-13        # absolute tolerance of the anchor root
+_ROOT_RTOL = 4.0 * np.finfo(float).eps  # relative tolerance of the anchor root
 
 
 class Regime(enum.Enum):
@@ -76,76 +76,30 @@ def h_func(params: ModelParams, fs: FundamentalSolution, x: float) -> float:
             + fs.psi(x) / (params.rho + params.kappa))
 
 
-def _h_scaled(params: ModelParams, x, psi_over_dpsi):
-    # H / psi': same root and sign pattern (psi' > 0), but bounded for large
-    # |x| where the literal H overflows; used for bracketing and root finding.
-    return (params.c - r_tilde(params, x, params.y_bar)
-            + psi_over_dpsi / (params.rho + params.kappa))
-
-
 def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
-    """Unique root of H, located by geometric bracket expansion + Brent.
+    """Unique root of H, by Newton's method on h = H/psi' from x = mu.
 
-    The bracket ends are each visited once, so H/psi' there comes straight
-    from the quadrature (both ends in one call per order); Brent's iterates
-    cluster around the root and read the Chebyshev panels.
+    h = c - Rtilde(x, y_bar) + (psi/psi')/(rho+kappa) has H's root and sign
+    pattern (psi' > 0) and stays bounded where H overflows.  Its slope is
+    h' = -1/((rho+kappa) Psi_0) with Psi_0 = psi'^2/(psi psi'') strictly
+    increasing in (rho/(rho+kappa), 1), so h is strictly decreasing and
+    convex: every Newton iterate after the first lies left of the root,
+    and from there the iterates rise to it monotonically.  A step reads
+    (psi'/psi, psi''/psi) from one ratio-panel pass.
     """
-    half_width = 5.0 * params.sigma / math.sqrt(2.0 * params.kappa)
-
-    def ends(width):
-        xs = np.array([params.mu - width, params.mu + width])
-        h = _h_scaled(params, xs, fs.psi_over_dpsi_quad(xs))
-        return (*xs.tolist(), *h.tolist())
-
-    lo, hi, f_lo, f_hi = ends(half_width)
-    for _ in range(_MAX_EXPANSIONS):
-        if f_lo * f_hi < 0.0 or f_lo == 0.0 or f_hi == 0.0:
-            break
-        half_width *= 2.0
-        lo, hi, f_lo, f_hi = ends(half_width)
-    else:
-        raise SolverError(
-            f"no sign change of H after {_MAX_EXPANSIONS} bracket expansions: "
-            f"H/psi'({lo}) = {f_lo:.6e}, H/psi'({hi}) = {f_hi:.6e}")
-    f = lambda x: _h_scaled(params, x, fs.psi_over_dpsi(x))
-    return _brent(f, lo, hi, f_lo, f_hi, _ROOT_XTOL, 4.0 * np.finfo(float).eps)
-
-
-def _brent(f, x_pre, x_cur, f_pre, f_cur, xtol, rtol):
-    """Brent's root finder on a sign-changing bracket: inverse quadratic or
-    secant steps, falling back to bisection whenever a step would not shrink
-    the bracket fast enough (Brent 1973, as in SciPy's ``brentq``)."""
-    if f_pre == 0.0:
-        return float(x_pre)
-    x_blk = f_blk = s_pre = s_cur = 0.0
+    rk = params.rho + params.kappa
+    x = params.mu
     for _ in range(_MAX_ROOT_ITER):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (xtol + rtol * abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return float(x_cur)
-        s_try = math.inf
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
-        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
-    raise SolverError(f"root of H not resolved to {xtol} in {_MAX_ROOT_ITER} iterations")
+        r1, r2, _ = fs.psi_ratios(x)
+        h = params.c - r_tilde(params, x, params.y_bar) + 1.0 / (rk * r1)
+        step = h * rk * r1 * r1 / r2
+        if not math.isfinite(step):
+            raise SolverError(f"Newton step for the root of H is {step} at x = {x}")
+        x += step
+        if abs(step) <= _ROOT_XTOL + _ROOT_RTOL * abs(x):
+            return x
+    raise SolverError(f"root of H not resolved to {_ROOT_XTOL} in {_MAX_ROOT_ITER} "
+                      f"Newton steps; last step {step:.3e} at x = {x}")
 
 
 def _n_d(params: ModelParams, fs: FundamentalSolution, y: float, z: float):

@@ -6,8 +6,8 @@ line of means), ``simulate`` (Monte Carlo verification report), and
 ``sensitivity`` (comparative-statics sweep of the boundary).
 
 Every command is deterministic given (config, seed).  Exit codes:
-0 success, 2 configuration/validation problem, 3 verification failure,
-4 numerical solver failure.
+0 success, 2 configuration problem (invalid parameters, unreadable input,
+unwritable output), 3 verification failure, 4 any other solver failure.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 
 from . import boundary as bd
 from . import model
-from .errors import (ConfigurationError, DomainError, IntegrationError,
-                     NumericalError, SimulationError, SolarInvestError,
-                     SolverError, ValidationError)
+from .errors import (ConfigurationError, DomainError, SolarInvestError,
+                     ValidationError)
 from .fundamental import FundamentalSolution
 from .simulate import (OptimalReflection, dominance_report, simulate_path,
                        verification_states)
@@ -280,10 +279,11 @@ def main(argv=None) -> int:
         if args.steps < bd.MIN_STEPS:
             raise ConfigurationError(f"--steps must be >= {bd.MIN_STEPS}, got {args.steps}")
         return _COMMANDS[args.command](args)
-    except (ValidationError, ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, ConfigurationError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, NumericalError, IntegrationError, DomainError, SimulationError) as exc:
+    except SolarInvestError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -31,7 +31,7 @@ class NumericalError(SolarInvestError):
 
 
 class SolverError(SolarInvestError):
-    """Root finding failed (no sign change within the expansion budget)."""
+    """Root finding failed (the anchor's Newton iteration did not converge)."""
 
 
 class IntegrationError(SolarInvestError):

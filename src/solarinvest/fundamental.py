@@ -64,6 +64,7 @@ _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; tail < 1e-16 relative
 _PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
 _PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14
+_Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
 
 
 def _logcosh(a):
@@ -127,7 +128,8 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     values of one call per node.  Returns (log_value, achieved, level),
     with the worst ``achieved`` and ``level`` over the nodes of an array.
     Raises :class:`NumericalError` if the doubling budget is exhausted at
-    any node.
+    any node, or if a z is not finite or beyond 1e150 in magnitude, where
+    the integrand's exponent overflows float64.
     """
     if s <= 0.0:
         raise DomainError(f"integral order s={s} must be positive")
@@ -137,6 +139,10 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
         raise NumericalError(
             f"order s={s} too singular for the node range", achieved=math.exp(-700.0 * s))
     zs = np.atleast_1d(np.asarray(z, dtype=float))
+    z_far = zs[np.argmax(np.abs(zs))]  # the first NaN, if any
+    if not abs(z_far) <= _Z_MAX:
+        raise NumericalError(f"I_s(z) with s={s} requested at z={z_far}, "
+                             f"outside the float64 range |z| <= {_Z_MAX:g}")
     log_t_max = np.log(np.maximum(0.0, -zs) + _TAIL_PAD)
     est = np.empty_like(zs)
     achieved = np.full_like(zs, math.inf)
@@ -215,17 +221,26 @@ class FundamentalSolution:
     def __init__(self, params: ModelParams):
         self.params = params
         self._s0 = params.rho / params.kappa
-        self._s1 = self._s0 + 1
         self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
-        self._log_scale = math.log(self._scale)
-        self._lgamma_s0 = math.lgamma(self._s0)
         # the generator equation differentiated k times and divided by psi:
         # r_{k+2} = drift (mu - x) r_{k+1} + rec_k r_k, r_k = psi^(k)/psi,
         # rec_k = 2 (rho + k kappa)/sigma^2
-        two_over_s2 = 2.0 / params.sigma**2
-        self._drift = -two_over_s2 * params.kappa
-        self._rec0 = two_over_s2 * params.rho
-        self._rec1 = two_over_s2 * (params.rho + params.kappa)
+        try:
+            self._two_over_s2 = 2.0 / params.sigma**2
+        except (OverflowError, ZeroDivisionError):  # sigma^2 outside float64
+            self._two_over_s2 = 2.0 / params.sigma / params.sigma  # 0 or inf
+        self._drift = -self._two_over_s2 * params.kappa
+        self._rec0 = self._two_over_s2 * params.rho
+        self._rec1 = self._two_over_s2 * (params.rho + params.kappa)
+        for name, value in (("rho/kappa", self._s0), ("sqrt(2 kappa)/sigma", self._scale),
+                            ("2 kappa/sigma^2", -self._drift), ("2 rho/sigma^2", self._rec0),
+                            ("2 (rho+kappa)/sigma^2", self._rec1)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise NumericalError(f"derived constant {name} = {value!r} is zero or not "
+                                     f"finite (kappa={params.kappa}, rho={params.rho}, "
+                                     f"sigma={params.sigma})")
+        self._log_scale = math.log(self._scale)
+        self._lgamma_s0 = math.lgamma(self._s0)
         self._panels = {}        # (s, j) -> coefficients of log I_s
         self._ratio_panels = {}  # j -> coefficients of log I_{s0+1} - log I_{s0}
 
@@ -237,7 +252,7 @@ class FundamentalSolution:
         nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
         values = log_weighted_integral(s, nodes)[0]
         if s == self._s0:
-            ratio = log_weighted_integral(self._s1, nodes)[0] - values
+            ratio = log_weighted_integral(self._s0 + 1, nodes)[0] - values
             self._ratio_panels[j] = _coefficients(ratio)
         coeffs = self._panels[(s, j)] = _coefficients(values)
         return coeffs
@@ -344,8 +359,7 @@ class FundamentalSolution:
             b1, b2 = two_u * b1 - b2 + cb, b1
         log_psi = a1 - u * a2 - self._lgamma_s0
         ratios = [1.0, self._scale * math.exp(b1 - u * b2)]
-        p = self.params
-        two_over_s2 = 2.0 / p.sigma**2
+        p, two_over_s2 = self.params, self._two_over_s2
         drift = self._drift * (p.mu - x)
         for k in range(k_max - 1):
             nxt = drift * ratios[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * ratios[k]
@@ -371,14 +385,6 @@ class FundamentalSolution:
     def psi_over_dpsi(self, x: float) -> float:
         """psi(x)/psi'(x), the inverse of the first ratio; bounded for any x."""
         return 1.0 / self.psi_ratios(x)[0]
-
-    def psi_over_dpsi_quad(self, xs) -> np.ndarray:
-        """psi/psi' at each x of the 1-d array ``xs`` straight from the
-        quadrature, one vectorised call per order.  Builds no panel, for
-        points that are visited once."""
-        z = (self.params.mu - np.asarray(xs, dtype=float)) * self._scale
-        log_i0, log_i1 = (log_weighted_integral(s, z)[0] for s in (self._s0, self._s1))
-        return np.exp(log_i0 - log_i1 - self._log_scale)
 
     # -- determinant combinations -------------------------------------------
 

@@ -50,7 +50,7 @@ class MonotoneCubic:
             w1 = 2.0 * h[1:] + h[:-1]
             w2 = h[1:] + 2.0 * h[:-1]
             flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
                 d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
             d[0] = _edge_slope(h[0], h[1], m[0], m[1])

@@ -102,7 +102,7 @@ def params_from_dict(data: dict) -> ModelParams:
 
 
 def params_from_json(path) -> ModelParams:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError("<root>", "parameter file must hold a JSON object")

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,26 @@ class TestAnchor:
         assert abs(root - fb.x_tilde) < 5e-12
         assert rel_err(fb.x_tilde, BASELINES[0.2]["x_tilde"]) < 1e-9
 
+    def test_against_mpmath_root(self, solved):
+        # root of H/psi' at 40 digits, with psi/psi' = D_{-s0}(z) /
+        # (scale s0 D_{-s0-1}(z)), z = (mu - x) scale, scale = sqrt(2 kappa)/sigma
+        for mu, (params, fs, fb, _) in solved.items():
+            with mpmath.workdps(40):
+                kappa, mu_, sigma, rho, c, beta, y_bar = (mpmath.mpf(v) for v in (
+                    params.kappa, params.mu, params.sigma, params.rho, params.c,
+                    params.beta, params.y_bar))
+                s0, scale = rho / kappa, mpmath.sqrt(2 * kappa) / sigma
+
+                def h(x):
+                    z = (mu_ - x) * scale
+                    ratio = mpmath.pcfd(-s0, z) / (scale * s0 * mpmath.pcfd(-s0 - 1, z))
+                    r = (mu_ * kappa + rho * x - beta * (rho + 2 * kappa) * y_bar) / (
+                        rho * (rho + kappa))
+                    return c - r + ratio / (rho + kappa)
+
+                root = float(mpmath.findroot(h, mpmath.mpf(BASELINES[mu]["x_tilde"])))
+            assert abs(fb.x_tilde - root) <= 2e-15, mu
+
     def test_regression_baselines(self, solved):
         for mu, (params, fs, fb, _) in solved.items():
             assert rel_err(fb.x_tilde, BASELINES[mu]["x_tilde"]) < 1e-9
@@ -67,10 +88,10 @@ class TestAnchor:
             floor = params.c * params.rho + params.kappa * params.beta * params.y_bar / (params.rho + params.kappa)
             assert fb.x_bar > floor
 
-    def test_bracket_ends_build_no_panels(self):
-        # only the cells that Brent and the RK4 path read hold panels: a
-        # log I_s0 panel and a ratio panel on each of three cells, where
-        # evaluating H at the bracket ends through panels built four more
+    def test_anchor_reads_only_panels_the_path_needs(self):
+        # Newton's iterates from mu and the RK4 path read a log I_s0 panel
+        # and a ratio panel on each of two cells; an anchor search that
+        # evaluated H far from the root would build panels on more cells
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         integrate_boundary(params, fs, n_steps=800)

@@ -53,6 +53,22 @@ class TestBoundaryCommand:
         code = main(["--config", str(tmp_path / "absent.json"), "classify"])
         assert code == 2
 
+    def test_directory_as_config_is_a_configuration_error(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "classify"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "params.json"
+        cfg.write_bytes(b'{"mu": "\xff\xfe"}')
+        assert main(["--config", str(cfg), "classify"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_existing_file_as_out_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--steps", "200", "--out", str(out), "boundary"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     @pytest.mark.parametrize("mu,regime", [

@@ -248,17 +248,21 @@ class TestChebyshevPanels:
             assert rel_err(fs.psi_ratios(-z)[0], exact) <= 1e-13, (s0, z)
 
     def test_solve_quadrature_budget(self, monkeypatch):
-        calls = []
+        # quadrature nodes of an 800-step solve, bounded at 1.5x the measured
+        # 200 (mu=0.2, five cells) and 80 (two cells) nodes
+        nodes = []
         quad = fundamental.log_weighted_integral
 
-        def counted(*args, **kwargs):
-            calls.append(args[:2])
-            return quad(*args, **kwargs)
+        def counted(s, z, *args, **kwargs):
+            nodes.append(np.size(z))
+            return quad(s, z, *args, **kwargs)
 
         monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
-        params = table_preset(1.4)
-        integrate_boundary(params, FundamentalSolution(params), n_steps=800)
-        assert 0 < len(calls) <= 400
+        for mu, budget in ((0.2, 300), (1.4, 120), (2.25, 120)):
+            nodes.clear()
+            params = table_preset(mu)
+            integrate_boundary(params, FundamentalSolution(params), n_steps=800)
+            assert 0 < sum(nodes) <= budget, mu
 
     def test_solved_instance_is_not_a_reference_cycle(self):
         params = table_preset(1.4)

@@ -49,3 +49,15 @@ class TestMonotoneCubic:
     def test_knots_must_strictly_increase(self, x):
         with pytest.raises(IntegrationError):
             MonotoneCubic(x, np.arange(len(x), dtype=float))
+
+    def test_subnormal_secants_raise_no_warning(self):
+        # a decaying tail that underflows into the subnormal range: the harmonic
+        # mean's w / m overflows, and the slope falls back to 0 as in SciPy
+        x = np.linspace(0.0, 0.5, 6)
+        y = np.array([1.8e-307, 1.4e-308, 1.0e-309, 6.9e-311, 3.5e-312, 1.3e-319])
+        itp = MonotoneCubic(x, y)
+        xq = np.linspace(0.0, 0.5, 101)
+        vals = itp(xq)
+        assert np.isfinite(vals).all()
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.array_equal(itp(x), y)
