@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,8 +72,20 @@ def _regime_payload(params, fs, fb) -> dict:
     }
 
 
+def _finite_or_null(obj):
+    """The payload with every non-finite float replaced by None, so the
+    output is standard JSON (no NaN or Infinity tokens)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _dump_json(payload, path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     if path is None:
         print(text)
     else:
@@ -210,11 +223,13 @@ def cmd_sensitivity(args) -> int:
         raise ConfigurationError(
             f"--param must be one of {sorted(SWEEP_DIRECTIONS)}, got {name!r}")
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        # ascending and distinct, so the verdict reads the same for any order
+        values = sorted({float(v) for v in args.values.split(",") if v.strip()})
     except ValueError:
         raise ConfigurationError(f"--values must be comma-separated numbers, got {args.values!r}")
-    if not values:
-        raise ConfigurationError("--values is empty")
+    if len(values) < 2:
+        raise ConfigurationError(
+            f"--values needs at least two distinct numbers, got {args.values!r}")
     solved = sweep_boundaries(params, name, values, args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

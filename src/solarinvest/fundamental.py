@@ -22,22 +22,23 @@ accumulated in log space so that neither the t^{s-1} endpoint singularity
 are module constants.
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
-call the quadrature per lookup: it interpolates ``log I_s`` on unit panels
-[j, j+1] in z by a Chebyshev polynomial through 20 first-kind nodes, and
-reproduces the quadrature to rounding.  ``log_weighted_integral`` takes an
-array of z and runs the level doubling on all of them at once, so one panel
-is one vectorised quadrature call.
+call the quadrature per lookup: it interpolates on unit panels [j, j+1] in
+z by Chebyshev polynomials through 20 first-kind nodes, which reproduce the
+quadrature to rounding.  ``log_weighted_integral`` takes an array of z and
+runs the level doubling on all of them at once, so one panel is one
+vectorised quadrature call.
 
-The boundary ODE and the value function's coefficient need the
-derivatives only relative to psi, and psi'/psi = (sqrt(2 kappa)/sigma)
-exp(log I_{s0+1} - log I_{s0}).  Chebyshev interpolation is linear, so the
-difference g = log I_{s0+1} - log I_{s0} has its own panel (a *ratio
-panel*), built from the same two quadrature calls as the s0 panel of the
-cell.  ``psi_ratios`` forms psi^(k)/psi from one Clenshaw pass over g, one
-exp and the generator recurrence, and stays finite where psi itself
-overflows float64; ``psi_over_dpsi`` reads the same pass, and
-``psi_derivs`` takes psi and psi'/psi from one pass over the (log I_{s0},
-g) pair.  No psi^(k)/psi comes from another route.
+The solve reads psi itself and the ratios psi^(k)/psi, and
+psi'/psi = (sqrt(2 kappa)/sigma) exp(log I_{s0+1} - log I_{s0}).  Each cell
+therefore holds one panel pair: log I_{s0}, and the difference
+g = log I_{s0+1} - log I_{s0} (Chebyshev interpolation is linear, so g has
+its own panel), both built from the same two quadrature calls.  ``psi`` is
+one Clenshaw pass over the first; ``psi_ratios`` forms psi^(k)/psi from one
+pass over g, one exp and the generator recurrence, and stays finite where
+psi itself overflows float64; ``psi_derivs`` is psi times those ratios.
+The reference routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
+``phi_deriv``) call the quadrature directly, so tests that compare against
+them check the interpolation.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -61,7 +62,8 @@ _LOG2 = math.log(2.0)
 _REL_TOL = 1e-12     # agreement of successive levels' logs that ends doubling
 _UMAX = 6.2          # tanh-sinh transform truncation; covers s >= 0.05
 _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
-_TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; tail < 1e-16 relative
+_TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses the
+                     # (s, z) whose integrand T truncates
 _PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
 _PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
@@ -118,6 +120,36 @@ def _chebyshev_tables(n):
 _CHEB_NODES, _CHEB_INV = _chebyshev_tables(_PANEL_NODES)
 
 
+def _check_cutoff(s: float, zs) -> None:
+    """Raise :class:`NumericalError` unless, at every z, the cutoff
+    T = max(0, -z) + _TAIL_PAD lies past the peak t* of the integrand
+    t^{s-1} e^{-t^2/2 - z t} (s > 1) and the integrand at T is at most
+    _REL_TOL times its value at t*.
+
+    Both are needed: at large s the peak moves beyond T, where the drop
+    alone says nothing.  Widening T is no cure either: at s = 1000 the
+    level doubling then converges to a log that is 477 off.
+    """
+    # t* = max(0, -z) + e with e = 2(s-1)/(sqrt(z^2 + 4(s-1)) + |z|), the
+    # root of t^2 + z t - (s-1) written without cancellation; a = 2 sqrt(s-1)
+    # keeps the square inside float64 for any finite s
+    a = 2.0 * math.sqrt(s - 1.0)
+    e = 0.5 * a * (a / (np.hypot(zs, a) + np.abs(zs)))
+    bad = e > _TAIL_PAD
+    t_peak = np.maximum(0.0, -zs) + e
+    if not bad.any():
+        # log f(T) - log f(t*) with d = T - t* = _TAIL_PAD - e >= 0
+        d = _TAIL_PAD - e
+        drop = ((s - 1.0) * np.log1p(d / t_peak)
+                - 0.5 * d * (_TAIL_PAD + e + 2.0 * np.maximum(zs, 0.0)))
+        bad = drop > math.log(_REL_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"I_s(z) with s={s}, z={zs[i]}: the cutoff T={max(0.0, -zs[i]) + _TAIL_PAD:.6g} "
+            f"truncates the integrand, whose peak lies at t*={t_peak[i]:.6g}")
+
+
 def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     """log of I_s(z) = int_0^inf t^{s-1} e^{-t^2/2 - z t} dt, s > 0.
 
@@ -128,8 +160,9 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     values of one call per node.  Returns (log_value, achieved, level),
     with the worst ``achieved`` and ``level`` over the nodes of an array.
     Raises :class:`NumericalError` if the doubling budget is exhausted at
-    any node, or if a z is not finite or beyond 1e150 in magnitude, where
-    the integrand's exponent overflows float64.
+    any node, if a z is not finite or beyond 1e150 in magnitude, where
+    the integrand's exponent overflows float64, or if the cutoff would
+    truncate the integrand (large s, see :func:`_check_cutoff`).
     """
     if s <= 0.0:
         raise DomainError(f"integral order s={s} must be positive")
@@ -143,6 +176,8 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     if not abs(z_far) <= _Z_MAX:
         raise NumericalError(f"I_s(z) with s={s} requested at z={z_far}, "
                              f"outside the float64 range |z| <= {_Z_MAX:g}")
+    if s > 1.0:
+        _check_cutoff(s, zs)
     log_t_max = np.log(np.maximum(0.0, -zs) + _TAIL_PAD)
     est = np.empty_like(zs)
     achieved = np.full_like(zs, math.inf)
@@ -207,15 +242,18 @@ def _exp(log_value: float, name: str, x: float) -> float:
 class FundamentalSolution:
     """Evaluator for psi, phi, their derivatives of any order, and Q_k.
 
-    Every value comes from ``log I_s(z)`` on Chebyshev panels: the panel of
-    z (order s, unit cell [j, j+1]) is built on first use from one quadrature
-    call over its 20 nodes and kept for the life of the instance, so a
-    boundary solve, which stays inside a few cells, builds a few panels.
-    A cell's log I_{s0} panel and its ratio panel are built together, from
-    one quadrature call per order, so no cell runs the s0 quadrature twice.
-    Panels are only ever added, and a panel's coefficients depend on
-    (s, j) alone, so concurrent reads are safe:
-    two threads that build the same panel store identical values.
+    The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
+    come from one panel pair per unit cell [j, j+1] in z: the Chebyshev
+    coefficients of log I_{s0} and of g = log I_{s0+1} - log I_{s0}.  A
+    cell's pair is built on first use from one quadrature call per order
+    over its 20 nodes and kept for the life of the instance, so a boundary
+    solve, which stays inside a few cells, builds a few pairs.  The
+    reference routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
+    ``phi_deriv``) call the quadrature directly and build no panel, so they
+    check the interpolant against the function it interpolates.  Pairs are
+    only ever added, and a pair's coefficients depend on j alone, so
+    concurrent reads are safe: two threads that build the same pair store
+    identical values.
     """
 
     def __init__(self, params: ModelParams):
@@ -241,77 +279,34 @@ class FundamentalSolution:
                                      f"sigma={params.sigma})")
         self._log_scale = math.log(self._scale)
         self._lgamma_s0 = math.lgamma(self._s0)
-        self._panels = {}        # (s, j) -> coefficients of log I_s
-        self._ratio_panels = {}  # j -> coefficients of log I_{s0+1} - log I_{s0}
+        self._cells = {}  # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0})
 
-    # -- raw integrals ------------------------------------------------------
-
-    def _panel(self, s: float, j: int) -> tuple:
-        """Chebyshev coefficients of log I_s on [jW, (j+1)W], highest first.
-        The s0 panel is built with the cell's ratio panel."""
+    def _cell_pair(self, j: int) -> tuple:
+        """Chebyshev coefficients, highest first, of log I_{s0} and of
+        log I_{s0+1} - log I_{s0} on [jW, (j+1)W]."""
         nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
-        values = log_weighted_integral(s, nodes)[0]
-        if s == self._s0:
-            ratio = log_weighted_integral(self._s0 + 1, nodes)[0] - values
-            self._ratio_panels[j] = _coefficients(ratio)
-        coeffs = self._panels[(s, j)] = _coefficients(values)
-        return coeffs
+        values = log_weighted_integral(self._s0, nodes)[0]
+        ratio = log_weighted_integral(self._s0 + 1, nodes)[0] - values
+        pair = self._cells[j] = (_coefficients(values), _coefficients(ratio))
+        return pair
 
-    def _ratio_panel(self, j: int) -> tuple:
-        """Chebyshev coefficients of log I_{s0+1} - log I_{s0} on cell j."""
-        self._panel(self._s0, j)
-        return self._ratio_panels[j]
-
-    @staticmethod
-    def _cell(s: float, z: float):
-        """Panel index j holding z, and z's position u in [-1, 1] inside it."""
-        if not math.isfinite(z):
-            raise NumericalError(f"I_s(z) requested at non-finite z={z} (s={s})")
-        j = math.floor(z / _PANEL_WIDTH)
-        return j, 2.0 * (z / _PANEL_WIDTH - j) - 1.0
-
-    # Clenshaw recurrence on u in [-1, 1]: each loop ends with b1 = b_0 and
-    # b2 = b_1, and the full-weight c_0 term gives b_0 - u b_1
-
-    def _log_i(self, s: float, z: float) -> float:
-        j, u = self._cell(s, z)
-        two_u = 2.0 * u
-        b1 = b2 = 0.0
-        for c in self._panels.get((s, j)) or self._panel(s, j):
-            b1, b2 = two_u * b1 - b2 + c, b1
-        return b1 - u * b2
-
-    def _z(self, x: float) -> float:
-        return (self.params.mu - x) * self._scale
-
-    def log_psi_deriv(self, k: int, x: float) -> float:
-        """log psi^(k)(x) from the differentiated integral representation."""
-        return k * self._log_scale + self._log_i(self._s0 + k, self._z(x)) - self._lgamma_s0
-
-    # -- fundamental solutions ---------------------------------------------
+    # psi and psi_ratios each find z's cell j and position u in [-1, 1]
+    # inline (they run once per boundary-ODE evaluation), then run the
+    # Clenshaw recurrence, which ends with b1 = b_0 and b2 = b_1, so the
+    # full-weight c_0 term gives b_0 - u b_1
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""
-        return _exp(self.log_psi_deriv(0, x), "psi", x)
-
-    def phi(self, x: float) -> float:
-        """Strictly decreasing positive solution of the generator equation."""
-        return _exp(self._log_i(self._s0, -self._z(x)) - self._lgamma_s0, "phi", x)
-
-    def phi_deriv(self, k: int, x: float) -> float:
-        """k-th derivative of phi; alternates sign, |phi^(k)| > 0."""
-        if k < 0:
-            raise DomainError(f"derivative order k={k} must be >= 0")
-        mag = _exp(k * self._log_scale
-                   + self._log_i(self._s0 + k, -self._z(x)) - self._lgamma_s0,
-                   f"|phi^({k})|", x)
-        return mag if k % 2 == 0 else -mag
-
-    def psi_deriv_direct(self, k: int, x: float) -> float:
-        """psi^(k) straight from the integral; independent of the recurrence."""
-        if k < 0:
-            raise DomainError(f"derivative order k={k} must be >= 0")
-        return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
+        z = (self.params.mu - x) * self._scale
+        if not math.isfinite(z):
+            raise NumericalError(f"psi requested at non-finite z={z} (x={x})")
+        j = math.floor(z / _PANEL_WIDTH)
+        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+        two_u = 2.0 * u
+        b1 = b2 = 0.0
+        for c in (self._cells.get(j) or self._cell_pair(j))[0]:
+            b1, b2 = two_u * b1 - b2 + c, b1
+        return _exp(b1 - u * b2 - self._lgamma_s0, "psi", x)
 
     def psi_ratios(self, x: float) -> tuple:
         """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
@@ -332,7 +327,7 @@ class FundamentalSolution:
         u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
         two_u = 2.0 * u
         b1 = b2 = 0.0
-        for c in self._ratio_panels.get(j) or self._ratio_panel(j):
+        for c in (self._cells.get(j) or self._cell_pair(j))[1]:
             b1, b2 = two_u * b1 - b2 + c, b1
         r1 = self._scale * math.exp(b1 - u * b2)
         drift = self._drift * (self.params.mu - x)
@@ -345,35 +340,24 @@ class FundamentalSolution:
         return r1, r2, r3
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x).  One Clenshaw pass over the cell's (log I_{s0},
-        ratio) panel pair gives psi and, as in :meth:`psi_ratios`, psi'/psi;
-        the generator recurrence, carried to order k_max, gives the higher
-        ratios, and each ratio times psi is a derivative."""
-        s0 = self._s0
-        j, u = self._cell(s0, self._z(x))
-        two_u = 2.0 * u
-        a1 = a2 = b1 = b2 = 0.0
-        for ca, cb in zip(self._panels.get((s0, j)) or self._panel(s0, j),
-                          self._ratio_panels.get(j) or self._ratio_panel(j)):
-            a1, a2 = two_u * a1 - a2 + ca, a1
-            b1, b2 = two_u * b1 - b2 + cb, b1
-        log_psi = a1 - u * a2 - self._lgamma_s0
-        ratios = [1.0, self._scale * math.exp(b1 - u * b2)]
+        """psi^(0..k_max)(x): psi times (1, *psi_ratios(x)), with the
+        generator recurrence carried on past order 3 when k_max > 3."""
+        ratios = [1.0, *self.psi_ratios(x)]
         p, two_over_s2 = self.params, self._two_over_s2
         drift = self._drift * (p.mu - x)
-        for k in range(k_max - 1):
+        for k in range(2, k_max - 1):
             nxt = drift * ratios[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * ratios[k]
             if not nxt > 0.0:
                 raise NumericalError(
                     f"derivative recurrence lost positivity at k={k + 2}, x={x}")
             ratios.append(nxt)
-        psi = _exp(log_psi, "psi", x)
+        psi = self.psi(x)
         out = [psi * r for r in ratios[:k_max + 1]]
         if math.inf in out:
             k = out.index(math.inf)
             raise NumericalError(
                 f"psi^({k})({x}) overflows float64: "
-                f"log psi^({k}) = {log_psi + math.log(ratios[k]):.6g}")
+                f"log psi^({k}) = {math.log(psi) + math.log(ratios[k]):.6g}")
         return np.array(out)
 
     def psi_deriv(self, k: int, x: float) -> float:
@@ -385,6 +369,34 @@ class FundamentalSolution:
     def psi_over_dpsi(self, x: float) -> float:
         """psi(x)/psi'(x), the inverse of the first ratio; bounded for any x."""
         return 1.0 / self.psi_ratios(x)[0]
+
+    # -- reference routes: one quadrature call each, no panel ----------------
+
+    def log_psi_deriv(self, k: int, x: float) -> float:
+        """log psi^(k)(x) from the differentiated integral representation."""
+        z = (self.params.mu - x) * self._scale
+        return k * self._log_scale + log_weighted_integral(self._s0 + k, z)[0] - self._lgamma_s0
+
+    def psi_deriv_direct(self, k: int, x: float) -> float:
+        """psi^(k) straight from the integral; independent of the recurrence
+        and of the panels."""
+        if k < 0:
+            raise DomainError(f"derivative order k={k} must be >= 0")
+        return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
+
+    def phi(self, x: float) -> float:
+        """Strictly decreasing positive solution of the generator equation."""
+        return self.phi_deriv(0, x)
+
+    def phi_deriv(self, k: int, x: float) -> float:
+        """k-th derivative of phi; alternates sign, |phi^(k)| > 0."""
+        if k < 0:
+            raise DomainError(f"derivative order k={k} must be >= 0")
+        z = (self.params.mu - x) * self._scale
+        mag = _exp(k * self._log_scale
+                   + log_weighted_integral(self._s0 + k, -z)[0] - self._lgamma_s0,
+                   f"|phi^({k})|", x)
+        return mag if k % 2 == 0 else -mag
 
     # -- determinant combinations -------------------------------------------
 

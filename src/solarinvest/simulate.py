@@ -217,13 +217,8 @@ class _NoiseFeed:
     so the result does not depend on thread scheduling).
     """
 
-    def __init__(self, seed, indices, antithetic):
-        if antithetic:
-            self._gens = _path_generators(seed, [int(i) // 2 for i in indices])
-            self._signs = np.array([1.0 if int(i) % 2 == 0 else -1.0 for i in indices])
-        else:
-            self._gens = _path_generators(seed, indices)
-            self._signs = None
+    def __init__(self, seed, indices):
+        self._gens = _path_generators(seed, indices)
         self._workers = min(8, os.cpu_count() or 1)
 
     def _fill(self, noise, lo, hi):
@@ -240,13 +235,11 @@ class _NoiseFeed:
                 list(pool.map(lambda b: self._fill(noise, *b), bounds))
         else:
             self._fill(noise, 0, nb)
-        if self._signs is not None:
-            noise *= self._signs[:, None]
         noise *= scale
         return noise
 
 
-def _run(params, jobs, dt, n_steps, seed, indices, antithetic=False, record=False):
+def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     """Advance every (policy, x, y) job through one shared noise stream.
 
     Jobs are stacked as rows of (job, path) arrays, ordered so that each
@@ -298,7 +291,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, antithetic=False, record=Fals
         y_rec = np.empty_like(x_rec)
         overshoot = np.full_like(x, -math.inf)
 
-    feed = _NoiseFeed(seed, indices, antithetic)
+    feed = _NoiseFeed(seed, indices)
     sq = p.sigma * math.sqrt(dt)
     disc = 1.0
     step = 0
@@ -390,8 +383,7 @@ def _check_mc_config(n_paths, dt, horizon, seed):
 
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
                    n_paths: int, dt: float, horizon: float | None = None,
-                   seed: int = 0, antithetic: bool = False,
-                   tail_tol: float | None = None,
+                   seed: int = 0, tail_tol: float | None = None,
                    keep_payoffs: bool = False) -> SimulationResult:
     """Mean discounted payoff of ``policy`` from (x, y), with standard error.
 
@@ -400,13 +392,12 @@ def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
     when given.  Deterministic for a fixed seed.
     """
     return estimate_value_many(params, [(policy, x, y)], n_paths, dt, horizon,
-                               seed=seed, antithetic=antithetic,
-                               tail_tol=tail_tol, keep_payoffs=keep_payoffs)[0]
+                               seed=seed, tail_tol=tail_tol, keep_payoffs=keep_payoffs)[0]
 
 
 def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
                         horizon: float | None = None, seed: int = 0,
-                        antithetic: bool = False, tail_tol: float | None = None,
+                        tail_tol: float | None = None,
                         keep_payoffs: bool = False) -> list[SimulationResult]:
     """Estimate several (policy, x, y) jobs over one shared noise stream.
 
@@ -421,27 +412,19 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     _check_mc_config(n_paths, dt, horizon, seed)
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
-    if antithetic and n_paths % 2 != 0:
-        raise ConfigurationError("antithetic estimation needs an even n_paths")
     tails = [discount_tail_bound(p, x, horizon) for _, x, _ in jobs]
     if tail_tol is not None and max(tails) > tail_tol:
         raise ConfigurationError(
             f"discount tail bound {max(tails):.3e} exceeds tolerance "
             f"{tail_tol:.3e}; extend the horizon beyond {horizon}")
     n_steps = int(round(horizon / dt))
-    out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths), antithetic=antithetic)
+    out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
     results = []
     for j, tail in enumerate(tails):
         pay = out["payoffs"][j]
         estimate = float(np.mean(pay))
-        if antithetic:
-            # mirrored pairs are dependent; the independent samples are pair means
-            pair_means = pay.reshape(-1, 2).mean(axis=1)
-            std_error = (float(np.std(pair_means, ddof=1) / math.sqrt(len(pair_means)))
-                         if len(pair_means) > 1 else 0.0)
-        else:
-            std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
-                         if n_paths > 1 else 0.0)
+        std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
+                     if n_paths > 1 else 0.0)
         installed = out["total_installed"][j]
         first = out["first_install_time"][j]
         frac = float(np.mean(installed > 0.0))

@@ -8,7 +8,7 @@ import pytest
 from solarinvest import (DomainError, FundamentalSolution, Regime, Region,
                          classify_regime, h_func, integrate_boundary, ode_rhs,
                          r_tilde, solve_x_tilde, table_preset, y_star)
-from solarinvest import boundary
+from solarinvest import boundary, fundamental
 from solarinvest.boundary import _n_d, export_grid_csv
 
 from conftest import rel_err
@@ -89,22 +89,33 @@ class TestAnchor:
             assert fb.x_bar > floor
 
     def test_anchor_reads_only_panels_the_path_needs(self):
-        # Newton's iterates from mu and the RK4 path read a log I_s0 panel
-        # and a ratio panel on each of two cells; an anchor search that
+        # Newton's iterates from mu and the RK4 path read the panel pair
+        # (log I_s0 and ratio) of each of two cells; an anchor search that
         # evaluated H far from the root would build panels on more cells
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         integrate_boundary(params, fs, n_steps=800)
-        assert len(fs._panels) + len(fs._ratio_panels) < 10
+        assert 2 * len(fs._cells) < 10
 
-    def test_solve_builds_no_s0_plus_one_panel(self):
-        # psi'/psi reads the ratio panel of log I_{s0+1} - log I_{s0};
-        # the s0+1 quadrature values go into it and are not kept
+    def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
+        # a cell's pair takes one quadrature call at s0 and one at s0+1 over
+        # its 20 nodes; the s0+1 values go into the ratio panel, and no
+        # other order is ever integrated on the solve path
+        calls = []
+        quad = fundamental.log_weighted_integral
+
+        def counted(s, z, *args, **kwargs):
+            calls.append((s, np.size(z)))
+            return quad(s, z, *args, **kwargs)
+
+        monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         integrate_boundary(params, fs, n_steps=800)
-        assert fs._ratio_panels
-        assert all(s == fs._s0 for s, _ in fs._panels)
+        orders = [s for s, _ in calls]
+        assert set(orders) == {fs._s0, fs._s0 + 1}
+        assert orders.count(fs._s0) == orders.count(fs._s0 + 1)
+        assert all(n == 20 for _, n in calls)
 
     def test_anchor_increasing_in_capacity_bound(self):
         roots = []

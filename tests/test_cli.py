@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,21 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "sim" / "simulation_report.json").read_text())
         assert report == payload
 
+    def test_report_is_standard_json(self, tmp_path, capsys):
+        # never_install's mean_first_install_time is NaN in the report; it
+        # must come out as null, not as a NaN token strict parsers reject
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code = main(["--steps", "200", "--out", str(tmp_path / "si"), "simulate",
+                     "--paths", "200", "--dt", "0.05"])
+        assert code == 0
+        text = (tmp_path / "si" / "simulation_report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert json.loads(capsys.readouterr().out, parse_constant=reject) == report
+        for state in report["states"]:
+            assert state["never_install"]["mean_first_install_time"] is None
+
     def test_seed_changes_estimates_not_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MU14)
         estimates = []
@@ -200,3 +216,20 @@ class TestSensitivityCommand:
     def test_bad_values_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "sensitivity",
                      "--param", "sigma", "--values", "a,b"]) == 2
+
+    def test_verdict_does_not_depend_on_value_order(self, tmp_path, capsys):
+        runs = []
+        for values in ("0.5,0.6,0.7", "0.7,0.6,0.5"):
+            assert main(["--steps", "200", "--out", str(tmp_path / values), "sensitivity",
+                         "--param", "sigma", "--values", values]) == 0
+            payload = last_json(capsys)
+            csv = Path(payload.pop("csv")).read_text()
+            runs.append((payload, csv))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["observed"] == "increasing" and runs[0][0]["consistent"]
+
+    @pytest.mark.parametrize("values", ["0.5", "0.5,0.5"])
+    def test_fewer_than_two_distinct_values_rejected(self, tmp_path, capsys, values):
+        assert main(["--steps", "200", "--out", str(tmp_path), "sensitivity",
+                     "--param", "sigma", "--values", values]) == 2
+        assert "two distinct" in capsys.readouterr().err

@@ -238,6 +238,9 @@ class TestChebyshevPanels:
                 exact = mp_log_psi_deriv(s0, k, z)
                 got = fs.log_psi_deriv(k, -z)
                 assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (s0, k, z)
+            # the log I_s0 panel, which psi reads
+            exact = mp_log_psi_deriv(s0, 0, z)
+            assert abs(math.log(fs.psi(-z)) - exact) <= 1e-13 * max(1.0, abs(exact)), (s0, z)
 
     @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
     def test_ratio_panel_against_mpmath_including_panel_edges(self, s0):
@@ -316,6 +319,20 @@ class TestVectorisedQuadrature:
         with pytest.raises(NumericalError) as exc:
             log_weighted_integral(0.5, zs, max_level=4)
         assert exc.value.achieved == max(scalar)
+
+    @pytest.mark.parametrize("s", [30.0, 50.0, 100.0, 200.0, 1000.0, 5e6])
+    def test_large_order_matches_mpmath_or_raises(self, s):
+        # t^{s-1} moves the integrand's peak toward the cutoff
+        # T = max(0, -z) + 13, and past it for s >~ 170 at z = 0
+        for z in (-5.0, 0.0, 5.0):
+            try:
+                got = log_weighted_integral(s, z)[0]
+            except NumericalError:
+                assert (s, z) != (50.0, 0.0)
+                continue
+            assert (s, z) not in ((100.0, 0.0), (1000.0, 0.0))
+            exact = mp_log_psi_deriv(s, 0, z) + float(mpmath.loggamma(s))
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (s, z)
 
 
 class TestPsiRatios:

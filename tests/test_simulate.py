@@ -206,15 +206,6 @@ class TestEstimator:
         for lo, hi in zip(ses[1:], ses[:-1]):
             assert 1.6 <= hi / lo <= 2.4
 
-    def test_antithetic_reduces_error_for_monotone_payoff(self, setup):
-        params, fb, _ = setup
-        plain = estimate_value(params, NeverInstall(), 1.2, 1.0, n_paths=4000,
-                               dt=0.05, horizon=30.0, seed=13)
-        anti = estimate_value(params, NeverInstall(), 1.2, 1.0, n_paths=4000,
-                              dt=0.05, horizon=30.0, seed=13, antithetic=True)
-        assert anti.std_error < plain.std_error
-        assert abs(anti.estimate - plain.estimate) <= 4.0 * plain.std_error
-
     def test_tail_bound_covers_horizon_extension(self, setup):
         # per-path streams are prefix-stable, so the same paths continue
         params, fb, _ = setup
