@@ -16,7 +16,9 @@ int e^{-rho u} du; installation costs are charged at e^{-rho t} c dY, with the
 initial lump undiscounted.  Paths draw from counter-based streams keyed by
 (seed, path index), so runs are reproducible, prefix-stable under horizon
 extension, and common random numbers across policies come from reusing the
-seed.
+seed.  The draws arrive time-major, one (steps, paths) chunk at a time, and
+each chunk is drawn on a thread pool while the kernel steps the one before
+it; how the horizon is cut into chunks changes no value.
 
 One kernel steps every policy.  A policy supplies ``lump`` (the t=0
 installation), ``target`` (the desired capacity given prices) and
@@ -42,12 +44,21 @@ from .errors import ConfigurationError, SimulationError
 from .model import ModelParams, at_capacity, r_value
 from .value import ValueFunction
 
-_TIME_CHUNK = 1024
-_CHUNK_BUDGET = 24_000_000  # noise elements buffered per chunk across paths
+_TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the kernel idle
+_MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
+_CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
+_FILL_ROWS = 16  # paths a fill thread draws before one transposed store
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
-    return max(_TIME_CHUNK, min(n_steps, _CHUNK_BUDGET // max(nb, 1)))
+    return min(n_steps, _TIME_CHUNK, max(_MIN_CHUNK, _CHUNK_BUDGET // (2 * nb)))
+
+
+def _fill_workers() -> int:
+    """Fill threads: the CPUs this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
 
 
 # -- policies ------------------------------------------------------------------
@@ -211,32 +222,70 @@ def _path_generators(seed: int, indices) -> list[np.random.Generator]:
 
 
 class _NoiseFeed:
-    """Chunked per-path draws; each path consumes one normal per step.
+    """Scaled per-path normal draws in time-major chunks, drawn one chunk ahead.
 
-    Rows are filled concurrently (each path's generator writes its own slice,
-    so the result does not depend on thread scheduling).
+    A chunk has shape (steps, paths): row ``k`` holds every path's draw for
+    one step, so the kernel adds a contiguous row per step.  Iterating the
+    feed yields these rows in time order; while the caller steps through
+    chunk k, chunk k+1 is filled on the pool.  Each path's generator writes
+    its own draws in stream order into a thread's scratch rows, which are
+    scaled and stored transposed, so no value depends on the chunking or on
+    thread scheduling.  Two buffers alternate, and together they hold at
+    most ``_CHUNK_BUDGET`` elements unless that would cut a chunk below
+    ``_MIN_CHUNK`` steps.  Leaving the ``with`` block waits for the pending
+    fill and stops the pool's threads.
     """
 
-    def __init__(self, seed, indices):
+    def __init__(self, seed, indices, n_steps, scale):
         self._gens = _path_generators(seed, indices)
-        self._workers = min(8, os.cpu_count() or 1)
+        self._n_steps = n_steps
+        self._scale = scale
+        self._workers = _fill_workers()
+        self._pool = ThreadPoolExecutor(max_workers=self._workers)
 
-    def _fill(self, noise, lo, hi):
-        for j in range(lo, hi):
-            self._gens[j].standard_normal(out=noise[j])
+    def __enter__(self):
+        return self
 
-    def draw(self, chunk, scale):
+    def __exit__(self, *exc):
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _fill(self, out, lo, hi):
+        scratch = np.empty((min(_FILL_ROWS, hi - lo), len(out)))
+        for a in range(lo, hi, len(scratch)):
+            b = min(a + len(scratch), hi)
+            for j in range(a, b):
+                self._gens[j].standard_normal(out=scratch[j - a])
+            np.multiply(scratch[:b - a].T, self._scale, out=out[:, a:b])
+
+    def _submit(self, out):
         nb = len(self._gens)
-        noise = np.empty((nb, chunk))
-        if self._workers > 1 and nb >= 64:
-            block = -(-nb // self._workers)
-            bounds = [(lo, min(lo + block, nb)) for lo in range(0, nb, block)]
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                list(pool.map(lambda b: self._fill(noise, *b), bounds))
-        else:
-            self._fill(noise, 0, nb)
-        noise *= scale
-        return noise
+        block = -(-nb // self._workers)
+        return out, [self._pool.submit(self._fill, out, lo, min(lo + block, nb))
+                     for lo in range(0, nb, block)]
+
+    def _ready(self, pending):
+        out, futures = pending
+        for f in futures:
+            f.result()
+        return out
+
+    def __iter__(self):
+        nb, n_steps = len(self._gens), self._n_steps
+        chunk = _chunk_size(nb, n_steps)
+        bufs = []
+
+        def buffer(k, start):  # chunk k reuses the buffer of chunk k - 2
+            size = min(chunk, n_steps - start)
+            if k < 2:
+                bufs.append(np.empty((size, nb)))
+            return bufs[k % 2][:size]
+
+        pending = self._submit(buffer(0, 0))
+        for k, start in enumerate(range(chunk, n_steps, chunk), 1):
+            ready = self._ready(pending)
+            pending = self._submit(buffer(k, start))  # the caller is done with chunk k - 2
+            yield from ready
+        yield from self._ready(pending)
 
 
 def _run(params, jobs, dt, n_steps, seed, indices, record=False):
@@ -291,15 +340,10 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         y_rec = np.empty_like(x_rec)
         overshoot = np.full_like(x, -math.inf)
 
-    feed = _NoiseFeed(seed, indices)
-    sq = p.sigma * math.sqrt(dt)
     disc = 1.0
     step = 0
-    chunk_cap = _chunk_size(nb, n_steps)
-    while step < n_steps:
-        chunk = min(chunk_cap, n_steps - step)
-        noise = feed.draw(chunk, sq)
-        for k in range(chunk):
+    with _NoiseFeed(seed, indices, n_steps, p.sigma * math.sqrt(dt)) as feed:
+        for z in feed:
             if record:
                 np.subtract(x, thr, out=tmp)
                 np.maximum(overshoot, tmp, out=overshoot)
@@ -324,10 +368,9 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
             pay += tmp
             x *= decay
             x += adds
-            x += noise[:, k]
+            x += z
             disc *= disc_step
             step += 1
-        del noise  # free this chunk before the next draw allocates its successor
     if not np.isfinite(x).all():
         raise SimulationError("non-finite price state encountered")
 
@@ -353,10 +396,9 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     ``max_overshoot`` is the largest pre-installation excess of the price
     over the policy's threshold (0 when the threshold is never finite).
     """
-    _check_mc_config(1, dt, horizon, seed)
+    n_steps = _check_mc_config(1, dt, horizon, seed)
     if path_index < 0:
         raise ConfigurationError(f"path_index must be >= 0, got {path_index}")
-    n_steps = int(round(horizon / dt))
     out = _run(params, [(policy, x, y)], dt, n_steps, seed, [path_index], record=True)
     y_path = out["y"][:, 0, 0]
     return PathRecord(
@@ -368,7 +410,8 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
         max_overshoot=float(out["max_overshoot"][0, 0]))
 
 
-def _check_mc_config(n_paths, dt, horizon, seed):
+def _check_mc_config(n_paths, dt, horizon, seed) -> int:
+    """Validate Monte Carlo settings; return the number of time steps."""
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     if not dt > 0.0:
@@ -379,6 +422,11 @@ def _check_mc_config(n_paths, dt, horizon, seed):
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"horizon {horizon} / dt {dt} = {ratio} is not a finite number of steps")
+    return int(round(ratio))
 
 
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
@@ -409,7 +457,7 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     p = params
     if horizon is None:
         horizon = 10.0 / p.rho
-    _check_mc_config(n_paths, dt, horizon, seed)
+    n_steps = _check_mc_config(n_paths, dt, horizon, seed)
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
     tails = [discount_tail_bound(p, x, horizon) for _, x, _ in jobs]
@@ -417,7 +465,6 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
         raise ConfigurationError(
             f"discount tail bound {max(tails):.3e} exceeds tolerance "
             f"{tail_tol:.3e}; extend the horizon beyond {horizon}")
-    n_steps = int(round(horizon / dt))
     out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
     results = []
     for j, tail in enumerate(tails):

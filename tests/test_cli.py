@@ -169,6 +169,13 @@ class TestSimulateCommand:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--dt", "5e-324"), ("--horizon", "1e308")])
+    def test_non_finite_step_count_usage_error(self, capsys, flag, value):
+        code = main(["--steps", "200", "simulate", "--paths", "10", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "horizon" in err and "dt" in err and "= inf" in err
+
     def test_path_traces_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MU14)
         code = main(["--config", cfg, "--steps", "300", "--seed", "7",

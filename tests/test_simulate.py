@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -231,8 +234,10 @@ class TestEstimator:
         assert 1.4 <= ratio <= 2.8
 
     def test_noise_chunk_released_before_next_draw(self, setup, monkeypatch):
-        # three chunks of 1024 steps x 256 paths; holding one chunk while
-        # the next is drawn would peak above two chunks' bytes
+        # the budget of n_paths x chunk elements covers both live chunks (the
+        # one stepped and the one drawn ahead), so each holds chunk / 2 steps
+        # and the run is six chunks in two buffers; giving each chunk the
+        # whole budget would peak above the bound
         params, _, _ = setup
         n_paths, chunk = 256, simulate._TIME_CHUNK
         monkeypatch.setattr(simulate, "_CHUNK_BUDGET", n_paths * chunk)
@@ -291,6 +296,17 @@ class TestEstimator:
             simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1,
                           horizon=horizon, seed=0)
 
+    @pytest.mark.parametrize("dt,horizon", [(5e-324, 100.0), (0.01, 1e308)])
+    def test_non_finite_step_count_rejected(self, setup, dt, horizon):
+        params, fb, _ = setup
+        pattern = re.escape(f"horizon {horizon} / dt {dt} = inf")
+        with pytest.raises(ConfigurationError, match=pattern):
+            estimate_value_many(params, [(NeverInstall(), 1.0, 1.0)], n_paths=4,
+                                dt=dt, horizon=horizon)
+        with pytest.raises(ConfigurationError, match=pattern):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=dt,
+                          horizon=horizon, seed=0)
+
     def test_empty_jobs_rejected(self, setup):
         params, fb, _ = setup
         with pytest.raises(ConfigurationError, match="jobs"):
@@ -311,6 +327,95 @@ class TestEstimator:
                             horizon=5.0, seed=2)
         assert rec.initial_lump == params.y_bar - 1.0
         assert np.all(rec.y == params.y_bar)
+
+
+class Exploding(Policy):
+    """Consulted every step; its ``target`` fails on the fifth call."""
+
+    name = "exploding"
+
+    def __init__(self):
+        self.calls = 0
+
+    def target(self, x_arr, y_arr):
+        self.calls += 1
+        if self.calls == 5:
+            raise RuntimeError("target failed")
+        return y_arr
+
+
+class TestNoiseFeed:
+    def test_chunking_changes_no_value(self, setup, monkeypatch):
+        # 4117 steps: a multiple of neither 7 nor the default chunk (4096)
+        params, fb, _ = setup
+        n_paths, n_steps = 64, 4117
+        settings = dict(dt=0.01, horizon=n_steps * 0.01, seed=13)
+        policies = [make(params, fb) for make in POLICIES.values()]
+        jobs = [(pol, x, y) for x, y in verification_states(fb, 1.0) for pol in policies]
+        x0, y0 = verification_states(fb, 1.0)[1]
+        runs = []
+        for chunk in (1, 7, None, n_steps):
+            for nb in (n_paths, 1):
+                if chunk == n_steps:
+                    monkeypatch.setattr(simulate, "_TIME_CHUNK", n_steps)
+                if chunk in (1, 7):
+                    monkeypatch.setattr(simulate, "_MIN_CHUNK", 1)
+                    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * nb * chunk)
+                assert simulate._chunk_size(nb, n_steps) == (chunk or simulate._TIME_CHUNK)
+                if nb == n_paths:
+                    many = estimate_value_many(params, jobs, n_paths=n_paths,
+                                               keep_payoffs=True, **settings)
+                else:
+                    rec = simulate_path(params, policies[0], x0, y0, path_index=3,
+                                        **settings)
+                monkeypatch.undo()
+            runs.append((np.stack([r.payoffs for r in many]).tobytes(),
+                         rec.x.tobytes(), rec.y.tobytes(), rec.payoff, rec.max_overshoot))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_fill_threads_change_no_value(self, setup, monkeypatch):
+        # one fill thread against eight on fewer cores, with the interpreter
+        # switching threads as often as it can, over 31 chunks of 97 steps
+        params, fb, _ = setup
+        pol = OptimalReflection(params, fb)
+        settings = dict(n_paths=300, dt=0.01, horizon=30.0, seed=17, keep_payoffs=True)
+        monkeypatch.setattr(simulate, "_MIN_CHUNK", 1)
+        monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 300 * 97)
+        monkeypatch.setattr(simulate, "_fill_workers", lambda: 1)
+        alone = estimate_value(params, pol, 1.2, 1.0, **settings)
+        monkeypatch.setattr(simulate, "_fill_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = estimate_value(params, pol, 1.2, 1.0, **settings)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(alone.payoffs, shared.payoffs)
+
+    def test_no_fill_thread_outlives_the_run(self, setup):
+        params, fb, _ = setup
+        before = threading.active_count()
+        # fails mid-chunk while the next chunk is being drawn
+        with pytest.raises(RuntimeError, match="target failed"):
+            estimate_value(params, Exploding(), 1.0, 1.0, n_paths=500, dt=0.01,
+                           horizon=100.0, seed=3)
+        assert threading.active_count() == before
+        estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=500, dt=0.01,
+                       horizon=100.0, seed=3)
+        assert threading.active_count() == before
+
+    def test_huge_step_count_is_chunked_lazily(self):
+        with simulate._NoiseFeed(0, [0], 10**300, 1.0) as feed:
+            first = next(iter(feed))
+        assert first.shape == (1,) and np.isfinite(first).all()
+
+    def test_fill_threads_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 5, 6},
+                            raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+        assert simulate._fill_workers() == 3
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        assert simulate._fill_workers() == 8
 
 
 class TestDominance:
