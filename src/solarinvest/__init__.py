@@ -19,7 +19,7 @@ from .model import (ModelParams, line_of_means, params_from_dict,
 from .simulate import (FixedThreshold, ImmediateFull, NeverInstall,
                        OptimalReflection, PathRecord, SimulationResult,
                        dominance_report, estimate_value, estimate_value_many,
-                       initial_lump, simulate_path, verification_states)
+                       simulate_path, verification_states)
 from .value import ValueFunction
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "SolarInvestError", "SolverError", "ValidationError",
     "ValueFunction", "classify_regime", "cylinder_d",
     "dominance_report", "estimate_value", "estimate_value_many", "h_func",
-    "initial_lump",
     "integrate_boundary", "line_of_means", "ode_rhs", "params_from_dict",
     "params_from_json", "params_to_dict", "r_partials", "r_tilde", "r_value",
     "simulate_path", "solve_x_tilde", "table_preset", "validate",

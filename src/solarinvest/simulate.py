@@ -20,22 +20,25 @@ seed.  The draws arrive time-major, one (steps, paths) chunk at a time, and
 each chunk is drawn on a thread pool while the kernel steps the one before
 it; how the horizon is cut into chunks changes no value.
 
-One kernel steps every policy.  A policy supplies ``lump`` (the t=0
-installation), ``target`` (the desired capacity given prices) and
-``boundary_at`` (the price above which ``target`` is consulted: +inf never
-acts after t=0, -inf consults it every step).  All (policy, x, y) jobs of a
-call are stacked as rows of one (job, path) array and share the same float
-operations, so a job's payoffs do not depend on what it runs beside, and a
-recorded path (:func:`simulate_path`) reproduces its estimator payoff
-exactly.
+One kernel steps every policy.  A policy names capacity levels: ``start``
+(the capacity right after t=0), ``target`` (the desired capacity given
+prices) and ``boundary_at`` (the price above which ``target`` is consulted:
++inf never acts after t=0, -inf consults it every step).  The kernel clamps
+every level it reads to [current capacity, y_bar], at t=0 as on every step,
+so no policy removes capacity or installs beyond the cap.  All (policy, x, y)
+jobs of a call are stacked as rows of one (job, path) array and share the
+same float operations, so a job's payoffs do not depend on what it runs
+beside, and a recorded path (:func:`simulate_path`) reproduces its estimator
+payoff exactly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,18 +67,15 @@ def _fill_workers() -> int:
 # -- policies ------------------------------------------------------------------
 
 
-def initial_lump(fb: FreeBoundary, x: float, y: float) -> float:
-    """Instantaneous installation prescribed by the optimal strategy at t=0."""
-    return fb.lump_target(x, y) - y
-
-
 class Policy:
-    """Installation rule: an initial lump plus a per-step target level."""
+    """Installation rule in capacity levels: a start level and a per-step
+    target level, each clamped by the kernel to [current capacity, y_bar]."""
 
     name = "abstract"
 
-    def lump(self, params: ModelParams, x: float, y: float) -> float:
-        return 0.0
+    def start(self, x: float, y: float) -> float:
+        """Capacity right after t = 0 from (x, y); clamped by the caller."""
+        return y
 
     def target(self, x_arr: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
         """Desired capacity level given current prices; clamped by the caller."""
@@ -99,8 +99,8 @@ class ImmediateFull(Policy):
 
     name = "immediate_full"
 
-    def lump(self, params, x, y):
-        return params.y_bar - y
+    def start(self, x, y):
+        return math.inf
 
     def boundary_at(self, y_arr):
         return math.inf
@@ -121,8 +121,8 @@ class OptimalReflection(Policy):
         self._x_knots = fb.f_grid
         self._y_knots = fb.ys
 
-    def lump(self, params, x, y):
-        return initial_lump(self._fb, x, y)
+    def start(self, x, y):
+        return self._fb.lump_target(x, y)
 
     def target(self, x_arr, y_arr):
         return np.interp(x_arr, self._x_knots, self._y_knots)
@@ -137,15 +137,14 @@ class FixedThreshold(Policy):
 
     name = "fixed_threshold"
 
-    def __init__(self, threshold: float, y_bar: float):
+    def __init__(self, threshold: float):
         self.threshold = threshold
-        self._y_bar = y_bar
 
-    def lump(self, params, x, y):
-        return params.y_bar - y if x >= self.threshold else 0.0
+    def start(self, x, y):
+        return math.inf if x >= self.threshold else y
 
     def target(self, x_arr, y_arr):
-        return np.where(x_arr >= self.threshold, self._y_bar, y_arr)
+        return np.where(x_arr >= self.threshold, math.inf, y_arr)
 
     def boundary_at(self, y_arr):
         return self.threshold
@@ -171,18 +170,7 @@ class SimulationResult:
     payoffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def summary_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "discount_tail_bound": self.discount_tail_bound,
-            "initial_lump": self.initial_lump,
-            "mean_total_installed": self.mean_total_installed,
-            "fraction_installing": self.fraction_installing,
-            "mean_first_install_time": self.mean_first_install_time,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "payoffs"}
 
 
 @dataclass(frozen=True)
@@ -288,6 +276,11 @@ class _NoiseFeed:
         yield from self._ready(pending)
 
 
+def _threshold(params, policy, lvl):
+    """Price above which ``policy`` acts at capacity ``lvl`` (+inf at capacity)."""
+    return np.where(at_capacity(params, lvl), math.inf, policy.boundary_at(lvl))
+
+
 def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     """Advance every (policy, x, y) job through one shared noise stream.
 
@@ -300,6 +293,12 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     block plus the price recursion.
     """
     p = params
+    for j, (policy, x0, y0) in enumerate(jobs):
+        if not math.isfinite(x0):
+            raise ConfigurationError(f"job {j} ({policy.name}): x must be finite, got {x0}")
+        if not 0.0 <= y0 <= p.y_bar:
+            raise ConfigurationError(
+                f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
     blocks = {}
     for i, (policy, _, _) in enumerate(jobs):
         blocks.setdefault(id(policy), (policy, []))[1].append(i)
@@ -310,7 +309,8 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         return np.repeat(np.array(values, dtype=float)[:, None], nb, axis=1)
 
     y_start = rows([jobs[i][2] for i in order])
-    lumps = [float(jobs[i][0].lump(p, jobs[i][1], jobs[i][2])) for i in order]
+    lumps = [float(min(max(pol.start(x0, y0), y0), p.y_bar) - y0)
+             for pol, x0, y0 in (jobs[i] for i in order)]
     x = rows([jobs[i][1] for i in order])
     y = y_start + rows(lumps)
     pay = rows([-p.c * lump for lump in lumps])
@@ -321,16 +321,13 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     decay = 1.0 - kdt
     adds = kdt * (p.mu - p.beta * y)
 
-    def threshold(policy, lvl):
-        return np.where(at_capacity(p, lvl), math.inf, policy.boundary_at(lvl))
-
     thr = np.empty_like(x)
     active = []  # (policy, flat views of x, y, thr, adds, pay, first) per block
     lo = 0
     for policy, ids in blocks.values():
         hi = lo + len(ids)
         views = [a[lo:hi].reshape(-1) for a in (x, y, thr, adds, pay, first)]
-        views[2][:] = threshold(policy, views[1])
+        views[2][:] = _threshold(p, policy, views[1])
         if (views[2] < math.inf).any():  # all +inf: the block never acts
             active.append((policy, *views))
         lo = hi
@@ -338,15 +335,11 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     if record:
         x_rec = np.empty((n_steps + 1,) + x.shape)
         y_rec = np.empty_like(x_rec)
-        overshoot = np.full_like(x, -math.inf)
 
     disc = 1.0
     step = 0
     with _NoiseFeed(seed, indices, n_steps, p.sigma * math.sqrt(dt)) as feed:
         for z in feed:
-            if record:
-                np.subtract(x, thr, out=tmp)
-                np.maximum(overshoot, tmp, out=overshoot)
             for policy, xb, yb, tb, ab, pb, firstb in active:
                 idx = np.flatnonzero(xb > tb)
                 if idx.size:
@@ -359,7 +352,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
                     firstb[fresh] = step * dt
                     yb[idx] = lvl
                     ab[idx] = kdt * (p.mu - p.beta * lvl)
-                    tb[idx] = threshold(policy, lvl)
+                    tb[idx] = _threshold(p, policy, lvl)
             if record:
                 x_rec[step] = x
                 y_rec[step] = y
@@ -380,9 +373,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     if record:
         x_rec[n_steps] = x
         y_rec[n_steps] = y
-        over = overshoot[back]
-        out.update(x=x_rec[:, back], y=y_rec[:, back],
-                   max_overshoot=np.where(np.isfinite(over), np.maximum(over, 0.0), 0.0))
+        out.update(x=x_rec[:, back], y=y_rec[:, back])
     return out
 
 
@@ -397,17 +388,21 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     over the policy's threshold (0 when the threshold is never finite).
     """
     n_steps = _check_mc_config(1, dt, horizon, seed)
-    if path_index < 0:
-        raise ConfigurationError(f"path_index must be >= 0, got {path_index}")
+    if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < 2**192):
+        raise ConfigurationError(
+            f"path_index must be an integer in [0, 2**192), got {path_index!r}")
     out = _run(params, [(policy, x, y)], dt, n_steps, seed, [path_index], record=True)
-    y_path = out["y"][:, 0, 0]
+    x_path, y_path, lump = out["x"][:, 0, 0], out["y"][:, 0, 0], out["lumps"][0]
+    # step k installs from the capacity recorded at step k - 1 (after the lump at k = 0)
+    y_before = np.concatenate(([y + lump], y_path[:n_steps - 1]))
+    over = np.max(x_path[:n_steps] - _threshold(params, policy, y_before))
     return PathRecord(
-        t=np.linspace(0.0, n_steps * dt, n_steps + 1), x=out["x"][:, 0, 0],
+        t=np.linspace(0.0, n_steps * dt, n_steps + 1), x=x_path,
         y=y_path, cum_cost=params.c * (y_path - y),
-        payoff=float(out["payoffs"][0, 0]), initial_lump=out["lumps"][0],
+        payoff=float(out["payoffs"][0, 0]), initial_lump=lump,
         total_installed=float(out["total_installed"][0, 0]),
         first_install_time=float(out["first_install_time"][0, 0]),
-        max_overshoot=float(out["max_overshoot"][0, 0]))
+        max_overshoot=float(np.maximum(over, 0.0)) if math.isfinite(over) else 0.0)
 
 
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
@@ -423,29 +418,27 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
     ratio = horizon / dt
-    if not math.isfinite(ratio):
+    if not ratio < 2.0**64:  # the Philox counters a path's stream owns
         raise ConfigurationError(
-            f"horizon {horizon} / dt {dt} = {ratio} is not a finite number of steps")
+            f"horizon {horizon} / dt {dt} = {ratio} steps; a path's stream holds "
+            "fewer than 2**64")
     return int(round(ratio))
 
 
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
                    n_paths: int, dt: float, horizon: float | None = None,
-                   seed: int = 0, tail_tol: float | None = None,
-                   keep_payoffs: bool = False) -> SimulationResult:
+                   seed: int = 0, keep_payoffs: bool = False) -> SimulationResult:
     """Mean discounted payoff of ``policy`` from (x, y), with standard error.
 
     ``horizon`` defaults to 10/rho (discount e^-10 beyond the cutoff); the
-    analytic truncation bound is reported and checked against ``tail_tol``
-    when given.  Deterministic for a fixed seed.
+    analytic truncation bound is reported.  Deterministic for a fixed seed.
     """
     return estimate_value_many(params, [(policy, x, y)], n_paths, dt, horizon,
-                               seed=seed, tail_tol=tail_tol, keep_payoffs=keep_payoffs)[0]
+                               seed=seed, keep_payoffs=keep_payoffs)[0]
 
 
 def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
                         horizon: float | None = None, seed: int = 0,
-                        tail_tol: float | None = None,
                         keep_payoffs: bool = False) -> list[SimulationResult]:
     """Estimate several (policy, x, y) jobs over one shared noise stream.
 
@@ -460,14 +453,9 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     n_steps = _check_mc_config(n_paths, dt, horizon, seed)
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
-    tails = [discount_tail_bound(p, x, horizon) for _, x, _ in jobs]
-    if tail_tol is not None and max(tails) > tail_tol:
-        raise ConfigurationError(
-            f"discount tail bound {max(tails):.3e} exceeds tolerance "
-            f"{tail_tol:.3e}; extend the horizon beyond {horizon}")
     out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
     results = []
-    for j, tail in enumerate(tails):
+    for j, (_, x, _) in enumerate(jobs):
         pay = out["payoffs"][j]
         estimate = float(np.mean(pay))
         std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
@@ -477,7 +465,8 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
         frac = float(np.mean(installed > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,
-            horizon=horizon, discount_tail_bound=tail, initial_lump=out["lumps"][j],
+            horizon=horizon, discount_tail_bound=discount_tail_bound(p, x, horizon),
+            initial_lump=out["lumps"][j],
             mean_total_installed=float(np.mean(installed)),
             fraction_installing=frac,
             mean_first_install_time=float(np.nanmean(first)) if frac > 0 else math.nan,
@@ -488,9 +477,10 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
 # -- verification report ----------------------------------------------------------
 
 
-def verification_states(fb: FreeBoundary, y: float | None = None):
-    """One state per region (wait / lump-to-boundary / lump-to-capacity)."""
-    y = fb.params.y_bar / 5.0 if y is None else y
+def verification_states(fb: FreeBoundary):
+    """One state per region (wait / lump-to-boundary / lump-to-capacity), at
+    capacity y_bar / 5."""
+    y = fb.params.y_bar / 5.0
     f_y = fb.f(y)
     return [
         (f_y - 0.5, y),
@@ -545,30 +535,20 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
         row["gap_optimal_minus"] = gaps
         rows.append(row)
 
-        checks.append({
-            "name": f"never_install matches closed form at ({x:.6g}, {y:.6g})",
-            "passed": bool(abs(never.estimate - r_val)
-                           <= 3.0 * never.std_error + never.discount_tail_bound),
-            "gap": never.estimate - r_val,
-            "tolerance": 3.0 * never.std_error + never.discount_tail_bound,
-        })
-        checks.append({
-            "name": f"optimal matches analytic value at ({x:.6g}, {y:.6g})",
-            "passed": bool(abs(opt.estimate - w_val)
-                           <= 3.0 * opt.std_error + opt.discount_tail_bound + allowance),
-            "gap": opt.estimate - w_val,
-            "tolerance": 3.0 * opt.std_error + opt.discount_tail_bound + allowance,
-        })
+        bands = [("never_install matches closed form", never.estimate - r_val,
+                  3.0 * never.std_error + never.discount_tail_bound),
+                 ("optimal matches analytic value", opt.estimate - w_val,
+                  3.0 * opt.std_error + opt.discount_tail_bound + allowance)]
+        for name, gap, tol in bands:
+            checks.append({"name": f"{name} at ({x:.6g}, {y:.6g})",
+                           "passed": bool(abs(gap) <= tol), "gap": gap, "tolerance": tol})
         for name, gap in gaps.items():
-            checks.append({
-                "name": f"optimal dominates {name} at ({x:.6g}, {y:.6g})",
-                "passed": bool(gap["mean"] >= -3.0 * gap["std_error"]),
-                "gap": gap["mean"],
-                "tolerance": 3.0 * gap["std_error"],
-            })
+            tol = 3.0 * gap["std_error"]
+            checks.append({"name": f"optimal dominates {name} at ({x:.6g}, {y:.6g})",
+                           "passed": bool(gap["mean"] >= -tol), "gap": gap["mean"],
+                           "tolerance": tol})
     return {
-        "settings": {"n_paths": n_paths, "dt": dt,
-                     "horizon": horizon if horizon is not None else 10.0 / params.rho,
+        "settings": {"n_paths": n_paths, "dt": dt, "horizon": all_results[0].horizon,
                      "seed": seed, "dt_bias_allowance": allowance},
         "states": rows,
         "checks": checks,

@@ -177,7 +177,7 @@ def test_criterion_5_cross_representations(base):
 def test_criterion_6_monte_carlo_verification(base):
     t0 = time.perf_counter()
     params, _, fb, vf = base
-    states = verification_states(fb, params.y_bar / 5.0)
+    states = verification_states(fb)
     policies = {
         "optimal": OptimalReflection(params, fb),
         "never": NeverInstall(),

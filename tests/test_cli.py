@@ -176,6 +176,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "horizon" in err and "dt" in err and "= inf" in err
 
+    def test_step_count_beyond_stream_usage_error(self, capsys):
+        # about 1e301 finite steps: refused before a single one is stepped
+        code = main(["--steps", "200", "simulate", "--paths", "10", "--dt", "1e-300"])
+        assert code == 2
+        assert "2**64" in capsys.readouterr().err
+
     def test_path_traces_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MU14)
         code = main(["--config", cfg, "--steps", "300", "--seed", "7",

@@ -11,8 +11,8 @@ import pytest
 
 from solarinvest import (ConfigurationError, FixedThreshold, ImmediateFull,
                          NeverInstall, OptimalReflection, dominance_report,
-                         estimate_value, estimate_value_many, initial_lump,
-                         r_value, simulate_path, verification_states)
+                         estimate_value, estimate_value_many, r_value,
+                         simulate_path, verification_states)
 from solarinvest import simulate
 from solarinvest.simulate import Policy, discount_tail_bound
 
@@ -32,41 +32,91 @@ class GradualAbove(Policy):
         return y_arr + 0.5 * np.maximum(x_arr - 1.6, 0.0)
 
 
+class StartBelow(NeverInstall):
+    """Asks to remove a unit of capacity at t = 0; the kernel keeps y."""
+
+    name = "start_below"
+
+    def start(self, x, y):
+        return y - 1.0
+
+
+class StartBeyond(ImmediateFull):
+    """Asks for far more than y_bar at t = 0; the kernel installs up to y_bar."""
+
+    name = "start_beyond"
+
+    def start(self, x, y):
+        return 1e300
+
+
 POLICIES = {
     "optimal": lambda params, fb: OptimalReflection(params, fb),
     "never_install": lambda params, fb: NeverInstall(),
     "immediate_full": lambda params, fb: ImmediateFull(),
-    "fixed_threshold": lambda params, fb: FixedThreshold(1.8, params.y_bar),
+    "fixed_threshold": lambda params, fb: FixedThreshold(1.8),
     "custom_target": lambda params, fb: GradualAbove(),
+    "start_below": lambda params, fb: StartBelow(),
 }
+
+
+def kernel_lump(params, policy, x, y):
+    """The t = 0 installation the path kernel reports for (x, y)."""
+    return simulate_path(params, policy, x, y, dt=0.1, horizon=0.2, seed=0).initial_lump
 
 
 class TestInitialLump:
     def test_waiting_state_no_lump(self, setup):
-        _, fb, _ = setup
+        params, fb, _ = setup
         y = 1.0
-        assert initial_lump(fb, fb.f(y) - 0.2, y) == 0.0
+        assert kernel_lump(params, OptimalReflection(params, fb), fb.f(y) - 0.2, y) == 0.0
 
     def test_high_price_fills_capacity(self, setup):
         params, fb, _ = setup
         y = 1.0
-        assert initial_lump(fb, fb.x_bar + 0.3, y) == params.y_bar - y
+        lump = kernel_lump(params, OptimalReflection(params, fb), fb.x_bar + 0.3, y)
+        assert lump == params.y_bar - y
 
     def test_intermediate_price_jumps_to_boundary(self, setup):
-        _, fb, _ = setup
+        params, fb, _ = setup
         y = 1.0
         x = 0.5 * (fb.f(y) + fb.x_bar)
-        lump = initial_lump(fb, x, y)
+        lump = kernel_lump(params, OptimalReflection(params, fb), x, y)
         assert lump > 0.0
         assert abs(fb.f(y + lump) - x) < 1e-7
 
     def test_never_negative_just_above_boundary(self, solved):
         # the interpolated inverse of F dips below y right above F(y); the
-        # optimal strategy never removes panels
+        # optimal strategy never removes panels, so the kernel's clamp at
+        # t = 0 has nothing to cut from its lump
         for mu, (params, _, fb, _) in solved.items():
-            for y in np.linspace(0.0, params.y_bar, 300)[:-1]:
-                x = math.nextafter(fb.f(float(y)), math.inf)
-                assert initial_lump(fb, x, float(y)) >= 0.0, (mu, y)
+            ys = [float(y) for y in np.linspace(0.0, params.y_bar, 300)[:-1]]
+            xs = [math.nextafter(fb.f(y), math.inf) for y in ys]
+            pol = OptimalReflection(params, fb)
+            res = estimate_value_many(params, [(pol, x, y) for x, y in zip(xs, ys)],
+                                      n_paths=1, dt=0.1, horizon=0.2)
+            for x, y, r in zip(xs, ys, res):
+                assert r.initial_lump >= 0.0, (mu, y)
+                assert r.initial_lump == fb.lump_target(x, y) - y, (mu, y)
+
+    def test_start_below_capacity_is_clamped_to_no_lump(self, setup):
+        params, fb, _ = setup
+        settings = dict(n_paths=50, dt=0.02, horizon=10.0, seed=4, keep_payoffs=True)
+        for x, y in verification_states(fb):
+            res = estimate_value(params, StartBelow(), x, y, **settings)
+            ref = estimate_value(params, NeverInstall(), x, y, **settings)
+            assert res.initial_lump == 0.0
+            assert res.mean_total_installed == 0.0
+            assert np.array_equal(res.payoffs, ref.payoffs)
+
+    def test_start_beyond_cap_is_clamped_to_capacity(self, setup):
+        params, fb, _ = setup
+        settings = dict(n_paths=50, dt=0.02, horizon=10.0, seed=4, keep_payoffs=True)
+        for x, y in verification_states(fb):
+            res = estimate_value(params, StartBeyond(), x, y, **settings)
+            ref = estimate_value(params, ImmediateFull(), x, y, **settings)
+            assert res.initial_lump == params.y_bar - y
+            assert np.array_equal(res.payoffs, ref.payoffs)
 
 
 class TestPaths:
@@ -127,6 +177,21 @@ class TestPaths:
         assert rec.total_installed > 0.0
         assert not math.isnan(rec.first_install_time)
 
+    def test_overshoot_is_excess_at_the_crossing_step(self, setup):
+        # a fixed threshold fills capacity at the first step whose price is
+        # above it; before that every excess is negative, after it the
+        # threshold is +inf, so the overshoot is that step's excess
+        params, fb, _ = setup
+        th = 1.25
+        rec = simulate_path(params, FixedThreshold(th), 1.2, 1.0, dt=0.01,
+                            horizon=20.0, seed=6)
+        k = int(np.argmax(rec.x > th))
+        assert rec.x[k] > th and rec.first_install_time == rec.t[k]
+        assert rec.max_overshoot == rec.x[k] - th
+        lumped = simulate_path(params, FixedThreshold(th), 1.3, 1.0, dt=0.01,
+                               horizon=20.0, seed=6)
+        assert lumped.initial_lump == params.y_bar - 1.0 and lumped.max_overshoot == 0.0
+
     def test_path_matches_estimator_stream(self, setup):
         params, fb, _ = setup
         pol = OptimalReflection(params, fb)
@@ -142,7 +207,7 @@ class TestPaths:
         params, fb, _ = setup
         pol = POLICIES[name](params, fb)
         settings = dict(dt=0.02, horizon=10.0, seed=5)
-        for x, y in verification_states(fb, 1.0):
+        for x, y in verification_states(fb):
             res = estimate_value(params, pol, x, y, n_paths=20, keep_payoffs=True,
                                  **settings)
             for i in range(20):
@@ -152,7 +217,7 @@ class TestPaths:
     def test_batched_equals_standalone_exactly(self, setup):
         params, fb, _ = setup
         policies = [make(params, fb) for make in POLICIES.values()]
-        states = verification_states(fb, 1.0)
+        states = verification_states(fb)
         jobs = [(pol, x, y) for x, y in states for pol in policies]
         settings = dict(n_paths=30, dt=0.02, horizon=10.0, seed=8, keep_payoffs=True)
         batched = estimate_value_many(params, jobs, **settings)
@@ -260,9 +325,6 @@ class TestEstimator:
         with pytest.raises(ConfigurationError):
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10,
                            dt=0.01, horizon=0.005)
-        with pytest.raises(ConfigurationError):
-            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10,
-                           dt=0.01, horizon=50.0, tail_tol=1e-6)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range_rejected(self, setup, seed):
@@ -285,6 +347,56 @@ class TestEstimator:
         with pytest.raises(ConfigurationError, match="path_index"):
             simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
                           seed=0, path_index=-1)
+
+    @pytest.mark.parametrize("path_index", [2**192, 1.5, "1"])
+    def test_path_index_outside_streams_rejected(self, setup, path_index):
+        # path i owns the Philox counters [i 2**64, (i+1) 2**64) of 2**256
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match=re.escape(repr(path_index))):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                          seed=0, path_index=path_index)
+
+    def test_last_path_index_accepted(self, setup):
+        params, fb, _ = setup
+        for path_index in (2**192 - 1, np.int64(3)):
+            rec = simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                                seed=0, path_index=path_index)
+            assert math.isfinite(rec.payoff)
+
+    @pytest.mark.parametrize("x,y,bad", [(1.0, 7.5, "y"), (1.0, -1.0, "y"),
+                                         (1.0, math.nan, "y"), (math.nan, 1.0, "x"),
+                                         (math.inf, 1.0, "x")])
+    def test_impossible_state_rejected_before_drawing(self, setup, monkeypatch, x, y, bad):
+        params, fb, _ = setup
+        assert params.y_bar == 5.0
+
+        def no_streams(seed, indices):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        value = x if bad == "x" else y
+        pattern = rf"job 1 \(never_install\): {bad} .*got {value}"
+        jobs = [(ImmediateFull(), 1.0, 1.0), (NeverInstall(), x, y)]
+        with pytest.raises(ConfigurationError, match=pattern):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=rf"job 0 \(never_install\): {bad} "):
+            estimate_value(params, NeverInstall(), x, y, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=rf"job 0 \(never_install\): {bad} "):
+            simulate_path(params, NeverInstall(), x, y, dt=0.1, horizon=1.0, seed=0)
+
+    def test_step_count_bounded_by_stream(self, setup):
+        # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
+        # largest double below 2**64
+        params, fb, _ = setup
+        assert simulate._check_mc_config(1, 1.0, 2.0**64 - 2048, 0) == 2**64 - 2048
+        for horizon in (2.0**64, 1e300):
+            with pytest.raises(ConfigurationError, match=r"fewer than 2\*\*64"):
+                simulate._check_mc_config(1, 1.0, horizon, 0)
+        with pytest.raises(ConfigurationError, match=r"2\*\*64"):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10, dt=1e-300)
+        with pytest.raises(ConfigurationError, match=r"2\*\*64"):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=1e-300, horizon=100.0,
+                          seed=0)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, setup, horizon):
@@ -310,12 +422,11 @@ class TestEstimator:
     def test_empty_jobs_rejected(self, setup):
         params, fb, _ = setup
         with pytest.raises(ConfigurationError, match="jobs"):
-            estimate_value_many(params, [], n_paths=4, dt=0.1, horizon=1.0,
-                                tail_tol=1e-3)
+            estimate_value_many(params, [], n_paths=4, dt=0.1, horizon=1.0)
 
     def test_fixed_threshold_policy(self, setup):
         params, fb, _ = setup
-        pol = FixedThreshold(threshold=1.3, y_bar=params.y_bar)
+        pol = FixedThreshold(threshold=1.3)
         rec = simulate_path(params, pol, 1.5, 1.0, dt=0.01, horizon=5.0, seed=2)
         assert rec.initial_lump == params.y_bar - 1.0
         rec2 = simulate_path(params, pol, 0.2, 1.0, dt=0.01, horizon=5.0, seed=2)
@@ -351,8 +462,8 @@ class TestNoiseFeed:
         n_paths, n_steps = 64, 4117
         settings = dict(dt=0.01, horizon=n_steps * 0.01, seed=13)
         policies = [make(params, fb) for make in POLICIES.values()]
-        jobs = [(pol, x, y) for x, y in verification_states(fb, 1.0) for pol in policies]
-        x0, y0 = verification_states(fb, 1.0)[1]
+        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        x0, y0 = verification_states(fb)[1]
         runs = []
         for chunk in (1, 7, None, n_steps):
             for nb in (n_paths, 1):
