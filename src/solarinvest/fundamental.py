@@ -36,9 +36,14 @@ its own panel), both built from the same two quadrature calls.  ``psi`` is
 one Clenshaw pass over the first; ``psi_ratios`` forms psi^(k)/psi from one
 pass over g, one exp and the generator recurrence, and stays finite where
 psi itself overflows float64; ``psi_derivs`` is psi times those ratios.
-The reference routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
-``phi_deriv``) call the quadrature directly, so tests that compare against
-them check the interpolation.
+A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
+and the kappa scale), so the pairs live in one module-level table per s0,
+shared by every instance with that s0: a sensitivity sweep over sigma, mu,
+beta, c or y_bar, or any process that solves repeatedly, builds each pair
+once.  The 32 most recently bound s0 tables are kept.  The reference
+routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``, ``phi_deriv``)
+call the quadrature directly, so tests that compare against them check the
+interpolation.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -52,6 +57,7 @@ Psi_k = (psi^(k+1))^2 / (psi^(k) psi^(k+2)).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -67,6 +73,13 @@ _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses 
 _PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
 _PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
+_PANEL_TABLE_CAP = 32  # s0 tables kept: a solve over the fuzz box fills 4 cells at
+                       # the median and 38 at most, of about 1.4 kB each
+
+# s0 -> {j: cell pair}, least recently bound first; shared by every instance
+# with that s0, since a cell's pair depends on (s0, j) alone
+_PANEL_TABLES = {}
+_PANEL_LOCK = threading.Lock()
 
 
 def _logcosh(a):
@@ -246,14 +259,17 @@ class FundamentalSolution:
     come from one panel pair per unit cell [j, j+1] in z: the Chebyshev
     coefficients of log I_{s0} and of g = log I_{s0+1} - log I_{s0}.  A
     cell's pair is built on first use from one quadrature call per order
-    over its 20 nodes and kept for the life of the instance, so a boundary
-    solve, which stays inside a few cells, builds a few pairs.  The
-    reference routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
+    over its 20 nodes and kept in the module's table for s0 = rho/kappa,
+    which every instance with that s0 shares, so a boundary solve, which
+    stays inside a few cells, builds at most a few pairs, and none once
+    another solve with the same s0 has visited its cells.  The reference
+    routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
     ``phi_deriv``) call the quadrature directly and build no panel, so they
     check the interpolant against the function it interpolates.  Pairs are
-    only ever added, and a pair's coefficients depend on j alone, so
+    only ever added, and a pair's coefficients depend on (s0, j) alone, so
     concurrent reads are safe: two threads that build the same pair store
-    identical values.
+    identical values.  Only binding an instance to its table, which may
+    evict the least recently bound one, takes a lock.
     """
 
     def __init__(self, params: ModelParams):
@@ -279,7 +295,13 @@ class FundamentalSolution:
                                      f"sigma={params.sigma})")
         self._log_scale = math.log(self._scale)
         self._lgamma_s0 = math.lgamma(self._s0)
-        self._cells = {}  # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0})
+        # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0}), the
+        # table of this s0 shared across instances; an evicted table stays
+        # bound to the instances that hold it
+        with _PANEL_LOCK:
+            self._cells = _PANEL_TABLES[self._s0] = _PANEL_TABLES.pop(self._s0, {})
+            if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
+                del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
 
     def _cell_pair(self, j: int) -> tuple:
         """Chebyshev coefficients, highest first, of log I_{s0} and of

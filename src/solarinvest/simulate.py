@@ -293,12 +293,17 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     block plus the price recursion.
     """
     p = params
+    lumps = []
     for j, (policy, x0, y0) in enumerate(jobs):
         if not math.isfinite(x0):
             raise ConfigurationError(f"job {j} ({policy.name}): x must be finite, got {x0}")
         if not 0.0 <= y0 <= p.y_bar:
             raise ConfigurationError(
                 f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
+        lumps.append(float(min(max(policy.start(x0, y0), y0), p.y_bar) - y0))
+        if math.isnan(lumps[-1]):  # the clamp passes NaN
+            raise ConfigurationError(
+                f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
     blocks = {}
     for i, (policy, _, _) in enumerate(jobs):
         blocks.setdefault(id(policy), (policy, []))[1].append(i)
@@ -309,12 +314,11 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         return np.repeat(np.array(values, dtype=float)[:, None], nb, axis=1)
 
     y_start = rows([jobs[i][2] for i in order])
-    lumps = [float(min(max(pol.start(x0, y0), y0), p.y_bar) - y0)
-             for pol, x0, y0 in (jobs[i] for i in order)]
+    lump_rows = [lumps[i] for i in order]
     x = rows([jobs[i][1] for i in order])
-    y = y_start + rows(lumps)
-    pay = rows([-p.c * lump for lump in lumps])
-    first = rows([0.0 if lump > 0.0 else math.nan for lump in lumps])
+    y = y_start + rows(lump_rows)
+    pay = rows([-p.c * lump for lump in lump_rows])
+    first = rows([0.0 if lump > 0.0 else math.nan for lump in lump_rows])
     disc_step = math.exp(-p.rho * dt)
     rev_weight = (1.0 - disc_step) / p.rho  # exact int of e^{-rho u} per step
     kdt = p.kappa * dt
@@ -333,6 +337,14 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         lo = hi
     tmp = np.empty_like(x)
     if record:
+        # under overcommit a record beyond physical memory is allocated
+        # anyway and the loop then pages without end, so refuse it first
+        rec_bytes = 2 * (n_steps + 1) * x.size * x.itemsize
+        phys_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if rec_bytes > phys_bytes:
+            raise ConfigurationError(
+                f"recording x and y at {n_steps + 1} times x {x.size} paths takes "
+                f"{rec_bytes} bytes, more than the {phys_bytes} bytes of physical memory")
         x_rec = np.empty((n_steps + 1,) + x.shape)
         y_rec = np.empty_like(x_rec)
 
@@ -364,11 +376,14 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
             x += z
             disc *= disc_step
             step += 1
-    if not np.isfinite(x).all():
-        raise SimulationError("non-finite price state encountered")
-
     back = np.argsort(order)
-    out = {"payoffs": pay[back], "lumps": [lumps[i] for i in back],
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite[back]))
+        nan_cap = "NaN" if np.isnan(y[back[j]]).any() else "not NaN"
+        raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
+                              f"encountered; its capacity is {nan_cap}")
+    out = {"payoffs": pay[back], "lumps": lumps,
            "total_installed": (y - y_start)[back], "first_install_time": first[back]}
     if record:
         x_rec[n_steps] = x

@@ -88,10 +88,12 @@ class TestAnchor:
             floor = params.c * params.rho + params.kappa * params.beta * params.y_bar / (params.rho + params.kappa)
             assert fb.x_bar > floor
 
-    def test_anchor_reads_only_panels_the_path_needs(self):
+    def test_anchor_reads_only_panels_the_path_needs(self, monkeypatch):
         # Newton's iterates from mu and the RK4 path read the panel pair
         # (log I_s0 and ratio) of each of two cells; an anchor search that
-        # evaluated H far from the root would build panels on more cells
+        # evaluated H far from the root would build panels on more cells.
+        # An empty table: earlier solves with this s0 may have filled it
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         integrate_boundary(params, fs, n_steps=800)
@@ -100,7 +102,9 @@ class TestAnchor:
     def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
         # a cell's pair takes one quadrature call at s0 and one at s0+1 over
         # its 20 nodes; the s0+1 values go into the ratio panel, and no
-        # other order is ever integrated on the solve path
+        # other order is ever integrated on the solve path (of a solve that
+        # starts on an empty table, so that it builds every pair it reads)
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         calls = []
         quad = fundamental.log_weighted_integral
 

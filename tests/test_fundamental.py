@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -252,7 +253,8 @@ class TestChebyshevPanels:
 
     def test_solve_quadrature_budget(self, monkeypatch):
         # quadrature nodes of an 800-step solve, bounded at 1.5x the measured
-        # 200 (mu=0.2, five cells) and 80 (two cells) nodes
+        # 200 (mu=0.2, five cells) and 80 (two cells) nodes, each solve on
+        # an empty table (the three presets share s0 = 0.5)
         nodes = []
         quad = fundamental.log_weighted_integral
 
@@ -263,6 +265,7 @@ class TestChebyshevPanels:
         monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
         for mu, budget in ((0.2, 300), (1.4, 120), (2.25, 120)):
             nodes.clear()
+            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
             params = table_preset(mu)
             integrate_boundary(params, FundamentalSolution(params), n_steps=800)
             assert 0 < sum(nodes) <= budget, mu
@@ -292,6 +295,76 @@ class TestChebyshevPanels:
         with pytest.raises(NumericalError, match="log psi") as exc:
             fs.psi_derivs(x, 3)
         assert repr(x) in str(exc.value)
+
+
+def solve_grids(params, n_steps):
+    fb = integrate_boundary(params, FundamentalSolution(params), n_steps=n_steps)
+    return fb.x_tilde, fb.f_tilde.tobytes()
+
+
+class TestSharedPanelTable:
+    # a cell's pair depends on s0 = rho/kappa and the cell index alone, so
+    # every instance with one s0 reads and fills one module-level table
+
+    @pytest.mark.parametrize("other", [dict(sigma=0.6), dict(mu=0.3)])
+    def test_same_s0_builds_no_panel(self, monkeypatch, other):
+        # the mu=0.2 preset visits cells -4..0; sigma=0.6 and mu=0.3 (same
+        # s0 = 0.5) visit -3..0, so their solves find every pair built
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        integrate_boundary(table_preset(0.2), FundamentalSolution(table_preset(0.2)),
+                           n_steps=800)
+        calls = []
+        quad = fundamental.log_weighted_integral
+
+        def counted(s, z, *args, **kwargs):
+            calls.append(s)
+            return quad(s, z, *args, **kwargs)
+
+        monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
+        params = replace(table_preset(0.2), **other)
+        warm = solve_grids(params, 800)
+        assert calls == []
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        assert solve_grids(params, 800) == warm
+        assert calls
+
+    def test_evicted_table_stays_valid(self, monkeypatch):
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        cap = fundamental._PANEL_TABLE_CAP
+        first = unit_scale_solution(0.3)
+        xs = (-2.5, -0.4, 0.0, 1.7)
+        before = [(first.psi(x), first.psi_ratios(x)) for x in xs]
+        for i in range(cap):
+            unit_scale_solution(0.31 + 0.01 * i)
+        assert len(fundamental._PANEL_TABLES) == cap
+        assert 0.3 not in fundamental._PANEL_TABLES
+        assert [(first.psi(x), first.psi_ratios(x)) for x in xs] == before
+        # a fresh instance binds a new table; x = 3.2 adds a cell to both
+        fresh = unit_scale_solution(0.3)
+        assert fresh._cells is not first._cells
+        for x in (*xs, 3.2):
+            assert (fresh.psi(x), fresh.psi_ratios(x)) == (first.psi(x), first.psi_ratios(x))
+        assert len(fundamental._PANEL_TABLES) == cap
+
+    def test_concurrent_solves_match_serial(self, monkeypatch):
+        # eight threads bind, fill and read the tables of three s0 at once,
+        # with thread switches forced often; the grids match a serial run
+        base = table_preset(0.2)
+        sets = [replace(base, rho=rho, sigma=sigma)
+                for rho in (0.04, 0.045, 0.05) for sigma in (0.5, 0.6)]
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        serial = [solve_grids(p, 200) for p in sets]
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(solve_grids, p, 200) for p in sets * 3]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 3
+        assert sorted(fundamental._PANEL_TABLES) == sorted({p.rho / p.kappa for p in sets})
 
 
 class TestVectorisedQuadrature:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from solarinvest import (ConfigurationError, FixedThreshold, ImmediateFull,
-                         NeverInstall, OptimalReflection, dominance_report,
-                         estimate_value, estimate_value_many, r_value,
-                         simulate_path, verification_states)
+                         NeverInstall, OptimalReflection, SimulationError,
+                         dominance_report, estimate_value, estimate_value_many,
+                         r_value, simulate_path, verification_states)
 from solarinvest import simulate
 from solarinvest.simulate import Policy, discount_tail_bound
 
@@ -39,6 +39,24 @@ class StartBelow(NeverInstall):
 
     def start(self, x, y):
         return y - 1.0
+
+
+class NanStart(NeverInstall):
+    name = "nan_start"
+
+    def start(self, x, y):
+        return math.nan
+
+
+class NanTarget(Policy):
+    name = "nan_target"
+
+    def target(self, x_arr, y_arr):
+        return np.full_like(x_arr, math.nan)
+
+
+def no_streams(seed, indices):
+    raise AssertionError("a generator was built")
 
 
 class StartBeyond(ImmediateFull):
@@ -369,10 +387,6 @@ class TestEstimator:
     def test_impossible_state_rejected_before_drawing(self, setup, monkeypatch, x, y, bad):
         params, fb, _ = setup
         assert params.y_bar == 5.0
-
-        def no_streams(seed, indices):
-            raise AssertionError("a generator was built")
-
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         value = x if bad == "x" else y
         pattern = rf"job 1 \(never_install\): {bad} .*got {value}"
@@ -383,6 +397,44 @@ class TestEstimator:
             estimate_value(params, NeverInstall(), x, y, n_paths=4, dt=0.1, horizon=1.0)
         with pytest.raises(ConfigurationError, match=rf"job 0 \(never_install\): {bad} "):
             simulate_path(params, NeverInstall(), x, y, dt=0.1, horizon=1.0, seed=0)
+
+    def test_nan_start_rejected_before_drawing(self, setup, monkeypatch):
+        # min/max pass NaN through the clamp
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        jobs = [(ImmediateFull(), 1.0, 1.0), (NanStart(), 1.2, 1.0)]
+        with pytest.raises(ConfigurationError,
+                           match=r"job 1 \(nan_start\): start\(1.2, 1.0\) returned NaN"):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=r"job 0 \(nan_start\): start"):
+            simulate_path(params, NanStart(), 1.2, 1.0, dt=0.1, horizon=1.0, seed=0)
+
+    def test_nan_target_names_job_and_capacity(self, setup):
+        params, fb, _ = setup
+        pattern = (r"job {} \(nan_target\): non-finite price state encountered; "
+                   r"its capacity is NaN")
+        # jobs 0 and 2 share a block, so job 1 steps as the last row
+        never = NeverInstall()
+        jobs = [(never, 1.0, 1.0), (NanTarget(), 1.0, 1.0), (never, 2.0, 1.0)]
+        with pytest.raises(SimulationError, match=pattern.format(1)):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(SimulationError, match=pattern.format(0)):
+            simulate_path(params, NanTarget(), 1.0, 1.0, dt=0.1, horizon=1.0, seed=0)
+
+    def test_record_beyond_physical_memory_rejected(self, setup, monkeypatch):
+        # 1e11 steps: 2 x (1e11 + 1) doubles of x and y; refused before any
+        # allocation or draw, since under overcommit the allocation succeeds
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=r"takes 1600000000016 bytes"):
+                simulate_path(params, NeverInstall(), 1.0, 1.0, dt=1e-9, horizon=100.0,
+                              seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
