@@ -25,12 +25,22 @@ D > 0, so both are monitored per step; the (N, D) pair of the D check at
 the new node is reused as the next step's k1, so a step evaluates (N, D)
 four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
 interpolated from the swapped grid, monotone piecewise-cubic throughout.
+
+A solve builds one (y, z) -> (N/psi^3, D/psi^3) closure.  It holds the
+constants mu kappa, beta (rho + 2 kappa), rho (rho + kappa), rho + kappa
+and (rho + 2 kappa)/rho, each formed once from the same parenthesised
+subexpression the formulas above evaluate, so an evaluation rounds exactly
+as they do; it calls ``fs.psi_ratios`` once and nothing else.  The RK4
+stages run inline in the loop.  ``ode_rhs`` is a thin wrapper over the same
+closure, so the N/D formula exists once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +55,7 @@ _SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
 _MAX_ROOT_ITER = 100
 _ROOT_XTOL = 1e-13        # absolute tolerance of the anchor root
 _ROOT_RTOL = 4.0 * np.finfo(float).eps  # relative tolerance of the anchor root
+_NODE_BYTES = 256         # peak bytes a solve holds per grid node (193 traced)
 
 
 class Regime(enum.Enum):
@@ -61,6 +72,17 @@ class Region(enum.Enum):
     W = "W"
     I1 = "I1"
     I2 = "I2"
+
+
+def physical_memory_bytes() -> int:
+    """Bytes of physical memory.  Under overcommit an array beyond this is
+    allocated anyway and then pages without end, so callers refuse one first."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def max_steps() -> int:
+    """Finest RK4 grid whose solve fits in physical memory."""
+    return physical_memory_bytes() // _NODE_BYTES - 1
 
 
 def r_tilde(params: ModelParams, x: float, y: float) -> float:
@@ -102,30 +124,46 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
                       f"Newton steps; last step {step:.3e} at x = {x}")
 
 
+def _n_d_evaluator(params: ModelParams, fs: FundamentalSolution):
+    """(y, z) -> (N/psi^3, D/psi^3), from the ratios r_k = psi^(k)/psi(z):
+    same quotient and signs as (N, D), and neither can overflow.  The
+    constants are the parenthesised subexpressions of Rtilde, N and D,
+    formed once, so every evaluation rounds as the expressions do."""
+    psi_ratios = fs.psi_ratios
+    c, rho = params.c, params.rho
+    mu_kappa = params.mu * params.kappa
+    beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
+    rho_rk = params.rho * (params.rho + params.kappa)
+    rk = params.rho + params.kappa
+    rk2_over_rho = (params.rho + 2.0 * params.kappa) / params.rho
+
+    def n_d(y: float, z: float) -> tuple:
+        r1, r2, r3 = psi_ratios(z)
+        q0 = r2 - r1 * r1
+        q1 = r1 * r3 - r2 * r2
+        q0_prime = r3 - r1 * r2
+        crt = rk * (c - (mu_kappa + rho * z - beta_rk2 * y) / rho_rk)
+        return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
+
+    return n_d
+
+
 def _n_d(params: ModelParams, fs: FundamentalSolution, y: float, z: float):
-    """(N/psi^3, D/psi^3) at (y, z), from the ratios r_k = psi^(k)/psi(z):
-    same quotient and signs as (N, D), and neither can overflow."""
-    r1, r2, r3 = fs.psi_ratios(z)
-    q0 = r2 - r1 * r1
-    q1 = r1 * r3 - r2 * r2
-    q0_prime = r3 - r1 * r2
-    crt = (params.rho + params.kappa) * (params.c - r_tilde(params, z, y))
-    n_val = q0 * ((params.rho + 2.0 * params.kappa) / params.rho * r1 + crt * r2 + r1)
-    d_val = crt * q1 + q0_prime
-    return n_val, d_val
+    """(N/psi^3, D/psi^3) at (y, z); see :func:`_n_d_evaluator`."""
+    return _n_d_evaluator(params, fs)(y, z)
 
 
-def _slope(params: ModelParams, y: float, z: float, n_val: float, d_val: float) -> float:
-    if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-        raise IntegrationError(
-            f"boundary ODE singular: D/psi^3({y}, {z}) = {d_val:.3e} "
-            f"with N/psi^3 = {n_val:.3e}")
-    return params.beta * n_val / d_val
+def _raise_singular(y: float, z: float, n_val: float, d_val: float):
+    raise IntegrationError(f"boundary ODE singular: D/psi^3({y}, {z}) = {d_val:.3e} "
+                           f"with N/psi^3 = {n_val:.3e}")
 
 
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates."""
-    return _slope(params, y, z, *_n_d(params, fs, y, z))
+    n_val, d_val = _n_d(params, fs, y, z)
+    if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+        _raise_singular(y, z, n_val, d_val)
+    return params.beta * n_val / d_val
 
 
 @dataclass(frozen=True)
@@ -205,28 +243,57 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     special-function failure (the exact solution satisfies both) and raises
     :class:`IntegrationError` naming the offending y.  The (N, D) pair of
     that D check is the next step's k1, so a step costs four evaluations.
+    Raises :class:`DomainError`, before allocating anything, unless
+    ``n_steps`` is an integer (not a bool) from ``MIN_STEPS`` to
+    :func:`max_steps`.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise DomainError(f"n_steps={n_steps!r} must be an integer")
+    n_steps = int(n_steps)  # a numpy integer would make h and every stage a numpy scalar
     if n_steps < MIN_STEPS:
         raise DomainError(f"n_steps={n_steps} too coarse; need >= {MIN_STEPS}")
+    if n_steps > max_steps():
+        raise DomainError(
+            f"n_steps={n_steps} needs about {_NODE_BYTES * (n_steps + 1)} bytes, more than "
+            f"the {physical_memory_bytes()} bytes of physical memory")
     x_tilde = solve_x_tilde(params, fs)
     h = params.y_bar / n_steps
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
     y_list = ys.tolist()
     zs = [math.nan] * n_steps + [x_tilde]
     z = x_tilde
-    n_val, d_val = _n_d(params, fs, y_list[-1], z)
+    n_d = _n_d_evaluator(params, fs)
+    beta = params.beta
+    slope_floor = beta * (1.0 - 1e-9)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    n_val, d_val = n_d(y_list[-1], z)
     for i in range(n_steps, 0, -1):
         y, y_new = y_list[i], y_list[i - 1]
-        k1 = _slope(params, y, z, n_val, d_val)
-        k2 = ode_rhs(params, fs, y - 0.5 * h, z - 0.5 * h * k1)
-        k3 = ode_rhs(params, fs, y - 0.5 * h, z - 0.5 * h * k2)
-        k4 = ode_rhs(params, fs, y - h, z - h * k3)
-        z_new = z - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+            _raise_singular(y, z, n_val, d_val)
+        k1 = beta * n_val / d_val
+        y_mid = y - half_h
+        z_mid = z - half_h * k1
+        n_val, d_val = n_d(y_mid, z_mid)
+        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+            _raise_singular(y_mid, z_mid, n_val, d_val)
+        k2 = beta * n_val / d_val
+        z_mid = z - half_h * k2
+        n_val, d_val = n_d(y_mid, z_mid)
+        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+            _raise_singular(y_mid, z_mid, n_val, d_val)
+        k3 = beta * n_val / d_val
+        y_end, z_end = y - h, z - h * k3
+        n_val, d_val = n_d(y_end, z_end)
+        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+            _raise_singular(y_end, z_end, n_val, d_val)
+        k4 = beta * n_val / d_val
+        z_new = z - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         slope = (z - z_new) / h
-        if slope < params.beta * (1.0 - 1e-9):
+        if slope < slope_floor:
             raise IntegrationError(
-                f"Ftilde' = {slope:.6e} fell below beta = {params.beta} at y = {y_new:.6g}")
-        n_val, d_val = _n_d(params, fs, y_new, z_new)
+                f"Ftilde' = {slope:.6e} fell below beta = {beta} at y = {y_new:.6g}")
+        n_val, d_val = n_d(y_new, z_new)
         if d_val <= 0.0:
             raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_new:.6g}")
         zs[i - 1] = z = z_new

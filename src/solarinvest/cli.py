@@ -293,6 +293,10 @@ def main(argv=None) -> int:
     try:
         if args.steps < bd.MIN_STEPS:
             raise ConfigurationError(f"--steps must be >= {bd.MIN_STEPS}, got {args.steps}")
+        if args.steps > bd.max_steps():
+            raise ConfigurationError(
+                f"--steps must be <= {bd.max_steps()}, the finest grid that fits in "
+                f"physical memory, got {args.steps}")
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigurationError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:

@@ -71,7 +71,8 @@ _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses the
                      # (s, z) whose integrand T truncates
 _PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
-_PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14
+_PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14.  Must be even:
+                     # the Clenshaw passes walk the coefficients in pairs
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
 _PANEL_TABLE_CAP = 32  # s0 tables kept: a solve over the fuzz box fills 4 cells at
                        # the median and 38 at most, of about 1.4 kB each
@@ -240,8 +241,69 @@ def cylinder_d(alpha: float, x: float) -> float:
 
 
 def _coefficients(values) -> tuple:
-    """Chebyshev coefficients of a panel's node values, highest first."""
-    return tuple((_CHEB_INV @ values)[::-1].tolist())
+    """Chebyshev coefficients of a panel's node values, highest first and in
+    pairs, ((c_19, c_18), ..., (c_1, c_0)): the form the Clenshaw passes walk."""
+    c = (_CHEB_INV @ values)[::-1].tolist()
+    return tuple(zip(c[::2], c[1::2]))
+
+
+def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
+    """Chebyshev coefficients of log I_{s0} and of log I_{s0+1} - log I_{s0}
+    on [jW, (j+1)W], stored in ``cells`` (the table of s0) under j."""
+    nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
+    values = log_weighted_integral(s0, nodes)[0]
+    ratio = log_weighted_integral(s0 + 1, nodes)[0] - values
+    pair = cells[j] = (_coefficients(values), _coefficients(ratio))
+    return pair
+
+
+# psi and psi_ratios each find z's cell j and position u in [-1, 1] inline
+# (they run once per boundary-ODE evaluation), then run the Clenshaw
+# recurrence b_k = 2u b_{k+1} - b_{k+2} + c_k two coefficients per turn, b1
+# and b2 trading roles instead of repacking a tuple.  It ends with b1 = b_0
+# and b2 = b_1, so the full-weight c_0 term gives b_0 - u b_1.
+
+def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
+                s0: float, cells: dict):
+    """``psi_ratios`` of one instance: a closure over its constants and its
+    s0 table, never over the instance itself, so an instance that holds it
+    is not a reference cycle."""
+    get, floor, exp, isfinite = cells.get, math.floor, math.exp, math.isfinite
+
+    def psi_ratios(x: float) -> tuple:
+        """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
+        finite wherever the quadrature converges, also where psi overflows.
+
+        One Clenshaw pass over the ratio panel of z's cell gives
+        g = log I_{s0+1}(z) - log I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/
+        sigma) exp(g); two steps of the generator recurrence
+        psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
+        + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
+        other two.  Raises :class:`NumericalError` at a non-finite z or
+        when a ratio comes out non-positive.
+        """
+        z = (mu - x) * scale
+        if not isfinite(z):
+            raise NumericalError(f"psi'/psi requested at non-finite z={z} (x={x})")
+        zw = z / _PANEL_WIDTH
+        j = floor(zw)
+        u = 2.0 * (zw - j) - 1.0
+        two_u = 2.0 * u
+        b1 = b2 = 0.0
+        for c_odd, c_even in (get(j) or _cell_pair(s0, cells, j))[1]:
+            b2 = two_u * b1 - b2 + c_odd
+            b1 = two_u * b2 - b1 + c_even
+        r1 = scale * exp(b1 - u * b2)
+        drift = drift_rate * (mu - x)
+        r2 = drift * r1 + rec0
+        if not r2 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
+        r3 = drift * r2 + rec1 * r1
+        if not r3 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={x}")
+        return r1, r2, r3
+
+    return psi_ratios
 
 
 def _exp(log_value: float, name: str, x: float) -> float:
@@ -262,20 +324,23 @@ class FundamentalSolution:
     over its 20 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
-    another solve with the same s0 has visited its cells.  The reference
-    routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``,
-    ``phi_deriv``) call the quadrature directly and build no panel, so they
-    check the interpolant against the function it interpolates.  Pairs are
-    only ever added, and a pair's coefficients depend on (s0, j) alone, so
-    concurrent reads are safe: two threads that build the same pair store
-    identical values.  Only binding an instance to its table, which may
-    evict the least recently bound one, takes a lock.
+    another solve with the same s0 has visited its cells.  ``psi_ratios``,
+    which runs once per boundary-ODE evaluation, is built per instance as
+    a closure over the constants it reads and the s0 table; it keeps no
+    reference to the instance.  The reference routes (``log_psi_deriv``,
+    ``psi_deriv_direct``, ``phi``, ``phi_deriv``) call the quadrature
+    directly and build no panel, so they check the interpolant against the
+    function it interpolates.  Pairs are only ever added, and a pair's
+    coefficients depend on (s0, j) alone, so concurrent reads are safe: two
+    threads that build the same pair store identical values.  Only binding
+    an instance to its table, which may evict the least recently bound
+    one, takes a lock.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._s0 = params.rho / params.kappa
-        self._scale = math.sqrt(2.0 * params.kappa) / params.sigma
+        self._s0 = s0 = params.rho / params.kappa
+        self._scale = scale = math.sqrt(2.0 * params.kappa) / params.sigma
         # the generator equation differentiated k times and divided by psi:
         # r_{k+2} = drift (mu - x) r_{k+1} + rec_k r_k, r_k = psi^(k)/psi,
         # rec_k = 2 (rho + k kappa)/sigma^2
@@ -284,82 +349,41 @@ class FundamentalSolution:
         except (OverflowError, ZeroDivisionError):  # sigma^2 outside float64
             self._two_over_s2 = 2.0 / params.sigma / params.sigma  # 0 or inf
         self._drift = -self._two_over_s2 * params.kappa
-        self._rec0 = self._two_over_s2 * params.rho
-        self._rec1 = self._two_over_s2 * (params.rho + params.kappa)
-        for name, value in (("rho/kappa", self._s0), ("sqrt(2 kappa)/sigma", self._scale),
-                            ("2 kappa/sigma^2", -self._drift), ("2 rho/sigma^2", self._rec0),
-                            ("2 (rho+kappa)/sigma^2", self._rec1)):
+        rec0 = self._two_over_s2 * params.rho
+        rec1 = self._two_over_s2 * (params.rho + params.kappa)
+        for name, value in (("rho/kappa", s0), ("sqrt(2 kappa)/sigma", scale),
+                            ("2 kappa/sigma^2", -self._drift), ("2 rho/sigma^2", rec0),
+                            ("2 (rho+kappa)/sigma^2", rec1)):
             if not (math.isfinite(value) and value > 0.0):
                 raise NumericalError(f"derived constant {name} = {value!r} is zero or not "
                                      f"finite (kappa={params.kappa}, rho={params.rho}, "
                                      f"sigma={params.sigma})")
-        self._log_scale = math.log(self._scale)
-        self._lgamma_s0 = math.lgamma(self._s0)
+        self._log_scale = math.log(scale)
+        self._lgamma_s0 = math.lgamma(s0)
         # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0}), the
         # table of this s0 shared across instances; an evicted table stays
         # bound to the instances that hold it
         with _PANEL_LOCK:
-            self._cells = _PANEL_TABLES[self._s0] = _PANEL_TABLES.pop(self._s0, {})
+            self._cells = _PANEL_TABLES[s0] = _PANEL_TABLES.pop(s0, {})
             if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
                 del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
-
-    def _cell_pair(self, j: int) -> tuple:
-        """Chebyshev coefficients, highest first, of log I_{s0} and of
-        log I_{s0+1} - log I_{s0} on [jW, (j+1)W]."""
-        nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
-        values = log_weighted_integral(self._s0, nodes)[0]
-        ratio = log_weighted_integral(self._s0 + 1, nodes)[0] - values
-        pair = self._cells[j] = (_coefficients(values), _coefficients(ratio))
-        return pair
-
-    # psi and psi_ratios each find z's cell j and position u in [-1, 1]
-    # inline (they run once per boundary-ODE evaluation), then run the
-    # Clenshaw recurrence, which ends with b1 = b_0 and b2 = b_1, so the
-    # full-weight c_0 term gives b_0 - u b_1
+        self.psi_ratios = _ratio_pass(params.mu, scale, self._drift, rec0, rec1,
+                                      s0, self._cells)
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""
         z = (self.params.mu - x) * self._scale
         if not math.isfinite(z):
             raise NumericalError(f"psi requested at non-finite z={z} (x={x})")
-        j = math.floor(z / _PANEL_WIDTH)
-        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
+        zw = z / _PANEL_WIDTH
+        j = math.floor(zw)
+        u = 2.0 * (zw - j) - 1.0
         two_u = 2.0 * u
         b1 = b2 = 0.0
-        for c in (self._cells.get(j) or self._cell_pair(j))[0]:
-            b1, b2 = two_u * b1 - b2 + c, b1
+        for c_odd, c_even in (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[0]:
+            b2 = two_u * b1 - b2 + c_odd
+            b1 = two_u * b2 - b1 + c_even
         return _exp(b1 - u * b2 - self._lgamma_s0, "psi", x)
-
-    def psi_ratios(self, x: float) -> tuple:
-        """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
-        finite wherever the quadrature converges, also where psi overflows.
-
-        One Clenshaw pass over the ratio panel of z's cell gives
-        g = log I_{s0+1}(z) - log I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/
-        sigma) exp(g); two steps of the generator recurrence
-        psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
-        + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
-        other two.  Raises :class:`NumericalError` at a non-finite z or
-        when a ratio comes out non-positive.
-        """
-        z = (self.params.mu - x) * self._scale
-        if not math.isfinite(z):
-            raise NumericalError(f"psi'/psi requested at non-finite z={z} (x={x})")
-        j = math.floor(z / _PANEL_WIDTH)
-        u = 2.0 * (z / _PANEL_WIDTH - j) - 1.0
-        two_u = 2.0 * u
-        b1 = b2 = 0.0
-        for c in (self._cells.get(j) or self._cell_pair(j))[1]:
-            b1, b2 = two_u * b1 - b2 + c, b1
-        r1 = self._scale * math.exp(b1 - u * b2)
-        drift = self._drift * (self.params.mu - x)
-        r2 = drift * r1 + self._rec0
-        if not r2 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
-        r3 = drift * r2 + self._rec1 * r1
-        if not r3 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={x}")
-        return r1, r2, r3
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
         """psi^(0..k_max)(x): psi times (1, *psi_ratios(x)), with the

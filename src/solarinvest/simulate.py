@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .boundary import FreeBoundary
+from .boundary import FreeBoundary, physical_memory_bytes
 from .errors import ConfigurationError, SimulationError
 from .model import ModelParams, at_capacity, r_value
 from .value import ValueFunction
@@ -340,7 +340,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         # under overcommit a record beyond physical memory is allocated
         # anyway and the loop then pages without end, so refuse it first
         rec_bytes = 2 * (n_steps + 1) * x.size * x.itemsize
-        phys_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        phys_bytes = physical_memory_bytes()
         if rec_bytes > phys_bytes:
             raise ConfigurationError(
                 f"recording x and y at {n_steps + 1} times x {x.size} paths takes "

@@ -19,6 +19,8 @@ from solarinvest import (FundamentalSolution, ImmediateFull, NeverInstall,
 from solarinvest.cli import SWEEP_DIRECTIONS, sweep_boundaries, sweep_verdict
 from solarinvest.simulate import estimate_value_many
 
+from conftest import CRITERION_7_SWEEPS
+
 BIAS_ALLOWANCE_SCALE = 2.0  # price units per sqrt(time); calibrated at build
 
 
@@ -218,18 +220,9 @@ def test_criterion_6_monte_carlo_verification(base):
 
 def test_criterion_7_comparative_statics():
     params = table_preset(0.2)
-    sweeps = {
-        "sigma": [0.5, 0.6, 0.7, 0.8],
-        "mu": [0.2, 0.3, 0.4, 0.5],
-        "beta": [0.15, 0.175, 0.2, 0.225],
-        "kappa": [0.1, 0.15, 0.2, 0.25],
-        "c": [0.3, 0.8, 1.3, 1.8],
-        "rho": [0.035, 0.04, 0.045, 0.05],
-        "y_bar": [0.5, 1.0, 2.0, 5.0],
-    }
     ok = True
     details = []
-    for name, values in sweeps.items():
+    for name, values in CRITERION_7_SWEEPS.items():
         solved = sweep_boundaries(params, name, values, n_steps=800)
         verdict = sweep_verdict(name, solved)
         ok &= verdict["observed"] == SWEEP_DIRECTIONS[name]

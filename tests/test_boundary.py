@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from solarinvest import (DomainError, FundamentalSolution, Regime, Region,
-                         classify_regime, h_func, integrate_boundary, ode_rhs,
-                         r_tilde, solve_x_tilde, table_preset, y_star)
+from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
+                         NumericalError, Regime, Region, classify_regime, h_func,
+                         integrate_boundary, ode_rhs, params_from_dict, r_tilde,
+                         solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
 from solarinvest.boundary import _n_d, export_grid_csv
+from solarinvest.cli import sweep_boundaries
 
-from conftest import rel_err
+from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -189,13 +192,17 @@ class TestIntegration:
         # k2, k3, k4 and the D check per step; the D check's pair is the
         # next step's k1, and the anchor's k1 is the one extra
         calls = []
-        n_d = boundary._n_d
+        evaluator = boundary._n_d_evaluator
 
-        def counted(*args):
-            calls.append(args[2:])
-            return n_d(*args)
+        def counted_evaluator(params, fs):
+            n_d = evaluator(params, fs)
 
-        monkeypatch.setattr(boundary, "_n_d", counted)
+            def counted(y, z):
+                calls.append((y, z))
+                return n_d(y, z)
+            return counted
+
+        monkeypatch.setattr(boundary, "_n_d_evaluator", counted_evaluator)
         params = table_preset(1.4)
         n_steps = 150
         integrate_boundary(params, FundamentalSolution(params), n_steps=n_steps)
@@ -206,9 +213,143 @@ class TestIntegration:
         with pytest.raises(DomainError):
             integrate_boundary(params, fs, n_steps=50)
 
+    @pytest.mark.parametrize("n_steps,reason", [
+        (800.0, "must be an integer"), ("800", "must be an integer"),
+        (True, "must be an integer"), (np.float64(800), "must be an integer"),
+        (100_000_000_000, "physical memory"), (2**80, "physical memory")])
+    def test_bad_step_count_is_typed_before_any_allocation(self, base, n_steps, reason):
+        # a float, a string or a bool is no step count, and a grid beyond
+        # physical memory would be allocated under overcommit and then page
+        params, fs, _, _ = base
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"^n_steps=.*{reason}"):
+                integrate_boundary(params, fs, n_steps=n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_numpy_integer_step_count_solves_the_same_grid(self, base):
+        params, fs, fb, _ = base
+        solved = integrate_boundary(params, fs, n_steps=np.int64(2000))
+        assert solved.f_tilde.tobytes() == fb.f_tilde.tobytes()
+
     def test_waiting_case_boundary_above_mean(self, solved):
         params, _, fb, _ = solved[0.2]
         assert fb.x0 > params.mu
+
+
+def constant_panel(panel, c0):
+    """A panel shaped like ``panel`` (coefficients highest first, flat or
+    grouped) whose one nonzero coefficient is the last, c_0 = c0."""
+    coeffs = np.zeros(np.shape(panel))
+    coeffs.flat[-1] = c0
+
+    def as_tuples(v):
+        return tuple(as_tuples(e) for e in v) if isinstance(v, list) else v
+    return as_tuples(coeffs.tolist())
+
+
+class TestTypedFailures:
+    """Every raise on the RK4 path, each by its class and message prefix."""
+
+    def test_denominator_turns_nonpositive(self):
+        params = params_from_dict(fuzz_draw(4))
+        with pytest.raises(IntegrationError, match=r"^D <= 0 \(-"):
+            integrate_boundary(params, FundamentalSolution(params), n_steps=400)
+
+    def test_slope_falls_below_impact(self):
+        params = params_from_dict(fuzz_draw(14))
+        with pytest.raises(IntegrationError, match=r"^Ftilde' = \S+ fell below beta = "):
+            integrate_boundary(params, FundamentalSolution(params), n_steps=400)
+
+    def test_singular_at_a_root_of_the_denominator(self, base):
+        # at y_bar, D/psi^3 changes sign between mu + 1.5 and mu + 2 while
+        # N/psi^3 stays near 1.4; bisect D's root in z to the last float
+        params, fs, _, _ = base
+        y = params.y_bar
+
+        def d_at(z):
+            return _n_d(params, fs, y, z)[1]
+
+        lo, hi = params.mu + 1.5, params.mu + 2.0
+        assert d_at(lo) > 0.0 > d_at(hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if d_at(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        root = min((lo, hi), key=lambda z: abs(d_at(z)))
+        with pytest.raises(IntegrationError, match=r"^boundary ODE singular: D/psi\^3\("):
+            ode_rhs(params, fs, y, root)
+
+    @pytest.mark.parametrize("c0,k", [(40.0, 2), (-40.0, 3)])
+    def test_recurrence_loses_positivity(self, monkeypatch, c0, k):
+        # a constant ratio panel g = c0: left of mu the drift term of the
+        # recurrence is negative, so a large psi'/psi = scale e^c0 turns
+        # psi''/psi negative, and a tiny one leaves psi'''/psi negative
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        params = table_preset(1.4)
+        fs = FundamentalSolution(params)
+        x = params.mu - 0.3
+        fs.psi_ratios(x)
+        table = fundamental._PANEL_TABLES[params.rho / params.kappa]
+        for j, (log_panel, ratio_panel) in table.items():
+            table[j] = (log_panel, constant_panel(ratio_panel, c0))
+        with pytest.raises(NumericalError,
+                           match=rf"^derivative recurrence lost positivity at k={k}, x="):
+            fs.psi_ratios(x)
+
+
+def reference_rk4(params, fs, x_tilde, n_steps):
+    """Classical RK4 for Ftilde' = beta N/D from (y_bar, x_tilde), written
+    from the module docstring's N and D divided by psi^3, with no checks."""
+    p = params
+
+    def rhs(y, z):
+        r1, r2, r3 = fs.psi_ratios(z)
+        q0 = r2 - r1 * r1
+        q1 = r1 * r3 - r2 * r2
+        q0_prime = r3 - r1 * r2
+        rt = ((p.mu * p.kappa + p.rho * z - p.beta * (p.rho + 2.0 * p.kappa) * y)
+              / (p.rho * (p.rho + p.kappa)))
+        crt = (p.rho + p.kappa) * (p.c - rt)
+        n_val = q0 * ((p.rho + 2.0 * p.kappa) / p.rho * r1 + crt * r2 + r1)
+        d_val = crt * q1 + q0_prime
+        return p.beta * n_val / d_val
+
+    h = p.y_bar / n_steps
+    ys = np.linspace(0.0, p.y_bar, n_steps + 1).tolist()
+    z = x_tilde
+    zs = [z]
+    for i in range(n_steps, 0, -1):
+        y = ys[i]
+        k1 = rhs(y, z)
+        k2 = rhs(y - 0.5 * h, z - 0.5 * h * k1)
+        k3 = rhs(y - 0.5 * h, z - 0.5 * h * k2)
+        k4 = rhs(y - h, z - h * k3)
+        z = z - h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        zs.append(z)
+    return np.array(zs[::-1])
+
+
+class TestReferenceRK4:
+    """integrate_boundary is plain RK4 on the documented N/D, bit for bit."""
+
+    def test_presets(self, solved):
+        for mu, (params, fs, fb, _) in solved.items():
+            ref = reference_rk4(params, fs, fb.x_tilde, 2000)
+            assert ref.tobytes() == fb.f_tilde.tobytes(), mu
+
+    def test_criterion_7_sweeps(self):
+        base = table_preset(0.2)
+        for name, values in CRITERION_7_SWEEPS.items():
+            for v, fb in sweep_boundaries(base, name, values, 800):
+                fs = FundamentalSolution(fb.params)
+                ref = reference_rk4(fb.params, fs, fb.x_tilde, 800)
+                assert ref.tobytes() == fb.f_tilde.tobytes(), (name, v)
 
 
 class TestBoundaryQueries:

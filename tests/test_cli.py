@@ -90,6 +90,12 @@ class TestClassifyCommand:
         assert main(["--steps", steps, "classify"]) == 2
         assert "--steps" in capsys.readouterr().err
 
+    def test_grid_beyond_physical_memory_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--steps", "100000000000", "--out", str(out), "boundary"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValueCommand:
     def test_waiting_state_query(self, tmp_path, capsys):

@@ -23,17 +23,7 @@ from solarinvest import (FundamentalSolution, SolarInvestError, ValueFunction,
                          integrate_boundary, params_from_dict, table_preset)
 from solarinvest.cli import main
 
-# the parameter box of the benchmark's fuzz workload (perfbench/workloads.py,
-# FUZZ_BOX); copied, not imported, so the tests do not depend on the benchmark
-FUZZ_BOX = {
-    "kappa": (0.05, 2.0),
-    "rho": (0.01, 0.2),
-    "mu": (-1.0, 3.0),
-    "sigma": (0.1, 1.5),
-    "c": (0.0, 2.0),
-    "beta": (0.02, 0.5),
-    "y_bar": (0.5, 10.0),
-}
+from conftest import FUZZ_BOX
 
 
 def check_solves_finite_or_raises_typed(make_params):
