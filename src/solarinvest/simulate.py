@@ -16,9 +16,13 @@ int e^{-rho u} du; installation costs are charged at e^{-rho t} c dY, with the
 initial lump undiscounted.  Paths draw from counter-based streams keyed by
 (seed, path index), so runs are reproducible, prefix-stable under horizon
 extension, and common random numbers across policies come from reusing the
-seed.  The draws arrive time-major, one (steps, paths) chunk at a time, and
-each chunk is drawn on a thread pool while the kernel steps the one before
-it; how the horizon is cut into chunks changes no value.
+seed.  The draws arrive time-major, one (steps, paths) chunk at a time.
+While the kernel steps a chunk, one helper thread per further usable CPU
+(none on one CPU, at most 7) draws blocks of paths of the next chunk, and
+the kernel's own thread draws the blocks still left once it has stepped its
+chunk, so no more threads than usable CPUs step or draw.  Any thread may
+draw any block, since each path owns its stream; neither that nor how the
+horizon is cut into chunks changes a value.
 
 One kernel steps every policy.  A policy names capacity levels: ``start``
 (the capacity right after t=0), ``target`` (the desired capacity given
@@ -37,7 +41,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,7 +55,7 @@ from .value import ValueFunction
 _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the kernel idle
 _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
-_FILL_ROWS = 16  # paths a fill thread draws before one transposed store
+_FILL_ROWS = 16  # paths per block: drawn by one thread, stored by one transposed multiply
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -58,7 +63,8 @@ def _chunk_size(nb: int, n_steps: int) -> int:
 
 
 def _fill_workers() -> int:
-    """Fill threads: the CPUs this process may run on, at most 8."""
+    """Threads that draw noise, the stepping thread included: the CPUs this
+    process may run on, at most 8."""
     if hasattr(os, "sched_getaffinity"):
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
@@ -214,66 +220,114 @@ class _NoiseFeed:
 
     A chunk has shape (steps, paths): row ``k`` holds every path's draw for
     one step, so the kernel adds a contiguous row per step.  Iterating the
-    feed yields these rows in time order; while the caller steps through
-    chunk k, chunk k+1 is filled on the pool.  Each path's generator writes
-    its own draws in stream order into a thread's scratch rows, which are
-    scaled and stored transposed, so no value depends on the chunking or on
-    thread scheduling.  Two buffers alternate, and together they hold at
-    most ``_CHUNK_BUDGET`` elements unless that would cut a chunk below
-    ``_MIN_CHUNK`` steps.  Leaving the ``with`` block waits for the pending
-    fill and stops the pool's threads.
+    feed yields these rows in time order.  Each chunk is cut into blocks of
+    ``_FILL_ROWS`` paths on a shared queue.  While the caller steps chunk k,
+    ``_fill_workers() - 1`` helper threads (none on one CPU) take blocks of
+    chunk k+1 from the queue; once the caller has stepped chunk k it draws
+    the blocks still queued itself instead of waiting, so at most one thread
+    per usable CPU steps or draws.  A block's generators are built by the
+    thread that first draws it.  Each path's generator writes its own draws
+    in stream order into a thread's scratch rows, which are scaled and stored
+    transposed, so no value depends on the chunking or on which thread draws
+    a block.  Two buffers alternate, and together they hold at most
+    ``_CHUNK_BUDGET`` elements unless that would cut a chunk below
+    ``_MIN_CHUNK`` steps.  Leaving the ``with`` block empties the queue, so
+    each helper stops after the block in hand, and joins the helpers; a
+    helper's exception is raised on the caller's thread.
     """
 
     def __init__(self, seed, indices, n_steps, scale):
-        self._gens = _path_generators(seed, indices)
+        self._seed = seed
+        self._indices = indices
         self._n_steps = n_steps
         self._scale = scale
-        self._workers = _fill_workers()
-        self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        self._chunk = _chunk_size(len(indices), n_steps)
+        self._gens = [None] * -(-len(indices) // _FILL_ROWS)  # per block, built lazily
+        self._tasks = queue.SimpleQueue()  # (chunk buffer, block) to draw, None to stop
+        self._done = queue.SimpleQueue()  # None or the exception, per block a helper drew
+        self._helpers = []
 
     def __enter__(self):
+        try:
+            for _ in range(min(_fill_workers() - 1, len(self._gens))):
+                thread = threading.Thread(target=self._help, daemon=True)
+                thread.start()
+                self._helpers.append(thread)
+        except BaseException:  # a thread could not start: stop those that did
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc):
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        while self._queued() is not None:  # each helper stops after its block in hand
+            pass
+        for _ in self._helpers:
+            self._tasks.put(None)
+        for thread in self._helpers:
+            thread.join()
 
-    def _fill(self, out, lo, hi):
-        scratch = np.empty((min(_FILL_ROWS, hi - lo), len(out)))
-        for a in range(lo, hi, len(scratch)):
-            b = min(a + len(scratch), hi)
-            for j in range(a, b):
-                self._gens[j].standard_normal(out=scratch[j - a])
-            np.multiply(scratch[:b - a].T, self._scale, out=out[:, a:b])
+    def _scratch(self):
+        return np.empty((min(_FILL_ROWS, len(self._indices)), self._chunk))
 
-    def _submit(self, out):
-        nb = len(self._gens)
-        block = -(-nb // self._workers)
-        return out, [self._pool.submit(self._fill, out, lo, min(lo + block, nb))
-                     for lo in range(0, nb, block)]
+    def _draw(self, out, blk, scratch):
+        lo = blk * _FILL_ROWS
+        hi = min(lo + _FILL_ROWS, len(self._indices))
+        gens = self._gens[blk]
+        if gens is None:
+            gens = self._gens[blk] = _path_generators(self._seed, self._indices[lo:hi])
+        rows = scratch[:hi - lo, :len(out)]
+        for gen, row in zip(gens, rows):
+            gen.standard_normal(out=row)
+        np.multiply(rows.T, self._scale, out=out[:, lo:hi])
 
-    def _ready(self, pending):
-        out, futures = pending
-        for f in futures:
-            f.result()
+    def _help(self):
+        scratch = self._scratch()
+        for task in iter(self._tasks.get, None):
+            try:
+                self._draw(*task, scratch)
+            except BaseException as exc:  # raised again on the caller's thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def _queued(self):
+        """The next queued task, or None when the queue is empty."""
+        try:
+            return self._tasks.get_nowait()
+        except queue.Empty:
+            return None
+
+    def _ready(self, out, scratch):
+        """Draw the blocks of ``out`` no helper has taken, then wait for the rest."""
+        left = len(self._gens)
+        for task in iter(self._queued, None):  # one at a time: helpers take the others
+            self._draw(*task, scratch)
+            left -= 1
+        for _ in range(left):
+            exc = self._done.get()
+            if exc is not None:
+                raise exc
         return out
 
     def __iter__(self):
-        nb, n_steps = len(self._gens), self._n_steps
-        chunk = _chunk_size(nb, n_steps)
-        bufs = []
+        nb, n_steps, chunk = len(self._indices), self._n_steps, self._chunk
+        scratch = self._scratch()
+        # both buffers in one allocation: at full size it is mapped fresh and
+        # unmapped whole, so no pair of chunks is carved from a fragmented heap
+        bufs = np.empty((min(2, -(-n_steps // chunk)), chunk, nb))
 
-        def buffer(k, start):  # chunk k reuses the buffer of chunk k - 2
-            size = min(chunk, n_steps - start)
-            if k < 2:
-                bufs.append(np.empty((size, nb)))
-            return bufs[k % 2][:size]
+        def submit(k, start):  # chunk k reuses the buffer of chunk k - 2
+            out = bufs[k % 2][:min(chunk, n_steps - start)]
+            for blk in range(len(self._gens)):
+                self._tasks.put((out, blk))
+            return out
 
-        pending = self._submit(buffer(0, 0))
+        pending = submit(0, 0)
         for k, start in enumerate(range(chunk, n_steps, chunk), 1):
-            ready = self._ready(pending)
-            pending = self._submit(buffer(k, start))  # the caller is done with chunk k - 2
+            ready = self._ready(pending, scratch)
+            pending = submit(k, start)  # the caller is done with chunk k - 2
             yield from ready
-        yield from self._ready(pending)
+        yield from self._ready(pending, scratch)
 
 
 def _threshold(params, policy, lvl):
@@ -290,7 +344,10 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     payoffs are bit-identical whether it runs alone, in a batch, or recorded.
     ``thr`` caches the price above which a row's policy acts (+inf once
     capacity is exhausted), so crossing-free steps cost one comparison per
-    block plus the price recursion.
+    block plus the price recursion.  A NaN threshold would switch its row
+    off silently, since no price exceeds it: one at t = 0 is refused before
+    any draw, and one set by a crossing, which no later step can replace,
+    is refused after the last step.
     """
     p = params
     lumps = []
@@ -335,6 +392,21 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         if (views[2] < math.inf).any():  # all +inf: the block never acts
             active.append((policy, *views))
         lo = hi
+    back = np.argsort(order)  # row of each job
+
+    def nan_threshold():
+        """The first job whose threshold is NaN and its capacity there, or None."""
+        bad = np.isnan(thr).any(axis=1)[back]
+        if not bad.any():
+            return None
+        j = int(np.argmax(bad))
+        row = back[j]
+        return j, float(y[row][np.isnan(thr[row])][0])
+
+    if bad := nan_threshold():
+        j, lvl = bad
+        raise ConfigurationError(
+            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN at t = 0")
     tmp = np.empty_like(x)
     if record:
         # under overcommit a record beyond physical memory is allocated
@@ -353,7 +425,7 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     with _NoiseFeed(seed, indices, n_steps, p.sigma * math.sqrt(dt)) as feed:
         for z in feed:
             for policy, xb, yb, tb, ab, pb, firstb in active:
-                idx = np.flatnonzero(xb > tb)
+                idx = (xb > tb).nonzero()[0]
                 if idx.size:
                     y_old = yb[idx]
                     lvl = np.maximum(policy.target(xb[idx], y_old), y_old)
@@ -376,13 +448,17 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
             x += z
             disc *= disc_step
             step += 1
-    back = np.argsort(order)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         j = int(np.argmin(finite[back]))
         nan_cap = "NaN" if np.isnan(y[back[j]]).any() else "not NaN"
         raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
                               f"encountered; its capacity is {nan_cap}")
+    if bad := nan_threshold():
+        j, lvl = bad
+        raise SimulationError(
+            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
+            "installation, so the policy stopped acting")
     out = {"payoffs": pay[back], "lumps": lumps,
            "total_installed": (y - y_start)[back], "first_install_time": first[back]}
     if record:

@@ -14,6 +14,7 @@ from solarinvest import (ConfigurationError, FixedThreshold, ImmediateFull,
                          dominance_report, estimate_value, estimate_value_many,
                          r_value, simulate_path, verification_states)
 from solarinvest import simulate
+from solarinvest.model import at_capacity
 from solarinvest.simulate import Policy, discount_tail_bound
 
 
@@ -53,6 +54,31 @@ class NanTarget(Policy):
 
     def target(self, x_arr, y_arr):
         return np.full_like(x_arr, math.nan)
+
+
+class NanBoundary(Policy):
+    """Fills capacity when consulted, but its boundary is NaN."""
+
+    name = "nan_boundary"
+
+    def target(self, x_arr, y_arr):
+        return np.full_like(x_arr, 5.0)
+
+    def boundary_at(self, y_arr):
+        return math.nan
+
+
+class NanAbove(Policy):
+    """Installs a unit above 1.5 while capacity is below 2; its boundary is
+    NaN from capacity 2 on."""
+
+    name = "nan_above"
+
+    def target(self, x_arr, y_arr):
+        return y_arr + 1.0
+
+    def boundary_at(self, y_arr):
+        return np.where(y_arr < 2.0, 1.5, math.nan)
 
 
 def no_streams(seed, indices):
@@ -421,6 +447,36 @@ class TestEstimator:
         with pytest.raises(SimulationError, match=pattern.format(0)):
             simulate_path(params, NanTarget(), 1.0, 1.0, dt=0.1, horizon=1.0, seed=0)
 
+    def test_nan_threshold_rejected_before_drawing(self, setup, monkeypatch):
+        # no price exceeds a NaN threshold, so the policy would never act
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        jobs = [(NeverInstall(), 1.0, 1.0), (NanBoundary(), 1.2, 1.0)]
+        with pytest.raises(ConfigurationError,
+                           match=r"job 1 \(nan_boundary\): boundary_at\(1.0\) returned NaN at t = 0"):
+            estimate_value_many(params, jobs, n_paths=50, dt=0.1, horizon=20.0, seed=1)
+        with pytest.raises(ConfigurationError, match=r"job 0 \(nan_boundary\): boundary_at"):
+            simulate_path(params, NanBoundary(), 1.2, 1.0, dt=0.1, horizon=20.0, seed=1)
+        # at capacity the threshold is +inf whatever boundary_at returns
+        monkeypatch.undo()
+        res = estimate_value(params, NanBoundary(), 1.2, params.y_bar, n_paths=4, dt=0.1,
+                             horizon=1.0)
+        assert res.fraction_installing == 0.0
+
+    def test_nan_threshold_after_install_names_job(self, setup):
+        params, fb, _ = setup
+        pattern = r"job {} \(nan_above\): boundary_at\(2.0\) returned NaN after an installation"
+        never = NeverInstall()
+        jobs = [(never, 1.0, 1.0), (NanAbove(), 1.0, 1.0), (never, 2.0, 1.0)]
+        with pytest.raises(SimulationError, match=pattern.format(1)):
+            estimate_value_many(params, jobs, n_paths=50, dt=0.1, horizon=20.0, seed=1)
+        with pytest.raises(SimulationError, match=pattern.format(0)):
+            simulate_path(params, NanAbove(), 1.0, 1.0, dt=0.1, horizon=20.0, seed=1,
+                          path_index=3)
+        # a path that never reaches capacity 2 keeps a finite threshold
+        res = estimate_value(params, NanAbove(), 1.0, 1.0, n_paths=1, dt=0.1, horizon=0.2)
+        assert res.fraction_installing == 0.0
+
     def test_record_beyond_physical_memory_rejected(self, setup, monkeypatch):
         # 1e11 steps: 2 x (1e11 + 1) doubles of x and y; refused before any
         # allocation or draw, since under overcommit the allocation succeeds
@@ -537,8 +593,9 @@ class TestNoiseFeed:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_fill_threads_change_no_value(self, setup, monkeypatch):
-        # one fill thread against eight on fewer cores, with the interpreter
-        # switching threads as often as it can, over 31 chunks of 97 steps
+        # the stepping thread drawing alone against 1 and 7 helpers on fewer
+        # cores, with the interpreter switching threads as often as it can,
+        # over 31 chunks of 97 steps
         params, fb, _ = setup
         pol = OptimalReflection(params, fb)
         settings = dict(n_paths=300, dt=0.01, horizon=30.0, seed=17, keep_payoffs=True)
@@ -546,14 +603,60 @@ class TestNoiseFeed:
         monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 300 * 97)
         monkeypatch.setattr(simulate, "_fill_workers", lambda: 1)
         alone = estimate_value(params, pol, 1.2, 1.0, **settings)
-        monkeypatch.setattr(simulate, "_fill_workers", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            shared = estimate_value(params, pol, 1.2, 1.0, **settings)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(alone.payoffs, shared.payoffs)
+        for workers in (2, 8):
+            monkeypatch.setattr(simulate, "_fill_workers", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                shared = estimate_value(params, pol, 1.2, 1.0, **settings)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(alone.payoffs, shared.payoffs), workers
+
+    def test_threads_stay_within_cpu_budget(self, setup, monkeypatch):
+        # three usable CPUs: the stepping thread and two helpers, counted
+        # from inside the run at every step
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert simulate._fill_workers() == 3
+        counts = []
+
+        class Counting(Policy):
+            name = "counting"
+
+            def target(self, x_arr, y_arr):
+                counts.append(threading.active_count())
+                return y_arr
+
+        before = threading.active_count()
+        estimate_value(params, Counting(), 1.0, 1.0, n_paths=100, dt=0.01, horizon=30.0,
+                       seed=3)
+        assert len(counts) == 3000
+        assert max(counts) - before == simulate._fill_workers() - 1
+        assert threading.active_count() == before
+        # a single path is one block: one helper is all it can use
+        counts.clear()
+        simulate_path(params, Counting(), 1.0, 1.0, dt=0.01, horizon=30.0, seed=3)
+        assert max(counts) - before == 1
+
+    def test_failed_fill_surfaces_and_leaves_no_thread(self, setup, monkeypatch):
+        # only the helpers' generators fail, so the error must cross threads
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_fill_workers", lambda: 3)
+        streams = simulate._path_generators
+
+        def helper_streams_fail(seed, indices):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("stream refused")
+            return streams(seed, indices)
+
+        monkeypatch.setattr(simulate, "_path_generators", helper_streams_fail)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="stream refused"):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=500, dt=0.01,
+                           horizon=100.0, seed=3)
+        assert threading.active_count() == before
 
     def test_no_fill_thread_outlives_the_run(self, setup):
         params, fb, _ = setup
@@ -573,12 +676,105 @@ class TestNoiseFeed:
         assert first.shape == (1,) and np.isfinite(first).all()
 
     def test_fill_threads_follow_cpu_affinity(self, monkeypatch):
+        # threads that draw, the stepping one included: helpers are one fewer
         monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 5, 6},
                             raising=False)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
         assert simulate._fill_workers() == 3
+        with simulate._NoiseFeed(0, np.arange(100), 10, 1.0) as feed:
+            assert len(feed._helpers) == 2
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {4},
+                            raising=False)
+        with simulate._NoiseFeed(0, np.arange(100), 10, 1.0) as feed:
+            assert feed._helpers == [] and len(list(feed)) == 10
         monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
         assert simulate._fill_workers() == 8
+
+
+def reference_mc(params, policy, x0, y0, dt, z):
+    """One path of ``policy`` from (x0, y0) on Python floats, given the path's
+    scaled draws ``z``: at each step the crossing, then the revenue, then the
+    price update, in the kernel's order of operations.  Returns the payoff,
+    the capacity installed, the first install time and the recorded x and y."""
+    p = params
+
+    def threshold(lvl):
+        if at_capacity(p, lvl):
+            return math.inf
+        return float(np.reshape(policy.boundary_at(np.array([lvl])), -1)[0])
+
+    lump = float(min(max(policy.start(x0, y0), y0), p.y_bar) - y0)
+    x, y = x0, y0 + lump
+    pay = -p.c * lump
+    first = 0.0 if lump > 0.0 else math.nan
+    disc_step = math.exp(-p.rho * dt)
+    rev_weight = (1.0 - disc_step) / p.rho
+    kdt = p.kappa * dt
+    decay = 1.0 - kdt
+    add = kdt * (p.mu - p.beta * y)
+    thr = threshold(y)
+    disc = 1.0
+    xs, ys = [], []
+    for step, dz in enumerate(z):
+        if x > thr:
+            y_old = y
+            lvl = max(float(policy.target(np.array([x]), np.array([y_old]))[0]), y_old)
+            lvl = min(lvl, p.y_bar)
+            dy = lvl - y_old
+            pay -= (disc * p.c) * dy
+            if dy > 0.0 and math.isnan(first):
+                first = step * dt
+            y = lvl
+            add = kdt * (p.mu - p.beta * lvl)
+            thr = threshold(lvl)
+        xs.append(x)
+        ys.append(y)
+        pay += (x * y) * (disc * rev_weight)
+        x = x * decay + add + dz
+        disc *= disc_step
+    xs.append(x)
+    ys.append(y)
+    return pay, y - y0, first, np.array(xs), np.array(ys)
+
+
+def reference_draws(params, dt, n_steps, seed, path_index):
+    gen = simulate._path_generators(seed, [path_index])[0]
+    return (gen.standard_normal(n_steps) * (params.sigma * math.sqrt(dt))).tolist()
+
+
+class TestReferenceMC:
+    """The path kernel is the plain per-path Euler loop, bit for bit."""
+
+    def test_verify_jobs(self, setup):
+        params, fb, _ = setup
+        policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
+        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        n_paths, dt, n_steps, seed = 16, 0.01, 2000, 2024
+        many = estimate_value_many(params, jobs, n_paths, dt, n_steps * dt, seed=seed,
+                                   keep_payoffs=True)
+        out = simulate._run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
+        ref = np.empty((3, len(jobs), n_paths))
+        for i in range(n_paths):
+            z = reference_draws(params, dt, n_steps, seed, i)
+            for j, (pol, x, y) in enumerate(jobs):
+                ref[:, j, i] = reference_mc(params, pol, x, y, dt, z)[:3]
+        assert np.stack([r.payoffs for r in many]).tobytes() == ref[0].tobytes()
+        assert out["payoffs"].tobytes() == ref[0].tobytes()
+        assert out["total_installed"].tobytes() == ref[1].tobytes()
+        assert out["first_install_time"].tobytes() == ref[2].tobytes()
+        assert (ref[2] > 0.0).any() and np.isnan(ref[2]).any()
+
+    def test_recorded_path(self, setup):
+        params, fb, _ = setup
+        pol = OptimalReflection(params, fb)
+        x, y = verification_states(fb)[0]
+        dt, n_steps, seed, i = 0.01, 2000, 2024, 17
+        rec = simulate_path(params, pol, x, y, dt, n_steps * dt, seed, path_index=i)
+        z = reference_draws(params, dt, n_steps, seed, i)
+        pay, _, first, xs, ys = reference_mc(params, pol, x, y, dt, z)
+        assert rec.x.tobytes() == xs.tobytes() and rec.y.tobytes() == ys.tobytes()
+        assert rec.payoff == pay and rec.total_installed > 0.0
+        assert rec.first_install_time == first
 
 
 class TestDominance:
