@@ -7,15 +7,14 @@ value function it induces, and a Monte Carlo harness that verifies the
 analytic solution pathwise.
 """
 
-from .boundary import (FreeBoundary, Regime, Region, classify_regime, h_func,
+from .boundary import (FreeBoundary, Regime, Region, classify_regime,
                        integrate_boundary, ode_rhs, r_tilde, solve_x_tilde, y_star)
 from .errors import (ConfigurationError, DomainError, IntegrationError,
                      NumericalError, SimulationError, SolarInvestError,
                      SolverError, ValidationError)
-from .fundamental import FundamentalSolution, cylinder_d
-from .model import (ModelParams, line_of_means, params_from_dict,
-                    params_from_json, params_to_dict, r_partials, r_value,
-                    table_preset, validate)
+from .fundamental import FundamentalSolution
+from .model import (ModelParams, params_from_dict, params_from_json,
+                    params_to_dict, r_partials, r_value, table_preset, validate)
 from .simulate import (FixedThreshold, ImmediateFull, NeverInstall,
                        OptimalReflection, PathRecord, SimulationResult,
                        dominance_report, estimate_value, estimate_value_many,
@@ -30,9 +29,9 @@ __all__ = [
     "NeverInstall", "NumericalError", "OptimalReflection", "PathRecord",
     "Regime", "Region", "SimulationError", "SimulationResult",
     "SolarInvestError", "SolverError", "ValidationError",
-    "ValueFunction", "classify_regime", "cylinder_d",
-    "dominance_report", "estimate_value", "estimate_value_many", "h_func",
-    "integrate_boundary", "line_of_means", "ode_rhs", "params_from_dict",
+    "ValueFunction", "classify_regime",
+    "dominance_report", "estimate_value", "estimate_value_many",
+    "integrate_boundary", "ode_rhs", "params_from_dict",
     "params_from_json", "params_to_dict", "r_partials", "r_tilde", "r_value",
     "simulate_path", "solve_x_tilde", "table_preset", "validate",
     "verification_states", "y_star",

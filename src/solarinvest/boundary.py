@@ -92,12 +92,6 @@ def r_tilde(params: ModelParams, x: float, y: float) -> float:
             / (params.rho * (params.rho + params.kappa)))
 
 
-def h_func(params: ModelParams, fs: FundamentalSolution, x: float) -> float:
-    """Anchor function H; its unique root is Ftilde(y_bar)."""
-    return (fs.psi_deriv(1, x) * (params.c - r_tilde(params, x, params.y_bar))
-            + fs.psi(x) / (params.rho + params.kappa))
-
-
 def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
     """Unique root of H, by Newton's method on h = H/psi' from x = mu.
 
@@ -148,19 +142,15 @@ def _n_d_evaluator(params: ModelParams, fs: FundamentalSolution):
     return n_d
 
 
-def _n_d(params: ModelParams, fs: FundamentalSolution, y: float, z: float):
-    """(N/psi^3, D/psi^3) at (y, z); see :func:`_n_d_evaluator`."""
-    return _n_d_evaluator(params, fs)(y, z)
-
-
 def _raise_singular(y: float, z: float, n_val: float, d_val: float):
     raise IntegrationError(f"boundary ODE singular: D/psi^3({y}, {z}) = {d_val:.3e} "
                            f"with N/psi^3 = {n_val:.3e}")
 
 
+# perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates."""
-    n_val, d_val = _n_d(params, fs, y, z)
+    n_val, d_val = _n_d_evaluator(params, fs)(y, z)
     if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
         _raise_singular(y, z, n_val, d_val)
     return params.beta * n_val / d_val
@@ -204,12 +194,6 @@ class FreeBoundary:
             raise DomainError(
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
         return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
-
-    def f_bar_inverse(self, x) -> float | np.ndarray:
-        """Inverse clamped to [0, y_bar]: 0 below x0, y_bar above x_bar."""
-        clamped = np.clip(x, self.x0, self.x_bar)
-        out = np.clip(self._finv_itp(clamped), 0.0, self.params.y_bar)
-        return float(out) if np.isscalar(x) else out
 
     def region(self, x: float, y: float) -> Region:
         """Three-way state classification; at y = y_bar only waiting applies."""
@@ -310,7 +294,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
 def y_star(params: ModelParams, fs: FundamentalSolution) -> float:
     """Critical capacity bound: line of means through the install-region corner."""
     return (((params.mu - params.rho * params.c) * (params.rho + params.kappa)
-             - params.rho * fs.psi_over_dpsi(params.mu))
+             - params.rho * (1.0 / fs.psi_ratios(params.mu)[0]))
             / (params.beta * (params.rho + 2.0 * params.kappa)))
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import boundary as bd
 from . import model
-from .errors import (ConfigurationError, DomainError, SolarInvestError,
-                     ValidationError)
+from .errors import (ConfigurationError, DomainError, NumericalError,
+                     SolarInvestError, ValidationError)
 from .fundamental import FundamentalSolution
 from .simulate import (OptimalReflection, dominance_report, simulate_path,
                        verification_states)
@@ -137,14 +137,15 @@ def cmd_value(args) -> int:
         pde, grad = vf.hjb_residual(x, y)
         payload["pde_term"] = pde
         payload["gradient_term"] = grad
+    for name, v in payload.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise NumericalError(f"value at (x={x}, y={y}): {name} = {v}, not finite")
     _dump_json(payload)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
-    if args.paths < 1:
-        raise ConfigurationError(f"--paths must be >= 1, got {args.paths}")
     if args.trace_paths < 0:
         raise ConfigurationError(f"--trace-paths must be >= 0, got {args.trace_paths}")
     fs, fb = _solve(params, args.steps)

@@ -40,10 +40,11 @@ A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
 shared by every instance with that s0: a sensitivity sweep over sigma, mu,
 beta, c or y_bar, or any process that solves repeatedly, builds each pair
-once.  The 32 most recently bound s0 tables are kept.  The reference
-routes (``log_psi_deriv``, ``psi_deriv_direct``, ``phi``, ``phi_deriv``)
-call the quadrature directly, so tests that compare against them check the
-interpolation.
+once.  The 32 most recently bound s0 tables are kept.  The solve and the
+value layer read psi up to its third derivative, so ``psi_derivs`` stops
+there.  ``log_psi_deriv`` is one quadrature call with no panel; the other
+reference routes the tests compare against (phi, direct derivatives of any
+order, Q_k and Psi_k, D_a itself) are plain functions in ``tests/oracles.py``.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -232,14 +233,6 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
         f"within {max_level} level doublings", achieved=float(achieved[worst]))
 
 
-def cylinder_d(alpha: float, x: float) -> float:
-    """Cylinder function D_alpha(x), alpha < 0, by deterministic quadrature."""
-    if alpha >= 0.0:
-        raise DomainError(f"cylinder_d requires alpha < 0, got {alpha}")
-    log_i, _, _ = log_weighted_integral(-alpha, x)
-    return math.exp(-0.25 * x * x + log_i - math.lgamma(-alpha))
-
-
 def _coefficients(values) -> tuple:
     """Chebyshev coefficients of a panel's node values, highest first and in
     pairs, ((c_19, c_18), ..., (c_1, c_0)): the form the Clenshaw passes walk."""
@@ -315,7 +308,7 @@ def _exp(log_value: float, name: str, x: float) -> float:
 
 
 class FundamentalSolution:
-    """Evaluator for psi, phi, their derivatives of any order, and Q_k.
+    """Evaluator for psi, its first three derivatives and psi^(k)/psi.
 
     The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
     come from one panel pair per unit cell [j, j+1] in z: the Chebyshev
@@ -327,9 +320,8 @@ class FundamentalSolution:
     another solve with the same s0 has visited its cells.  ``psi_ratios``,
     which runs once per boundary-ODE evaluation, is built per instance as
     a closure over the constants it reads and the s0 table; it keeps no
-    reference to the instance.  The reference routes (``log_psi_deriv``,
-    ``psi_deriv_direct``, ``phi``, ``phi_deriv``) call the quadrature
-    directly and build no panel, so they check the interpolant against the
+    reference to the instance.  ``log_psi_deriv`` calls the quadrature
+    directly and builds no panel, so it checks the interpolant against the
     function it interpolates.  Pairs are only ever added, and a pair's
     coefficients depend on (s0, j) alone, so concurrent reads are safe: two
     threads that build the same pair store identical values.  Only binding
@@ -345,14 +337,14 @@ class FundamentalSolution:
         # r_{k+2} = drift (mu - x) r_{k+1} + rec_k r_k, r_k = psi^(k)/psi,
         # rec_k = 2 (rho + k kappa)/sigma^2
         try:
-            self._two_over_s2 = 2.0 / params.sigma**2
+            two_over_s2 = 2.0 / params.sigma**2
         except (OverflowError, ZeroDivisionError):  # sigma^2 outside float64
-            self._two_over_s2 = 2.0 / params.sigma / params.sigma  # 0 or inf
-        self._drift = -self._two_over_s2 * params.kappa
-        rec0 = self._two_over_s2 * params.rho
-        rec1 = self._two_over_s2 * (params.rho + params.kappa)
+            two_over_s2 = 2.0 / params.sigma / params.sigma  # 0 or inf
+        drift = -two_over_s2 * params.kappa
+        rec0 = two_over_s2 * params.rho
+        rec1 = two_over_s2 * (params.rho + params.kappa)
         for name, value in (("rho/kappa", s0), ("sqrt(2 kappa)/sigma", scale),
-                            ("2 kappa/sigma^2", -self._drift), ("2 rho/sigma^2", rec0),
+                            ("2 kappa/sigma^2", -drift), ("2 rho/sigma^2", rec0),
                             ("2 (rho+kappa)/sigma^2", rec1)):
             if not (math.isfinite(value) and value > 0.0):
                 raise NumericalError(f"derived constant {name} = {value!r} is zero or not "
@@ -367,7 +359,7 @@ class FundamentalSolution:
             self._cells = _PANEL_TABLES[s0] = _PANEL_TABLES.pop(s0, {})
             if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
                 del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
-        self.psi_ratios = _ratio_pass(params.mu, scale, self._drift, rec0, rec1,
+        self.psi_ratios = _ratio_pass(params.mu, scale, drift, rec0, rec1,
                                       s0, self._cells)
 
     def psi(self, x: float) -> float:
@@ -386,17 +378,10 @@ class FundamentalSolution:
         return _exp(b1 - u * b2 - self._lgamma_s0, "psi", x)
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x): psi times (1, *psi_ratios(x)), with the
-        generator recurrence carried on past order 3 when k_max > 3."""
-        ratios = [1.0, *self.psi_ratios(x)]
-        p, two_over_s2 = self.params, self._two_over_s2
-        drift = self._drift * (p.mu - x)
-        for k in range(2, k_max - 1):
-            nxt = drift * ratios[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * ratios[k]
-            if not nxt > 0.0:
-                raise NumericalError(
-                    f"derivative recurrence lost positivity at k={k + 2}, x={x}")
-            ratios.append(nxt)
+        """psi^(0..k_max)(x), k_max <= 3: psi times (1, *psi_ratios(x))."""
+        if not 0 <= k_max <= 3:
+            raise DomainError(f"derivative order k_max={k_max} must lie in [0, 3]")
+        ratios = (1.0, *self.psi_ratios(x))
         psi = self.psi(x)
         out = [psi * r for r in ratios[:k_max + 1]]
         if math.inf in out:
@@ -406,54 +391,9 @@ class FundamentalSolution:
                 f"log psi^({k}) = {math.log(psi) + math.log(ratios[k]):.6g}")
         return np.array(out)
 
-    def psi_deriv(self, k: int, x: float) -> float:
-        """k-th derivative of psi (k = 0 is psi itself); strictly positive."""
-        if k < 0:
-            raise DomainError(f"derivative order k={k} must be >= 0")
-        return float(self.psi_derivs(x, k)[k])
-
-    def psi_over_dpsi(self, x: float) -> float:
-        """psi(x)/psi'(x), the inverse of the first ratio; bounded for any x."""
-        return 1.0 / self.psi_ratios(x)[0]
-
-    # -- reference routes: one quadrature call each, no panel ----------------
-
+    # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
     def log_psi_deriv(self, k: int, x: float) -> float:
-        """log psi^(k)(x) from the differentiated integral representation."""
+        """log psi^(k)(x) from one quadrature call on the differentiated
+        integral; builds no panel."""
         z = (self.params.mu - x) * self._scale
         return k * self._log_scale + log_weighted_integral(self._s0 + k, z)[0] - self._lgamma_s0
-
-    def psi_deriv_direct(self, k: int, x: float) -> float:
-        """psi^(k) straight from the integral; independent of the recurrence
-        and of the panels."""
-        if k < 0:
-            raise DomainError(f"derivative order k={k} must be >= 0")
-        return _exp(self.log_psi_deriv(k, x), f"psi^({k})", x)
-
-    def phi(self, x: float) -> float:
-        """Strictly decreasing positive solution of the generator equation."""
-        return self.phi_deriv(0, x)
-
-    def phi_deriv(self, k: int, x: float) -> float:
-        """k-th derivative of phi; alternates sign, |phi^(k)| > 0."""
-        if k < 0:
-            raise DomainError(f"derivative order k={k} must be >= 0")
-        z = (self.params.mu - x) * self._scale
-        mag = _exp(k * self._log_scale
-                   + log_weighted_integral(self._s0 + k, -z)[0] - self._lgamma_s0,
-                   f"|phi^({k})|", x)
-        return mag if k % 2 == 0 else -mag
-
-    # -- determinant combinations -------------------------------------------
-
-    def q(self, k: int, x: float) -> float:
-        """Q_k(x) = psi^(k) psi^(k+2) - (psi^(k+1))^2 > 0."""
-        if k < 0:
-            raise DomainError(f"order k={k} must be >= 0")
-        d = self.psi_derivs(x, k + 2)
-        return float(d[k] * d[k + 2] - d[k + 1] ** 2)
-
-    def ratio(self, k: int, x: float) -> float:
-        """Psi_k(x) = (psi^(k+1))^2 / (psi^(k) psi^(k+2)); strictly increasing."""
-        d = self.psi_derivs(x, k + 2)
-        return float(d[k + 1] ** 2 / (d[k] * d[k + 2]))

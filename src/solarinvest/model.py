@@ -153,8 +153,3 @@ def r_partials(params: ModelParams, x: float, y: float):
         - 2.0 * params.kappa * params.beta * y / (params.rho * rk)
     )
     return r_y, 1.0 / rk, y / rk
-
-
-def line_of_means(params: ModelParams, y: float) -> float:
-    """Mean-reversion level of the price when ``y`` units are installed."""
-    return params.mu - params.beta * y

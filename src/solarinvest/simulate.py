@@ -498,6 +498,8 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
 
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     """Validate Monte Carlo settings; return the number of time steps."""
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
+        raise ConfigurationError(f"n_paths={n_paths!r} must be an integer")
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     if not dt > 0.0:
@@ -589,8 +591,13 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     3 standard errors plus a dt-bias allowance 2 sqrt(dt); the
     never-install policy against the closed form of its payoff within
     3 standard errors plus the tail bound; and, under common random
-    numbers, the optimal policy must dominate both baselines.
+    numbers, the optimal policy must dominate both baselines.  Those paired
+    standard errors need two paths: fewer raise :class:`ConfigurationError`
+    before anything is drawn.
     """
+    if n_paths < 2:
+        raise ConfigurationError(
+            f"n_paths must be >= 2 for the paired standard errors, got {n_paths}")
     policies = {
         "optimal": OptimalReflection(params, fb),
         "never_install": NeverInstall(),

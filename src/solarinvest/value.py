@@ -1,4 +1,4 @@
-"""Closed-form candidate value function and its verification hooks.
+"""Closed-form value function: the coefficient A, w and its partials.
 
 On the waiting side of the boundary the value is R plus a homogeneous
 correction A(y) psi(x + beta*y); the decreasing-solution coefficient is
@@ -30,7 +30,12 @@ the same monotone cubic family as F; the derivative formula
 
     A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft)
 
-is kept closed-form (not re-integrated) and doubles as a cross-check.
+is kept closed-form (not re-integrated); ``partials`` reads it.  The
+tests check these closed forms against other representations of the same
+quantities (A from its Rtilde/Q0 form, A' from the smooth-fit pair, the
+normalized ODE denominator three ways, the PDE term on the lump-to-capacity
+region and the linear growth bound); those routes live in
+``tests/oracles.py``, not here.
 """
 
 from __future__ import annotations
@@ -76,15 +81,6 @@ class ValueFunction:
         den = r1 ** 2 - r2
         return num / den / (p.beta * p.rho * rk) / self.fs.psi(f_tilde)
 
-    def a_alt(self, y: float) -> float:
-        """A(y) through the Rtilde/Q0 representation; cross-check route."""
-        p = self.params
-        ft = self.fb.f_tilde_at(y)
-        d = self.fs.psi_derivs(ft, 2)
-        q0 = d[0] * d[2] - d[1] ** 2
-        num = d[1] * (p.c - r_tilde(p, ft, y)) + d[0] / (p.rho + p.kappa)
-        return num / (-q0) / p.beta
-
     def a(self, y: float) -> float:
         """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
         return float(self._a_itp(check_capacity(self.params, y)))
@@ -96,13 +92,6 @@ class ValueFunction:
         d = self.fs.psi_derivs(ft, 2)
         q0 = d[0] * d[2] - d[1] ** 2
         return (d[2] * (p.c - r_tilde(p, ft, y)) + d[1] / (p.rho + p.kappa)) / q0
-
-    def a_prime_fit_form(self, y: float) -> float:
-        """A' from the smooth-fit pair directly: -beta psi''/psi' A - 1/((rho+kappa) psi')."""
-        p = self.params
-        ft = self.fb.f_tilde_at(y)
-        d = self.fs.psi_derivs(ft, 2)
-        return -p.beta * d[2] / d[1] * self.a(y) - 1.0 / ((p.rho + p.kappa) * d[1])
 
     # -- value and derivatives -------------------------------------------------
 
@@ -138,55 +127,6 @@ class ValueFunction:
                + p.kappa * ((p.mu - p.beta * y) - x) * w_x
                - p.rho * self.w(x, y) + x * y)
         return pde, w_y - p.c
-
-    def install_region_pde_closed_form(self, x: float, y: float) -> float:
-        """PDE term on the lump-to-capacity region: (y_bar - y)(kappa beta y_bar/(rho+kappa) + c rho - x)."""
-        p = self.params
-        return (p.y_bar - y) * (p.kappa * p.beta * p.y_bar / (p.rho + p.kappa)
-                                + p.c * p.rho - x)
-
-    def z_gap(self, x: float) -> float:
-        """c rho + kappa beta w_x(x, Finv(x)) - x; negative on [x0, x_bar].
-        (On that range the lump takes (x, 0) to (x, Finv(x)).)"""
-        p = self.params
-        return p.c * p.rho + p.kappa * p.beta * self.partials(x, 0.0)[0] - x
-
-    def s_gap(self, x: float, y: float) -> float:
-        """Installation-gradient gap w_y - c; zero with zero x-slope on the boundary."""
-        return self.partials(x, y)[2] - self.params.c
-
-    def growth_ratio(self, xs) -> float:
-        """max |w(x, y)| / (1 + |x|) over the prices ``xs`` and about 20
-        capacities of the boundary grid; finite and stable."""
-        ys = self.fb.ys[:: max(1, len(self.fb.ys) // 20)]
-        return max(abs(self.w(float(x), float(y))) / (1.0 + abs(float(x)))
-                   for x in xs for y in ys)
-
-    # -- cross-representation checks -------------------------------------------
-
-    def d_tilde_forms(self, y: float):
-        """Normalized denominator along the boundary, three ways.
-
-        Returns (via_d, via_coeffs, via_linear): D/((rho+kappa) psi Q0), the
-        -beta psi''' A - psi'' A' combination, and the linear form
-        (2/sigma^2)(Ftilde - c rho - (rho+2 kappa) beta y/(rho+kappa)
-        - kappa beta psi'(Ftilde) A).  All agree along the solved boundary.
-        """
-        p = self.params
-        ft = self.fb.f_tilde_at(y)
-        d = self.fs.psi_derivs(ft, 3)
-        q0 = d[0] * d[2] - d[1] ** 2
-        q1 = d[1] * d[3] - d[2] ** 2
-        q0_prime = d[0] * d[3] - d[1] * d[2]
-        rk = p.rho + p.kappa
-        big_d = d[0] * (rk * (p.c - r_tilde(p, ft, y)) * q1 + q0_prime)
-        via_d = big_d / (rk * d[0] * q0)
-        a_val, ap_val = self.a(y), self.a_prime(y)
-        via_coeffs = -p.beta * d[3] * a_val - d[2] * ap_val
-        via_linear = (2.0 / p.sigma**2) * (
-            ft - p.c * p.rho - (p.rho + 2.0 * p.kappa) * p.beta * y / rk
-            - p.kappa * p.beta * d[1] * a_val)
-        return via_d, via_coeffs, via_linear
 
     def summary_dict(self) -> dict:
         """JSON-ready export: constants plus the (y, F, A) grid."""

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
-                         NumericalError, Regime, Region, classify_regime, h_func,
+                         NumericalError, Regime, Region, classify_regime,
                          integrate_boundary, ode_rhs, params_from_dict, r_tilde,
                          solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
-from solarinvest.boundary import _n_d, export_grid_csv
+from solarinvest.boundary import _n_d_evaluator, export_grid_csv
 from solarinvest.cli import sweep_boundaries
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
+from oracles import h_func
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -42,7 +43,7 @@ class TestAnchor:
     def test_root_residual_small(self, solved):
         for mu, (params, fs, fb, _) in solved.items():
             xt = fb.x_tilde
-            scale = (abs(fs.psi_deriv(1, xt) * (params.c - r_tilde(params, xt, params.y_bar)))
+            scale = (abs(fs.psi_derivs(xt, 1)[1] * (params.c - r_tilde(params, xt, params.y_bar)))
                      + fs.psi(xt) / (params.rho + params.kappa))
             assert abs(h_func(params, fs, xt)) < 1e-10 * scale
 
@@ -139,11 +140,11 @@ class TestOdeRightHandSide:
         assert ode_rhs(params, fs, params.y_bar, fb.x_tilde) > params.beta
 
     def test_denominator_identity_at_anchor(self, base):
-        # at the anchor, D collapses to Q0 psi psi'' / psi'; _n_d returns
+        # at the anchor, D collapses to Q0 psi psi'' / psi'; the evaluator returns
         # D / psi^3, the same identity in the derivatives divided by psi
         params, fs, fb, _ = base
         xt = fb.x_tilde
-        _, d_val = _n_d(params, fs, params.y_bar, xt)
+        _, d_val = _n_d_evaluator(params, fs)(params.y_bar, xt)
         d = fs.psi_derivs(xt, 2) / fs.psi(xt)
         q0 = d[0] * d[2] - d[1] ** 2
         assert rel_err(d_val, q0 * d[2] / (d[0] * d[1])) < 1e-9
@@ -152,7 +153,7 @@ class TestOdeRightHandSide:
         params, fs, _, _ = base
         for y in np.linspace(0.0, params.y_bar, 6):
             for z in np.linspace(params.mu - 2.0, params.mu + 3.0, 11):
-                n_val, d_val = _n_d(params, fs, float(y), float(z))
+                n_val, d_val = _n_d_evaluator(params, fs)(float(y), float(z))
                 if d_val >= 0.0:
                     assert n_val > d_val
 
@@ -175,7 +176,7 @@ class TestIntegration:
         # integrator's own per-step check
         params, fs, fb, _ = base
         for y, z in zip(fb.ys, fb.f_tilde):
-            _, d_val = _n_d(params, fs, float(y), float(z))
+            _, d_val = _n_d_evaluator(params, fs)(float(y), float(z))
             assert d_val > 0.0
 
     def test_self_convergence_order(self, base):
@@ -271,7 +272,7 @@ class TestTypedFailures:
         y = params.y_bar
 
         def d_at(z):
-            return _n_d(params, fs, y, z)[1]
+            return _n_d_evaluator(params, fs)(y, z)[1]
 
         lo, hi = params.mu + 1.5, params.mu + 2.0
         assert d_at(lo) > 0.0 > d_at(hi)
@@ -370,17 +371,10 @@ class TestBoundaryQueries:
         with pytest.raises(DomainError):
             fb.f_inverse(fb.x_bar + 0.1)
 
-    def test_clamped_inverse(self, base):
-        params, _, fb, _ = base
-        assert fb.f_bar_inverse(fb.x0 - 1.0) == 0.0
-        assert fb.f_bar_inverse(fb.x_bar + 1.0) == params.y_bar
-        mid = 0.5 * (fb.x0 + fb.x_bar)
-        assert fb.f_bar_inverse(mid) == pytest.approx(fb.f_inverse(mid))
-
     def test_clamped_inverse_lipschitz(self, base):
         params, fs, fb, _ = base
-        xs = np.linspace(fb.x0 - 0.5, fb.x_bar + 0.5, 4001)
-        ys = fb.f_bar_inverse(xs)
+        xs = np.linspace(fb.x0, fb.x_bar, 4001)
+        ys = np.array([fb.f_inverse(float(x)) for x in xs])
         quotients = np.abs(np.diff(ys) / np.diff(xs))
         slopes = np.array([ode_rhs(params, fs, float(y), float(z))
                            for y, z in zip(fb.ys, fb.f_tilde)])

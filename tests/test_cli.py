@@ -120,6 +120,14 @@ class TestValueCommand:
         assert main(["value", "--x", x, "--y", y]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x,y", [("1e308", "1.0"), ("1e307", "0.5")])
+    def test_overflowed_value_is_a_numerical_failure(self, capsys, x, y):
+        # R(x, y) overflows float64: no payload with "w": null, exit 4
+        assert main(["--steps", "200", "value", "--x", x, "--y", y]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "w = inf, not finite" in captured.err
+
 
 class TestSimulateCommand:
     def test_small_run_passes_checks(self, tmp_path, capsys):
@@ -162,6 +170,9 @@ class TestSimulateCommand:
 
     def test_zero_paths_usage_error(self, capsys):
         assert main(["simulate", "--paths", "0"]) == 2
+        # one path leaves the paired standard errors undefined (NaN)
+        assert main(["--steps", "200", "simulate", "--paths", "1", "--dt", "0.1"]) == 2
+        assert "n_paths" in capsys.readouterr().err
 
     def test_negative_seed_usage_error(self, tmp_path, capsys):
         code = main(["--steps", "300", "--seed", "-1", "--out", str(tmp_path),

@@ -15,12 +15,12 @@ from scipy import integrate
 
 import solarinvest
 from solarinvest import (DomainError, FundamentalSolution, ModelParams,
-                         NumericalError, cylinder_d, integrate_boundary,
-                         table_preset)
+                         NumericalError, integrate_boundary, table_preset)
 from solarinvest import fundamental
 from solarinvest.fundamental import log_weighted_integral
 
 from conftest import central_diff, rel_err
+from oracles import cylinder_d, phi, phi_deriv, psi_deriv_direct, psi_derivs, q, ratio
 
 
 def d_minus_one(z):
@@ -92,9 +92,9 @@ def ode_residual(params, fs, x, k=0, y_shift=0.0):
     # generator residual evaluated with quadrature-only derivatives, so the
     # check is independent of the recurrence route
     z = x + params.beta * y_shift
-    d0 = fs.psi_deriv_direct(k, z)
-    d1 = fs.psi_deriv_direct(k + 1, z)
-    d2 = fs.psi_deriv_direct(k + 2, z)
+    d0 = psi_deriv_direct(fs, k, z)
+    d1 = psi_deriv_direct(fs, k + 1, z)
+    d2 = psi_deriv_direct(fs, k + 2, z)
     return (0.5 * params.sigma**2 * d2
             + params.kappa * ((params.mu - params.beta * y_shift) - x) * d1
             - (params.rho + k * params.kappa) * d0), d0
@@ -108,16 +108,16 @@ class TestPsiPhi:
 
     def test_phi_ode_residual(self, params, fs):
         for x in (params.mu - 2.0, params.mu, params.mu + 2.0):
-            res = (0.5 * params.sigma**2 * fs.phi_deriv(2, x)
-                   + params.kappa * (params.mu - x) * fs.phi_deriv(1, x)
-                   - params.rho * fs.phi(x))
-            assert abs(res) < 1e-8 * (1.0 + fs.phi(x))
+            res = (0.5 * params.sigma**2 * phi_deriv(fs, 2, x)
+                   + params.kappa * (params.mu - x) * phi_deriv(fs, 1, x)
+                   - params.rho * phi(fs, x))
+            assert abs(res) < 1e-8 * (1.0 + phi(fs, x))
 
     def test_psi_strictly_increasing(self, params, fs):
         assert fs.psi(params.mu + 1.0) > fs.psi(params.mu) > fs.psi(params.mu - 1.0)
 
     def test_phi_strictly_decreasing_positive(self, params, fs):
-        vals = [fs.phi(x) for x in np.linspace(params.mu - 2, params.mu + 2, 9)]
+        vals = [phi(fs, x) for x in np.linspace(params.mu - 2, params.mu + 2, 9)]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -132,30 +132,30 @@ class TestPsiPhi:
     def test_positive_everywhere_sampled(self, params, fs):
         for x in np.linspace(params.mu - 8, params.mu + 8, 17):
             assert fs.psi(float(x)) > 0.0
-            assert fs.phi(float(x)) > 0.0
+            assert phi(fs, float(x)) > 0.0
 
 
 class TestDerivatives:
     def test_first_derivative_matches_finite_difference(self, params, fs):
         for x in np.linspace(params.mu - 2, params.mu + 2, 5):
             fd = central_diff(fs.psi, float(x), 1e-5)
-            assert rel_err(fs.psi_deriv(1, float(x)), fd) < 1e-5
+            assert rel_err(fs.psi_derivs(float(x), 1)[1], fd) < 1e-5
 
     def test_second_derivative_matches_finite_difference(self, params, fs):
         for x in np.linspace(params.mu - 1, params.mu + 1, 5):
-            fd = central_diff(lambda t: fs.psi_deriv(1, t), float(x), 1e-5)
-            assert rel_err(fs.psi_deriv(2, float(x)), fd) < 1e-4
+            fd = central_diff(lambda t: fs.psi_derivs(t, 1)[1], float(x), 1e-5)
+            assert rel_err(fs.psi_derivs(float(x), 2)[2], fd) < 1e-4
 
     def test_recurrence_agrees_with_direct_quadrature(self, params, fs):
         for x in np.linspace(params.mu - 3, params.mu + 3, 7):
-            derivs = fs.psi_derivs(float(x), 4)
+            derivs = psi_derivs(fs, float(x), 4)
             for k in (2, 3, 4):
-                assert rel_err(derivs[k], fs.psi_deriv_direct(k, float(x))) < 1e-10
+                assert rel_err(derivs[k], psi_deriv_direct(fs, k, float(x))) < 1e-10
 
     def test_all_orders_positive(self, params, fs):
         for k in range(5):
             for x in np.linspace(params.mu - 3, params.mu + 3, 9):
-                assert fs.psi_deriv(k, float(x)) > 0.0
+                assert psi_derivs(fs, float(x), k)[k] > 0.0
 
     def test_generalized_residual(self, params, fs):
         for k in (0, 1, 2):
@@ -163,24 +163,25 @@ class TestDerivatives:
                 res, scale = ode_residual(params, fs, float(x), k=k)
                 assert abs(res) < 1e-8 * (1.0 + abs(scale))
 
-    def test_negative_order_rejected(self, fs):
-        with pytest.raises(DomainError):
-            fs.psi_deriv(-1, 0.0)
+    def test_order_beyond_three_rejected(self, fs):
+        # the solve and the value layer read psi up to psi'''
+        with pytest.raises(DomainError, match="k_max=4"):
+            fs.psi_derivs(0.0, 4)
 
 
 class TestDeterminants:
     def test_q0_positive_at_mean(self, params, fs):
-        assert fs.q(0, params.mu) > 0.0
+        assert q(fs, 0, params.mu) > 0.0
 
     def test_q_positive_on_grid(self, params, fs):
         for k in (0, 1, 2):
             for x in np.linspace(params.mu - 3, params.mu + 3, 20):
-                assert fs.q(k, float(x)) > 0.0
+                assert q(fs, k, float(x)) > 0.0
 
     def test_ratio_strictly_increasing(self, params, fs):
         for k in (0, 1, 2):
             xs = np.linspace(params.mu - 3, params.mu + 3, 20)
-            vals = [fs.ratio(k, float(x)) for x in xs]
+            vals = [ratio(fs, k, float(x)) for x in xs]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
 

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from solarinvest import (DomainError, ModelParams, ValidationError,
-                         line_of_means, params_from_dict, params_from_json,
-                         params_to_dict, r_partials, r_value, table_preset,
-                         validate)
+from solarinvest import (DomainError, ModelParams, ValidationError, params_from_dict,
+                         params_from_json, params_to_dict, r_partials, r_value,
+                         table_preset, validate)
 
 from conftest import central_diff, rel_err
 
@@ -144,16 +143,3 @@ class TestPartials:
                     lambda t: r_partials(p, t, float(y))[0], float(x), 1e-6)
                 assert rel_err(r_xy, fd_xy) < 1e-6
 
-
-class TestLineOfMeans:
-    def test_at_zero_capacity(self, params):
-        assert line_of_means(params, 0.0) == params.mu
-
-    def test_frozen_at_full_capacity(self, params):
-        # 0.2 - 0.15*5 = -0.55
-        assert abs(line_of_means(params, 5.0) - (-0.55)) < 1e-12
-
-    def test_monotone_decreasing(self, params):
-        ys = np.linspace(0.0, 5.0, 11)
-        vals = [line_of_means(params, float(y)) for y in ys]
-        assert all(a > b for a, b in zip(vals, vals[1:]))

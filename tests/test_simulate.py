@@ -370,6 +370,21 @@ class TestEstimator:
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10,
                            dt=0.01, horizon=0.005)
 
+    @pytest.mark.parametrize("n_paths", [2.5, 4.0, True, np.float64(4.0), "4"])
+    def test_non_integer_path_count_rejected(self, setup, n_paths):
+        # 2.5 would run np.arange(2.5), 3 paths, and report n_paths=2.5
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match=r"^n_paths=.* must be an integer"):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=n_paths, dt=0.1,
+                           horizon=1.0)
+
+    def test_numpy_integer_path_count_accepted(self, setup):
+        params, fb, _ = setup
+        kwargs = dict(dt=0.1, horizon=1.0, seed=5, keep_payoffs=True)
+        a = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=np.int64(4), **kwargs)
+        b = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, **kwargs)
+        assert a.payoffs.tobytes() == b.payoffs.tobytes()
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range_rejected(self, setup, seed):
         params, fb, _ = setup
@@ -825,6 +840,19 @@ class TestDominance:
         rep1 = dominance_report(params, fb, vf, states, **kwargs)
         rep2 = dominance_report(params, fb, vf, states, **kwargs)
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+    def test_report_refuses_one_path_before_drawing(self, setup, monkeypatch):
+        # a paired standard error needs two paths; with one it is NaN
+        params, fb, vf = setup
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulate, "_run", no_run)
+        for n_paths in (1, 0):
+            with pytest.raises(ConfigurationError, match=r"n_paths must be >= 2"):
+                dominance_report(params, fb, vf, verification_states(fb), n_paths=n_paths,
+                                 dt=0.05, horizon=20.0)
 
     def test_report_structure(self, setup):
         params, fb, vf = setup
