@@ -32,8 +32,11 @@ every level it reads to [current capacity, y_bar], at t=0 as on every step,
 so no policy removes capacity or installs beyond the cap.  All (policy, x, y)
 jobs of a call are stacked as rows of one (job, path) array and share the
 same float operations, so a job's payoffs do not depend on what it runs
-beside, and a recorded path (:func:`simulate_path`) reproduces its estimator
-payoff exactly.
+beside.  A recorded path (:func:`simulate_path`) is one job on one path, so
+it skips the arrays and the feed: it steps on Python floats, on its thread,
+through the same path's draws in chunks of the same size, repeating each
+step's float operations in the kernel's order, and so reproduces its
+estimator path bit for bit.  Both check their jobs with the same helpers.
 """
 
 from __future__ import annotations
@@ -335,19 +338,12 @@ def _threshold(params, policy, lvl):
     return np.where(at_capacity(params, lvl), math.inf, policy.boundary_at(lvl))
 
 
-def _run(params, jobs, dt, n_steps, seed, indices, record=False):
-    """Advance every (policy, x, y) job through one shared noise stream.
+def _check_jobs(params, jobs):
+    """Refuse an impossible (policy, x, y) job before any draw; return each
+    job's t = 0 installation and its threshold at the capacity after it.
 
-    Jobs are stacked as rows of (job, path) arrays, ordered so that each
-    policy object owns a contiguous block; every row sees the same draws
-    (common random numbers) and the same float operations, so a job's
-    payoffs are bit-identical whether it runs alone, in a batch, or recorded.
-    ``thr`` caches the price above which a row's policy acts (+inf once
-    capacity is exhausted), so crossing-free steps cost one comparison per
-    block plus the price recursion.  A NaN threshold would switch its row
-    off silently, since no price exceeds it: one at t = 0 is refused before
-    any draw, and one set by a crossing, which no later step can replace,
-    is refused after the last step.
+    A NaN threshold would switch its job off silently, since no price
+    exceeds it, so one at t = 0 is refused here.
     """
     p = params
     lumps = []
@@ -361,6 +357,53 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
         if math.isnan(lumps[-1]):  # the clamp passes NaN
             raise ConfigurationError(
                 f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
+    thresholds = []
+    for j, ((policy, _, y0), lump) in enumerate(zip(jobs, lumps)):
+        lvl = float(y0) + lump
+        thresholds.append(float(_threshold(p, policy, np.array([lvl]))[0]))
+        if math.isnan(thresholds[-1]):
+            raise ConfigurationError(
+                f"job {j} ({policy.name}): boundary_at({lvl}) returned NaN at t = 0")
+    return lumps, thresholds
+
+
+def _check_end(jobs, x, y, thr):
+    """Refuse a finished run, naming the first job whose price is not finite
+    or whose threshold is NaN; ``x``, ``y`` and ``thr`` hold one row per job.
+
+    A NaN threshold set by a crossing is never replaced, since no later
+    price exceeds it, so checking once after the last step finds it.
+    """
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        nan_cap = "NaN" if np.isnan(y[j]).any() else "not NaN"
+        raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
+                              f"encountered; its capacity is {nan_cap}")
+    stuck = np.isnan(thr).any(axis=1)
+    if stuck.any():
+        j = int(np.argmax(stuck))
+        lvl = float(y[j][np.isnan(thr[j])][0])
+        raise SimulationError(
+            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
+            "installation, so the policy stopped acting")
+
+
+def _run(params, jobs, dt, n_steps, seed, indices):
+    """Advance every (policy, x, y) job through one shared noise stream.
+
+    Jobs are stacked as rows of (job, path) arrays, ordered so that each
+    policy object owns a contiguous block; every row sees the same draws
+    (common random numbers) and the same float operations, so a job's
+    payoffs are bit-identical whether it runs alone or in a batch.
+    :func:`simulate_path` repeats these operations in the same order on
+    Python floats, so a traced path equals its row here bit for bit.
+    ``thr`` caches the price above which a row's policy acts (+inf once
+    capacity is exhausted), so crossing-free steps cost one comparison per
+    block plus the price recursion.
+    """
+    p = params
+    lumps, thresholds = _check_jobs(p, jobs)
     blocks = {}
     for i, (policy, _, _) in enumerate(jobs):
         blocks.setdefault(id(policy), (policy, []))[1].append(i)
@@ -376,49 +419,23 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
     y = y_start + rows(lump_rows)
     pay = rows([-p.c * lump for lump in lump_rows])
     first = rows([0.0 if lump > 0.0 else math.nan for lump in lump_rows])
+    thr = rows([thresholds[i] for i in order])
     disc_step = math.exp(-p.rho * dt)
     rev_weight = (1.0 - disc_step) / p.rho  # exact int of e^{-rho u} per step
     kdt = p.kappa * dt
     decay = 1.0 - kdt
     adds = kdt * (p.mu - p.beta * y)
 
-    thr = np.empty_like(x)
     active = []  # (policy, flat views of x, y, thr, adds, pay, first) per block
     lo = 0
     for policy, ids in blocks.values():
         hi = lo + len(ids)
         views = [a[lo:hi].reshape(-1) for a in (x, y, thr, adds, pay, first)]
-        views[2][:] = _threshold(p, policy, views[1])
         if (views[2] < math.inf).any():  # all +inf: the block never acts
             active.append((policy, *views))
         lo = hi
     back = np.argsort(order)  # row of each job
-
-    def nan_threshold():
-        """The first job whose threshold is NaN and its capacity there, or None."""
-        bad = np.isnan(thr).any(axis=1)[back]
-        if not bad.any():
-            return None
-        j = int(np.argmax(bad))
-        row = back[j]
-        return j, float(y[row][np.isnan(thr[row])][0])
-
-    if bad := nan_threshold():
-        j, lvl = bad
-        raise ConfigurationError(
-            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN at t = 0")
     tmp = np.empty_like(x)
-    if record:
-        # under overcommit a record beyond physical memory is allocated
-        # anyway and the loop then pages without end, so refuse it first
-        rec_bytes = 2 * (n_steps + 1) * x.size * x.itemsize
-        phys_bytes = physical_memory_bytes()
-        if rec_bytes > phys_bytes:
-            raise ConfigurationError(
-                f"recording x and y at {n_steps + 1} times x {x.size} paths takes "
-                f"{rec_bytes} bytes, more than the {phys_bytes} bytes of physical memory")
-        x_rec = np.empty((n_steps + 1,) + x.shape)
-        y_rec = np.empty_like(x_rec)
 
     disc = 1.0
     step = 0
@@ -437,9 +454,6 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
                     yb[idx] = lvl
                     ab[idx] = kdt * (p.mu - p.beta * lvl)
                     tb[idx] = _threshold(p, policy, lvl)
-            if record:
-                x_rec[step] = x
-                y_rec[step] = y
             np.multiply(x, y, out=tmp)
             tmp *= disc * rev_weight
             pay += tmp
@@ -448,24 +462,9 @@ def _run(params, jobs, dt, n_steps, seed, indices, record=False):
             x += z
             disc *= disc_step
             step += 1
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite[back]))
-        nan_cap = "NaN" if np.isnan(y[back[j]]).any() else "not NaN"
-        raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
-                              f"encountered; its capacity is {nan_cap}")
-    if bad := nan_threshold():
-        j, lvl = bad
-        raise SimulationError(
-            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
-            "installation, so the policy stopped acting")
-    out = {"payoffs": pay[back], "lumps": lumps,
-           "total_installed": (y - y_start)[back], "first_install_time": first[back]}
-    if record:
-        x_rec[n_steps] = x
-        y_rec[n_steps] = y
-        out.update(x=x_rec[:, back], y=y_rec[:, back])
-    return out
+    _check_end(jobs, x[back], y[back], thr[back])
+    return {"payoffs": pay[back], "lumps": lumps,
+            "total_installed": (y - y_start)[back], "first_install_time": first[back]}
 
 
 def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
@@ -473,27 +472,79 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     """Simulate one path with full state recording.
 
     The path is path ``path_index`` of :func:`estimate_value` run with the
-    same seed and step settings, payoff included bit for bit.  ``x`` and
-    ``y`` are recorded after any installation at each step;
-    ``max_overshoot`` is the largest pre-installation excess of the price
-    over the policy's threshold (0 when the threshold is never finite).
+    same seed and step settings, payoff included bit for bit: it steps on
+    Python floats through the same draws, in chunks of the same size, with
+    the kernel's float operations in the kernel's order, and starts no
+    thread.  ``x`` and ``y`` are recorded after any installation at each
+    step; ``max_overshoot`` is the largest pre-installation excess of the
+    price over the policy's threshold (0 when the threshold is never finite).
     """
+    p = params
     n_steps = _check_mc_config(1, dt, horizon, seed)
     if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < 2**192):
         raise ConfigurationError(
             f"path_index must be an integer in [0, 2**192), got {path_index!r}")
-    out = _run(params, [(policy, x, y)], dt, n_steps, seed, [path_index], record=True)
-    x_path, y_path, lump = out["x"][:, 0, 0], out["y"][:, 0, 0], out["lumps"][0]
-    # step k installs from the capacity recorded at step k - 1 (after the lump at k = 0)
-    y_before = np.concatenate(([y + lump], y_path[:n_steps - 1]))
-    over = np.max(x_path[:n_steps] - _threshold(params, policy, y_before))
+    (lump,), (thr,) = _check_jobs(p, [(policy, x, y)])
+    # the record is t, x, y and cum_cost; under overcommit one beyond
+    # physical memory is allocated anyway and the loop then pages without
+    # end, so refuse it first
+    n_rec = n_steps + 1
+    rec_bytes = 4 * n_rec * np.dtype(float).itemsize
+    phys_bytes = physical_memory_bytes()
+    if rec_bytes > phys_bytes:
+        raise ConfigurationError(
+            f"recording t, x, y and cum_cost at {n_rec} times takes {rec_bytes} "
+            f"bytes, more than the {phys_bytes} bytes of physical memory")
+    x_rec = np.empty(n_rec)
+    y_rec = np.empty(n_rec)
+
+    xt, yt = float(x), float(y) + lump
+    pay = -p.c * lump
+    first = 0.0 if lump > 0.0 else math.nan
+    disc_step = math.exp(-p.rho * dt)
+    rev_weight = (1.0 - disc_step) / p.rho
+    kdt = p.kappa * dt
+    decay = 1.0 - kdt
+    add = kdt * (p.mu - p.beta * yt)
+    scale = p.sigma * math.sqrt(dt)
+    disc = 1.0
+    over = -math.inf  # an excess is NaN only on a path _check_end refuses
+    gen = _path_generators(seed, [path_index])[0]
+    chunk = _chunk_size(1, n_steps)
+    for lo in range(0, n_steps, chunk):
+        draws = gen.standard_normal(min(chunk, n_steps - lo)) * scale
+        for step, dz in enumerate(draws.tolist(), lo):
+            excess = xt - thr
+            if excess > over:
+                over = excess
+            if xt > thr:
+                y_old = yt
+                lvl = policy.target(np.array([xt]), np.array([y_old]))[0]
+                lvl = min(max(float(lvl), y_old), p.y_bar)  # a NaN target passes
+                dy = lvl - y_old
+                pay -= (disc * p.c) * dy
+                if dy > 0.0 and math.isnan(first):
+                    first = step * dt
+                yt = lvl
+                add = kdt * (p.mu - p.beta * lvl)
+                thr = float(_threshold(p, policy, np.array([lvl]))[0])
+            x_rec[step] = xt
+            y_rec[step] = yt
+            pay += (xt * yt) * (disc * rev_weight)
+            xt = xt * decay + add + dz
+            disc *= disc_step
+    del draws  # the chunk is not held while t and cum_cost are allocated
+    x_rec[n_steps] = xt
+    y_rec[n_steps] = yt
+    _check_end([(policy, x, y)], x_rec[None, n_steps:], y_rec[None, n_steps:],
+               np.array([[thr]]))
+    t = np.linspace(0.0, n_steps * dt, n_rec)
+    cum_cost = y_rec - y
+    cum_cost *= p.c
     return PathRecord(
-        t=np.linspace(0.0, n_steps * dt, n_steps + 1), x=x_path,
-        y=y_path, cum_cost=params.c * (y_path - y),
-        payoff=float(out["payoffs"][0, 0]), initial_lump=lump,
-        total_installed=float(out["total_installed"][0, 0]),
-        first_install_time=float(out["first_install_time"][0, 0]),
-        max_overshoot=float(np.maximum(over, 0.0)) if math.isfinite(over) else 0.0)
+        t=t, x=x_rec, y=y_rec, cum_cost=cum_cost, payoff=pay, initial_lump=lump,
+        total_installed=yt - y, first_install_time=first,
+        max_overshoot=max(over, 0.0) if math.isfinite(over) else 0.0)
 
 
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:

@@ -243,8 +243,8 @@ class TestPaths:
                              horizon=10.0, seed=99, keep_payoffs=True)
         rec = simulate_path(params, pol, 1.2, 1.0, dt=0.02, horizon=10.0,
                             seed=99, path_index=1)
-        # same stream, same decisions, same kernel
-        assert rec.payoff == pytest.approx(res.payoffs[1], rel=1e-9)
+        # same stream, same decisions, same float operations
+        assert rec.payoff == res.payoffs[1]
 
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_path_equals_estimator_payoff_exactly(self, setup, name):
@@ -493,19 +493,47 @@ class TestEstimator:
         assert res.fraction_installing == 0.0
 
     def test_record_beyond_physical_memory_rejected(self, setup, monkeypatch):
-        # 1e11 steps: 2 x (1e11 + 1) doubles of x and y; refused before any
-        # allocation or draw, since under overcommit the allocation succeeds
+        # 1e11 steps: 4 x (1e11 + 1) doubles of t, x, y and cum_cost; refused
+        # before any allocation or draw, since under overcommit the
+        # allocation succeeds
         params, fb, _ = setup
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=r"takes 1600000000016 bytes"):
+            with pytest.raises(ConfigurationError, match=r"takes 3200000000032 bytes"):
                 simulate_path(params, NeverInstall(), 1.0, 1.0, dt=1e-9, horizon=100.0,
                               seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("name", ["never_install", "optimal"])
+    def test_record_peak_within_guard(self, setup, monkeypatch, name):
+        # the guard counts t, x, y and cum_cost, every array that grows with
+        # the step count: with exactly that much physical memory the record
+        # runs, and its traced peak adds only objects of fixed size (the
+        # generator, array headers), not a chunk of draws; one byte less and
+        # it is refused
+        params, fb, _ = setup
+        pol = POLICIES[name](params, fb)
+        n_steps = 100_000
+        counted = 4 * (n_steps + 1) * 8
+        x, y = verification_states(fb)[0]
+        settings = dict(dt=0.01, horizon=n_steps * 0.01, seed=2)
+        simulate_path(params, pol, x, y, **settings)  # lazy imports and caches
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
+        tracemalloc.start()
+        try:
+            rec = simulate_path(params, pol, x, y, path_index=5, **settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec.t) == n_steps + 1
+        assert peak <= counted + 16 * 1024
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
+        with pytest.raises(ConfigurationError, match=rf"takes {counted} bytes"):
+            simulate_path(params, pol, x, y, **settings)
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
@@ -650,10 +678,10 @@ class TestNoiseFeed:
         assert len(counts) == 3000
         assert max(counts) - before == simulate._fill_workers() - 1
         assert threading.active_count() == before
-        # a single path is one block: one helper is all it can use
+        # a traced path draws on its own thread
         counts.clear()
         simulate_path(params, Counting(), 1.0, 1.0, dt=0.01, horizon=30.0, seed=3)
-        assert max(counts) - before == 1
+        assert len(counts) == 3000 and max(counts) == before
 
     def test_failed_fill_surfaces_and_leaves_no_thread(self, setup, monkeypatch):
         # only the helpers' generators fail, so the error must cross threads
@@ -710,7 +738,9 @@ def reference_mc(params, policy, x0, y0, dt, z):
     """One path of ``policy`` from (x0, y0) on Python floats, given the path's
     scaled draws ``z``: at each step the crossing, then the revenue, then the
     price update, in the kernel's order of operations.  Returns the payoff,
-    the capacity installed, the first install time and the recorded x and y."""
+    the capacity installed, the first install time, the recorded x and y, and
+    the overshoot: the largest excess of x over the threshold in effect
+    before a step's crossing, taken over the whole path afterwards."""
     p = params
 
     def threshold(lvl):
@@ -729,8 +759,9 @@ def reference_mc(params, policy, x0, y0, dt, z):
     add = kdt * (p.mu - p.beta * y)
     thr = threshold(y)
     disc = 1.0
-    xs, ys = [], []
+    xs, ys, thrs = [], [], []
     for step, dz in enumerate(z):
+        thrs.append(thr)
         if x > thr:
             y_old = y
             lvl = max(float(policy.target(np.array([x]), np.array([y_old]))[0]), y_old)
@@ -747,9 +778,11 @@ def reference_mc(params, policy, x0, y0, dt, z):
         pay += (x * y) * (disc * rev_weight)
         x = x * decay + add + dz
         disc *= disc_step
+    over = float(np.max(np.array(xs) - np.array(thrs)))
     xs.append(x)
     ys.append(y)
-    return pay, y - y0, first, np.array(xs), np.array(ys)
+    over = max(over, 0.0) if math.isfinite(over) else 0.0
+    return pay, y - y0, first, np.array(xs), np.array(ys), over
 
 
 def reference_draws(params, dt, n_steps, seed, path_index):
@@ -780,16 +813,28 @@ class TestReferenceMC:
         assert (ref[2] > 0.0).any() and np.isnan(ref[2]).any()
 
     def test_recorded_path(self, setup):
+        # every policy from every verification state, over more steps than
+        # one draw chunk holds
         params, fb, _ = setup
-        pol = OptimalReflection(params, fb)
-        x, y = verification_states(fb)[0]
-        dt, n_steps, seed, i = 0.01, 2000, 2024, 17
-        rec = simulate_path(params, pol, x, y, dt, n_steps * dt, seed, path_index=i)
+        dt, n_steps, seed, i = 0.01, simulate._TIME_CHUNK + 104, 2024, 17
         z = reference_draws(params, dt, n_steps, seed, i)
-        pay, _, first, xs, ys = reference_mc(params, pol, x, y, dt, z)
-        assert rec.x.tobytes() == xs.tobytes() and rec.y.tobytes() == ys.tobytes()
-        assert rec.payoff == pay and rec.total_installed > 0.0
-        assert rec.first_install_time == first
+        filled = []
+        for name, make in POLICIES.items():
+            pol = make(params, fb)
+            for x, y in verification_states(fb):
+                rec = simulate_path(params, pol, x, y, dt, n_steps * dt, seed, path_index=i)
+                pay, installed, first, xs, ys, over = reference_mc(params, pol, x, y, dt, z)
+                assert rec.x.tobytes() == xs.tobytes() and rec.y.tobytes() == ys.tobytes()
+                got = [rec.payoff, rec.total_installed, rec.first_install_time,
+                       rec.max_overshoot]
+                assert np.array(got).tobytes() == np.array(
+                    [pay, installed, first, over]).tobytes(), name
+                if rec.y[0] < params.y_bar == rec.y[-1]:
+                    filled.append(name)
+        # paths that cross into capacity after t = 0, where the threshold
+        # turns +inf
+        assert {"optimal", "fixed_threshold"} <= set(filled)
+        assert simulate._chunk_size(1, n_steps) < n_steps
 
 
 class TestDominance:
