@@ -22,11 +22,13 @@ accumulated in log space so that neither the t^{s-1} endpoint singularity
 are module constants.
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
-call the quadrature per lookup: it interpolates on unit panels [j, j+1] in
-z by Chebyshev polynomials through 20 first-kind nodes, which reproduce the
-quadrature to rounding.  ``log_weighted_integral`` takes an array of z and
-runs the level doubling on all of them at once, so one panel is one
-vectorised quadrature call.
+call the quadrature per lookup: it interpolates on half-width panels
+[j/2, (j+1)/2] in z by Chebyshev polynomials through 12 first-kind nodes,
+which agree with mpmath to 1e-13 for s0 >= 0.06 (the shorter the panel,
+the faster the Chebyshev coefficients of an analytic function decay, so
+each lookup walks only 12 coefficients).
+``log_weighted_integral`` takes an array of z and runs the level doubling
+on all of them at once, so one panel is one vectorised quadrature call.
 
 The solve reads psi itself and the ratios psi^(k)/psi, and
 psi'/psi = (sqrt(2 kappa)/sigma) exp(log I_{s0+1} - log I_{s0}).  Each cell
@@ -71,12 +73,13 @@ _UMAX = 6.2          # tanh-sinh transform truncation; covers s >= 0.05
 _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses the
                      # (s, z) whose integrand T truncates
-_PANEL_WIDTH = 1.0   # z-width of one Chebyshev panel of log I_s
-_PANEL_NODES = 20    # nodes per panel; 16 leaves errors near 3e-14.  Must be even:
-                     # the Clenshaw passes walk the coefficients in pairs
+_PANEL_WIDTH = 0.5   # z-width of one Chebyshev panel of log I_s
+_PANEL_NODES = 12    # nodes per panel; 10 leaves errors of 4e-13 at s0 = 0.3 and
+                     # 1e-11 at s0 = 0.06.  Must be even: the Clenshaw passes walk
+                     # the coefficients in pairs
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
-_PANEL_TABLE_CAP = 32  # s0 tables kept: a solve over the fuzz box fills 4 cells at
-                       # the median and 38 at most, of about 1.4 kB each
+_PANEL_TABLE_CAP = 32  # s0 tables kept: a 2000-step solve over the fuzz box fills 12
+                       # cells at the median and 163 at most, of about 1.5 kB each
 
 # s0 -> {j: cell pair}, least recently bound first; shared by every instance
 # with that s0, since a cell's pair depends on (s0, j) alone
@@ -235,7 +238,7 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
 
 def _coefficients(values) -> tuple:
     """Chebyshev coefficients of a panel's node values, highest first and in
-    pairs, ((c_19, c_18), ..., (c_1, c_0)): the form the Clenshaw passes walk."""
+    pairs, ((c_11, c_10), ..., (c_1, c_0)): the form the Clenshaw passes walk."""
     c = (_CHEB_INV @ values)[::-1].tolist()
     return tuple(zip(c[::2], c[1::2]))
 
@@ -311,10 +314,10 @@ class FundamentalSolution:
     """Evaluator for psi, its first three derivatives and psi^(k)/psi.
 
     The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
-    come from one panel pair per unit cell [j, j+1] in z: the Chebyshev
-    coefficients of log I_{s0} and of g = log I_{s0+1} - log I_{s0}.  A
-    cell's pair is built on first use from one quadrature call per order
-    over its 20 nodes and kept in the module's table for s0 = rho/kappa,
+    come from one panel pair per half-width cell [j/2, (j+1)/2] in z: the
+    Chebyshev coefficients of log I_{s0} and of g = log I_{s0+1} - log I_{s0}.
+    A cell's pair is built on first use from one quadrature call per order
+    over its 12 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
     another solve with the same s0 has visited its cells.  ``psi_ratios``,

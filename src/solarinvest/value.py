@@ -30,7 +30,12 @@ the same monotone cubic family as F; the derivative formula
 
     A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft)
 
-is kept closed-form (not re-integrated); ``partials`` reads it.  The
+is kept closed-form (not re-integrated); ``partials`` reads it.  Both A and
+A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft) and one psi(Ft), e.g.
+A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
+forms a product of raw derivatives that overflows where psi(Ft) is large.
+A grid node below y_bar with A <= 0 contradicts A > 0 and is refused with
+:class:`NumericalError`; a grid too coarse where F is steep produces one.  The
 tests check these closed forms against other representations of the same
 quantities (A from its Rtilde/Q0 form, A' from the smooth-fit pair, the
 normalized ODE denominator three ways, the PDE term on the lump-to-capacity
@@ -45,7 +50,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .boundary import FreeBoundary, r_tilde, y_star
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fundamental import FundamentalSolution
 from .interp import MonotoneCubic
 from .model import ModelParams, check_capacity, r_partials, r_value
@@ -63,6 +68,14 @@ class ValueFunction:
         self.fb = fb
         self.a_grid = np.array([self._a_closed_form(y, ft)
                                 for y, ft in zip(fb.ys, fb.f_tilde)])
+        # A > 0 below y_bar is a theorem; a coarse grid that misplaces a steep
+        # F near y_bar can flip its sign there, and clamping would hide that
+        flipped = np.flatnonzero(~(self.a_grid[:-1] > 0.0))
+        if flipped.size:
+            raise NumericalError(
+                f"coefficient A(y) = {self.a_grid[flipped[0]]:.6g} is not positive at "
+                f"y={fb.ys[flipped[0]]:.6g} (y_bar={params.y_bar}) on the "
+                f"{fb.ys.size - 1}-step grid; a finer --steps may help")
         # the last node is A(y_bar) = 0 up to the anchor-root residual
         self._a_itp = MonotoneCubic(fb.ys, self.a_grid)
 
@@ -86,12 +99,12 @@ class ValueFunction:
         return float(self._a_itp(check_capacity(self.params, y)))
 
     def a_prime(self, y: float) -> float:
-        """Closed-form A'(y) < 0 on [0, y_bar)."""
+        """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module docstring)."""
         p = self.params
         ft = self.fb.f_tilde_at(y)
-        d = self.fs.psi_derivs(ft, 2)
-        q0 = d[0] * d[2] - d[1] ** 2
-        return (d[2] * (p.c - r_tilde(p, ft, y)) + d[1] / (p.rho + p.kappa)) / q0
+        r1, r2, _ = self.fs.psi_ratios(ft)
+        return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
+                / (self.fs.psi(ft) * (r2 - r1 ** 2)))
 
     # -- value and derivatives -------------------------------------------------
 

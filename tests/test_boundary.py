@@ -105,7 +105,7 @@ class TestAnchor:
 
     def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
         # a cell's pair takes one quadrature call at s0 and one at s0+1 over
-        # its 20 nodes; the s0+1 values go into the ratio panel, and no
+        # its _PANEL_NODES nodes; the s0+1 values go into the ratio panel, and no
         # other order is ever integrated on the solve path (of a solve that
         # starts on an empty table, so that it builds every pair it reads)
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
@@ -123,7 +123,7 @@ class TestAnchor:
         orders = [s for s, _ in calls]
         assert set(orders) == {fs._s0, fs._s0 + 1}
         assert orders.count(fs._s0) == orders.count(fs._s0 + 1)
-        assert all(n == 20 for _, n in calls)
+        assert all(n == fundamental._PANEL_NODES for _, n in calls)
 
     def test_anchor_increasing_in_capacity_bound(self):
         roots = []

@@ -229,8 +229,8 @@ def mp_log_psi_deriv(s0, k, z):
 
 
 class TestChebyshevPanels:
-    Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -1.0, -0.5, 0.0, -1e-12, 0.37,
-              1.0 - 1e-12, 1.0, 2.999999, 5.0, 6.8)
+    Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -2.5, -2.5 - 1e-12, -1.0, -0.5, 0.0,
+              -1e-12, 0.37, 0.5 - 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.999999, 5.0, 6.8)
 
     @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
     def test_against_mpmath_including_panel_edges(self, s0):
@@ -253,9 +253,11 @@ class TestChebyshevPanels:
             assert rel_err(fs.psi_ratios(-z)[0], exact) <= 1e-13, (s0, z)
 
     def test_solve_quadrature_budget(self, monkeypatch):
-        # quadrature nodes of an 800-step solve, bounded at 1.5x the measured
-        # 200 (mu=0.2, five cells) and 80 (two cells) nodes, each solve on
-        # an empty table (the three presets share s0 = 0.5)
+        # quadrature nodes of an 800-step solve, each solve on an empty
+        # table (the three presets share s0 = 0.5): measured 168 (mu=0.2,
+        # seven cells) and 72 (three cells) on 12-node half-width panels;
+        # the budgets, 300 and 120, are 1.5x the 200 and 80 nodes that
+        # 20-node unit panels took
         nodes = []
         quad = fundamental.log_weighted_integral
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from solarinvest import DomainError, r_partials, r_value
+from solarinvest import (DomainError, FundamentalSolution, NumericalError, ValueFunction,
+                         integrate_boundary, params_from_dict, r_partials, r_value)
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, fuzz_draw, rel_err
 from oracles import (a_alt, a_prime_fit_form, d_tilde_forms, growth_ratio,
                      install_region_pde_closed_form)
 
@@ -251,3 +252,32 @@ class TestAcrossRegimes:
             pde_i, grad_i = vf.hjb_residual(fb.x_bar + 0.4, y)
             assert abs(grad_i) < 1e-8
             assert pde_i <= 1e-8 * (1.0 + abs(vf.w(fb.x_bar + 0.4, y)))
+
+
+class TestFuzzDraw24:
+    """Fuzz draw 24 (kappa 1.77, rho 0.107, y_bar 8.86): psi(Ftilde) nears
+    1e150 on the upper grid, and a coarse grid misplaces the steep F there."""
+
+    def test_partials_finite_where_raw_derivatives_overflow(self):
+        # A' from psi'' psi - psi'^2 of raw derivatives overflowed to w_y = nan
+        # at this waiting state; the ratio form reads psi^(k)/psi instead
+        params = params_from_dict(fuzz_draw(24))
+        fs = FundamentalSolution(params)
+        fb = integrate_boundary(params, fs, n_steps=2000)
+        vf = ValueFunction(params, fs, fb)
+        x, y = 20.158, 7.355
+        assert fb.region(x, y).value == "W"
+        w_x, w_xx, w_y = vf.partials(x, y)
+        assert all(map(math.isfinite, (w_x, w_xx, w_y)))
+        assert 0.0 < w_y < params.c
+        assert vf.a_prime(y) < 0.0
+
+    def test_sign_flipped_coefficient_is_refused(self):
+        # at 400 steps A turns negative on the top of the grid, first at
+        # y = 6.80 of y_bar = 8.86; A > 0 below y_bar is a theorem
+        params = params_from_dict(fuzz_draw(24))
+        fs = FundamentalSolution(params)
+        fb = integrate_boundary(params, fs, n_steps=400)
+        with pytest.raises(NumericalError, match=r"at y=6\.80\d* .*400-step grid; "
+                                                 r"a finer --steps may help"):
+            ValueFunction(params, fs, fb)
