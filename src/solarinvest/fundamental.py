@@ -23,20 +23,21 @@ are module constants.
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
 call the quadrature per lookup: it interpolates on half-width panels
-[j/2, (j+1)/2] in z by Chebyshev polynomials through 12 first-kind nodes,
-which agree with mpmath to 1e-13 for s0 >= 0.06 (the shorter the panel,
-the faster the Chebyshev coefficients of an analytic function decay, so
-each lookup walks only 12 coefficients).
+[j/2, (j+1)/2] in z through 14 first-kind Chebyshev nodes, which agree with
+mpmath to 1e-13 for every admitted order s0 >= 0.05.  Each panel is stored
+in the power basis of the cell coordinate u in [-1, 1] and read by one
+straight-line Horner expression (on so short a cell the Chebyshev
+coefficients decay fast, so the change of basis is well conditioned).
 ``log_weighted_integral`` takes an array of z and runs the level doubling
 on all of them at once, so one panel is one vectorised quadrature call.
 
 The solve reads psi itself and the ratios psi^(k)/psi, and
 psi'/psi = (sqrt(2 kappa)/sigma) exp(log I_{s0+1} - log I_{s0}).  Each cell
 therefore holds one panel pair: log I_{s0}, and the difference
-g = log I_{s0+1} - log I_{s0} (Chebyshev interpolation is linear, so g has
-its own panel), both built from the same two quadrature calls.  ``psi`` is
-one Clenshaw pass over the first; ``psi_ratios`` forms psi^(k)/psi from one
-pass over g, one exp and the generator recurrence, and stays finite where
+g = log I_{s0+1} - log I_{s0} (interpolation is linear, so g has its own
+panel), both built from the same two quadrature calls.  ``psi`` is one
+Horner read of the first; ``psi_ratios`` forms psi^(k)/psi from one read
+of g, one exp and the generator recurrence, and stays finite where
 psi itself overflows float64; ``psi_derivs`` is psi times those ratios.
 A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
@@ -74,12 +75,11 @@ _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses the
                      # (s, z) whose integrand T truncates
 _PANEL_WIDTH = 0.5   # z-width of one Chebyshev panel of log I_s
-_PANEL_NODES = 12    # nodes per panel; 10 leaves errors of 4e-13 at s0 = 0.3 and
-                     # 1e-11 at s0 = 0.06.  Must be even: the Clenshaw passes walk
-                     # the coefficients in pairs
+_PANEL_NODES = 14    # nodes per panel, and the coefficients the Horner reads unpack;
+                     # 12 leave errors of 1.1e-13 at s0 = 0.05, 10 leave 1e-11 at 0.06
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
 _PANEL_TABLE_CAP = 32  # s0 tables kept: a 2000-step solve over the fuzz box fills 12
-                       # cells at the median and 163 at most, of about 1.5 kB each
+                       # cells at the median and 163 at most, of about 1.1 kB each
 
 # s0 -> {j: cell pair}, least recently bound first; shared by every instance
 # with that s0, since a cell's pair depends on (s0, j) alone
@@ -135,7 +135,20 @@ def _chebyshev_tables(n):
     return np.cos(theta), inv
 
 
+def _power_from_chebyshev(n):
+    """The n x n matrix taking Chebyshev coefficients c_0..c_{n-1} to the
+    power-basis coefficients of sum_m c_m T_m(u), highest power first,
+    built from T_{m+1} = 2u T_m - T_{m-1}."""
+    t = np.zeros((n, n))  # row m: coefficients of T_m, lowest power first
+    t[0, 0] = t[1, 1] = 1.0
+    for m in range(1, n - 1):
+        t[m + 1, 1:] = 2.0 * t[m, :-1]
+        t[m + 1] -= t[m - 1]
+    return t.T[::-1].copy()
+
+
 _CHEB_NODES, _CHEB_INV = _chebyshev_tables(_PANEL_NODES)
+_POWER_FROM_CHEB = _power_from_chebyshev(_PANEL_NODES)
 
 
 def _check_cutoff(s: float, zs) -> None:
@@ -237,14 +250,18 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
 
 
 def _coefficients(values) -> tuple:
-    """Chebyshev coefficients of a panel's node values, highest first and in
-    pairs, ((c_11, c_10), ..., (c_1, c_0)): the form the Clenshaw passes walk."""
-    c = (_CHEB_INV @ values)[::-1].tolist()
-    return tuple(zip(c[::2], c[1::2]))
+    """Power-basis coefficients in u of the interpolant through a panel's
+    node values, highest first: the flat tuple the Horner reads unpack.
+
+    The values go to Chebyshev coefficients first and through the fixed
+    change of basis second: within 7e-16 of a Clenshaw pass over the
+    Chebyshev series, where one folded node-to-power matrix misses by up
+    to 5e-12 at the panel edges."""
+    return tuple((_POWER_FROM_CHEB @ (_CHEB_INV @ values)).tolist())
 
 
 def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
-    """Chebyshev coefficients of log I_{s0} and of log I_{s0+1} - log I_{s0}
+    """Panel coefficients of log I_{s0} and of log I_{s0+1} - log I_{s0}
     on [jW, (j+1)W], stored in ``cells`` (the table of s0) under j."""
     nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
     values = log_weighted_integral(s0, nodes)[0]
@@ -254,43 +271,44 @@ def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
 
 
 # psi and psi_ratios each find z's cell j and position u in [-1, 1] inline
-# (they run once per boundary-ODE evaluation), then run the Clenshaw
-# recurrence b_k = 2u b_{k+1} - b_{k+2} + c_k two coefficients per turn, b1
-# and b2 trading roles instead of repacking a tuple.  It ends with b1 = b_0
-# and b2 = b_1, so the full-weight c_0 term gives b_0 - u b_1.
+# (they run once per boundary-ODE evaluation); floor refuses a NaN or an
+# infinite cell coordinate, so it is also the finiteness check.  Each then
+# unpacks the cell's _PANEL_NODES coefficients and evaluates one Horner
+# expression, two float operations per coefficient and no loop.
 
 def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
                 s0: float, cells: dict):
     """``psi_ratios`` of one instance: a closure over its constants and its
     s0 table, never over the instance itself, so an instance that holds it
     is not a reference cycle."""
-    get, floor, exp, isfinite = cells.get, math.floor, math.exp, math.isfinite
+    get, floor, exp = cells.get, math.floor, math.exp
+    cell_scale = scale / _PANEL_WIDTH  # exact: the width is a power of two
 
     def psi_ratios(x: float) -> tuple:
         """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
         finite wherever the quadrature converges, also where psi overflows.
 
-        One Clenshaw pass over the ratio panel of z's cell gives
+        One Horner read of the ratio panel of z's cell gives
         g = log I_{s0+1}(z) - log I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/
         sigma) exp(g); two steps of the generator recurrence
         psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
         + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
-        other two.  Raises :class:`NumericalError` at a non-finite z or
-        when a ratio comes out non-positive.
+        other two.  Raises :class:`NumericalError` at a z whose cell lies
+        outside the float64 range or when a ratio comes out non-positive.
         """
-        z = (mu - x) * scale
-        if not isfinite(z):
-            raise NumericalError(f"psi'/psi requested at non-finite z={z} (x={x})")
-        zw = z / _PANEL_WIDTH
-        j = floor(zw)
+        d = mu - x
+        zw = d * cell_scale
+        try:
+            j = floor(zw)
+        except (ValueError, OverflowError):
+            raise NumericalError(f"psi'/psi requested at x={x}, z={d * scale}: "
+                                 f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        two_u = 2.0 * u
-        b1 = b2 = 0.0
-        for c_odd, c_even in (get(j) or _cell_pair(s0, cells, j))[1]:
-            b2 = two_u * b1 - b2 + c_odd
-            b1 = two_u * b2 - b1 + c_even
-        r1 = scale * exp(b1 - u * b2)
-        drift = drift_rate * (mu - x)
+        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
+         c0) = (get(j) or _cell_pair(s0, cells, j))[1]
+        r1 = scale * exp(c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13)))))))))))))
+        drift = drift_rate * d
         r2 = drift * r1 + rec0
         if not r2 > 0.0:
             raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
@@ -315,9 +333,10 @@ class FundamentalSolution:
 
     The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
     come from one panel pair per half-width cell [j/2, (j+1)/2] in z: the
-    Chebyshev coefficients of log I_{s0} and of g = log I_{s0+1} - log I_{s0}.
-    A cell's pair is built on first use from one quadrature call per order
-    over its 12 nodes and kept in the module's table for s0 = rho/kappa,
+    power-basis coefficients, in the cell coordinate, of log I_{s0} and of
+    g = log I_{s0+1} - log I_{s0}, each read by one Horner expression.  A
+    cell's pair is built on first use from one quadrature call per order
+    over its 14 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
     another solve with the same s0 has visited its cells.  ``psi_ratios``,
@@ -354,6 +373,7 @@ class FundamentalSolution:
                                      f"finite (kappa={params.kappa}, rho={params.rho}, "
                                      f"sigma={params.sigma})")
         self._log_scale = math.log(scale)
+        self._cell_scale = scale / _PANEL_WIDTH
         self._lgamma_s0 = math.lgamma(s0)
         # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0}), the
         # table of this s0 shared across instances; an evicted table stays
@@ -367,18 +387,18 @@ class FundamentalSolution:
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""
-        z = (self.params.mu - x) * self._scale
-        if not math.isfinite(z):
-            raise NumericalError(f"psi requested at non-finite z={z} (x={x})")
-        zw = z / _PANEL_WIDTH
-        j = math.floor(zw)
+        zw = (self.params.mu - x) * self._cell_scale
+        try:
+            j = math.floor(zw)
+        except (ValueError, OverflowError):
+            raise NumericalError(f"psi requested at x={x}, z={(self.params.mu - x) * self._scale}: "
+                                 f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        two_u = 2.0 * u
-        b1 = b2 = 0.0
-        for c_odd, c_even in (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[0]:
-            b2 = two_u * b1 - b2 + c_odd
-            b1 = two_u * b2 - b1 + c_even
-        return _exp(b1 - u * b2 - self._lgamma_s0, "psi", x)
+        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
+         c0) = (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[0]
+        log_psi = c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13))))))))))))
+        return _exp(log_psi - self._lgamma_s0, "psi", x)
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
         """psi^(0..k_max)(x), k_max <= 3: psi times (1, *psi_ratios(x))."""

@@ -1,12 +1,13 @@
 """Reference routes the tests compare the solver against.
 
 Each is a second representation of a quantity the package computes one way:
-psi's derivatives straight from the integral and to any order, phi, the
-determinant combinations Q_k and Psi_k, the cylinder function D_a, the
-anchor function H, the coefficient A and its derivative through other
-closed forms, the normalized ODE denominator three ways, the PDE term on the
-lump-to-capacity region and the growth ratio of w.  None of them is on the
-solve, value or simulation path, so they live here and not in the package.
+a panel's Chebyshev series by Clenshaw, psi's derivatives straight from the
+integral and to any order, phi, the determinant combinations Q_k and Psi_k,
+the cylinder function D_a, the anchor function H, the coefficient A and its
+derivative through other closed forms, the normalized ODE denominator three
+ways, the PDE term on the lump-to-capacity region and the growth ratio of w.
+None of them is on the solve, value or simulation path, so they live here
+and not in the package.
 """
 
 import math
@@ -26,6 +27,15 @@ def _exp(log_value, name, x):
 
 
 # -- fundamental solutions ----------------------------------------------------
+
+
+def clenshaw(coefficients, u):
+    """sum_m c_m T_m(u) for Chebyshev coefficients c_0 first, by the
+    Clenshaw recurrence: the reference for the panels' power-basis reads."""
+    b1 = b2 = 0.0
+    for c in coefficients[:0:-1]:
+        b1, b2 = 2.0 * u * b1 - b2 + c, b1
+    return u * b1 - b2 + coefficients[0]
 
 
 def cylinder_d(alpha, x):

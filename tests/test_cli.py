@@ -128,6 +128,11 @@ class TestValueCommand:
         assert captured.out == ""
         assert "w = inf, not finite" in captured.err
 
+    def test_cell_outside_float64_is_a_numerical_failure(self, capsys):
+        # x is finite, but its panel cell index z / width overflows float64
+        assert main(["--steps", "200", "value", "--x=-1.5e308", "--y", "1.0"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_small_run_passes_checks(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -20,7 +21,8 @@ from solarinvest import fundamental
 from solarinvest.fundamental import log_weighted_integral
 
 from conftest import central_diff, rel_err
-from oracles import cylinder_d, phi, phi_deriv, psi_deriv_direct, psi_derivs, q, ratio
+from oracles import (clenshaw, cylinder_d, phi, phi_deriv, psi_deriv_direct, psi_derivs, q,
+                     ratio)
 
 
 def d_minus_one(z):
@@ -232,7 +234,7 @@ class TestChebyshevPanels:
     Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -2.5, -2.5 - 1e-12, -1.0, -0.5, 0.0,
               -1e-12, 0.37, 0.5 - 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.999999, 5.0, 6.8)
 
-    @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("s0", [0.05, 0.055, 0.06, 0.3, 1.0, 3.0])
     def test_against_mpmath_including_panel_edges(self, s0):
         fs = unit_scale_solution(s0)
         for z in self.Z_GRID:
@@ -244,7 +246,7 @@ class TestChebyshevPanels:
             exact = mp_log_psi_deriv(s0, 0, z)
             assert abs(math.log(fs.psi(-z)) - exact) <= 1e-13 * max(1.0, abs(exact)), (s0, z)
 
-    @pytest.mark.parametrize("s0", [0.06, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("s0", [0.05, 0.055, 0.06, 0.3, 1.0, 3.0])
     def test_ratio_panel_against_mpmath_including_panel_edges(self, s0):
         # unit scale: psi'/psi = exp(log psi' - log psi)
         fs = unit_scale_solution(s0)
@@ -254,8 +256,8 @@ class TestChebyshevPanels:
 
     def test_solve_quadrature_budget(self, monkeypatch):
         # quadrature nodes of an 800-step solve, each solve on an empty
-        # table (the three presets share s0 = 0.5): measured 168 (mu=0.2,
-        # seven cells) and 72 (three cells) on 12-node half-width panels;
+        # table (the three presets share s0 = 0.5): measured 196 (mu=0.2,
+        # seven cells) and 84 (three cells) on 14-node half-width panels;
         # the budgets, 300 and 120, are 1.5x the 200 and 80 nodes that
         # 20-node unit panels took
         nodes = []
@@ -286,11 +288,34 @@ class TestChebyshevPanels:
             gc.enable()
 
     def test_non_finite_argument_is_typed(self, fs):
-        for x in (math.nan, math.inf, -math.inf):
-            with pytest.raises(NumericalError):
-                fs.psi(x)
+        # +-1.5e308 are finite, but their cell index z / width is not
+        for x in (math.nan, math.inf, -math.inf, 1.5e308, -1.5e308):
+            for read in (fs.psi, fs.psi_ratios):
+                with pytest.raises(NumericalError, match=re.escape(f"x={x},")):
+                    read(x)
             with pytest.raises(NumericalError):
                 fs.psi_derivs(x, 3)
+
+    def test_horner_reads_match_clenshaw(self):
+        # each stored panel, read by Horner in the power basis, against a
+        # Clenshaw pass over the Chebyshev coefficients of the same node values
+        width = fundamental._PANEL_WIDTH
+        for s0 in (0.05, 0.3, 3.0):
+            fs = unit_scale_solution(s0)
+            for j in range(-24, 24):
+                fs.psi_ratios(-width * (j + 0.5))  # builds cell j's pair
+                nodes = width * (j + 0.5 * (1.0 + fundamental._CHEB_NODES))
+                values = log_weighted_integral(s0, nodes)[0]
+                panels = (values, log_weighted_integral(s0 + 1, nodes)[0] - values)
+                for stored, node_values in zip(fs._cells[j], panels):
+                    assert len(stored) == fundamental._PANEL_NODES
+                    chebyshev = fundamental._CHEB_INV @ node_values
+                    for u in np.linspace(-1.0, 1.0, 81):
+                        horner = 0.0
+                        for c in stored:
+                            horner = horner * u + c
+                        exact = clenshaw(chebyshev, u)
+                        assert abs(horner - exact) <= 1e-15 * max(1.0, abs(exact)), (s0, j, u)
 
     def test_overflow_is_typed_and_names_the_point(self, params, fs):
         # log psi grows like z^2/2 for z << 0, past the float64 range near z = -38
