@@ -34,6 +34,10 @@ is kept closed-form (not re-integrated); ``partials`` reads it.  Both A and
 A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft) and one psi(Ft), e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
+``partials`` and ``hjb_residual`` share one lookup of the state: y_hit, A(y_hit)
+and psi^(0..2)(x + beta y_hit), so ``hjb_residual`` forms w from psi = psi^(0)
+instead of repeating the lookups through ``w``.  ``w`` keeps its own read of
+psi alone: psi'' can overflow where psi and w are finite.
 A grid node below y_bar with A <= 0 contradicts A > 0 and is refused with
 :class:`NumericalError`; a grid too coarse where F is steep produces one.  The
 tests check these closed forms against other representations of the same
@@ -117,28 +121,42 @@ class ValueFunction:
                     else self.a(y_hit) * self.fs.psi(x + p.beta * y_hit))
         return psi_term + r_value(p, x, y_hit) - p.c * (y_hit - y)
 
-    def partials(self, x: float, y: float):
-        """(w_x, w_xx, w_y) from the closed forms at the lump target."""
-        p = self.params
+    def _lookup(self, x: float, y: float):
+        """(y_hit, A(y_hit), psi^(0..2)(x + beta y_hit)) at (x, y); the last
+        two are None from x_bar up, where A(y_bar) = 0 drops the psi term."""
         y_hit = self.fb.lump_target(x, y)
-        r_y, _, r_x = r_partials(p, x, y_hit)
         if x >= self.fb.x_bar:
+            return y_hit, None, None
+        d = self.fs.psi_derivs(x + self.params.beta * y_hit, 2)
+        return y_hit, self.a(y_hit), d
+
+    def _partials_at(self, x, y, y_hit, a_val, d):
+        """(w_x, w_xx, w_y) from the state's ``_lookup``."""
+        p = self.params
+        r_y, _, r_x = r_partials(p, x, y_hit)
+        if d is None:
             return r_x, 0.0, p.c
-        d = self.fs.psi_derivs(x + p.beta * y_hit, 2)
-        a_val = self.a(y_hit)
         w_y = (p.c if y_hit > y
                else self.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y)
         return a_val * d[1] + r_x, a_val * d[2], w_y
+
+    def partials(self, x: float, y: float):
+        """(w_x, w_xx, w_y) from the closed forms at the lump target."""
+        return self._partials_at(x, y, *self._lookup(x, y))
 
     def hjb_residual(self, x: float, y: float):
         """(pde_term, gradient_term) of the variational inequality at (x, y)."""
         p = self.params
         if y >= p.y_bar:
             raise DomainError("HJB residual defined for y < y_bar")
-        w_x, w_xx, w_y = self.partials(x, y)
+        y_hit, a_val, d = self._lookup(x, y)
+        w_x, w_xx, w_y = self._partials_at(x, y, y_hit, a_val, d)
+        # ``w``'s value: d[0] = psi * 1.0 is the psi ``w`` reads, bit for bit
+        w = ((0.0 if d is None else a_val * d[0])
+             + r_value(p, x, y_hit) - p.c * (y_hit - y))
         pde = (0.5 * p.sigma**2 * w_xx
                + p.kappa * ((p.mu - p.beta * y) - x) * w_x
-               - p.rho * self.w(x, y) + x * y)
+               - p.rho * w + x * y)
         return pde, w_y - p.c
 
     def summary_dict(self) -> dict:

@@ -5,7 +5,8 @@ a panel's Chebyshev series by Clenshaw, psi's derivatives straight from the
 integral and to any order, phi, the determinant combinations Q_k and Psi_k,
 the cylinder function D_a, the anchor function H, the coefficient A and its
 derivative through other closed forms, the normalized ODE denominator three
-ways, the PDE term on the lump-to-capacity region and the growth ratio of w.
+ways, the PDE term on the lump-to-capacity region, the growth ratio of w and
+the HJB residual from separate ``partials`` and ``w`` calls.
 None of them is on the solve, value or simulation path, so they live here
 and not in the package.
 """
@@ -140,6 +141,19 @@ def install_region_pde_closed_form(params, x, y):
     p = params
     return (p.y_bar - y) * (p.kappa * p.beta * p.y_bar / (p.rho + p.kappa)
                             + p.c * p.rho - x)
+
+
+def hjb_residual_two_pass(vf, x, y):
+    """(pde_term, gradient_term) from ``partials`` and then ``w``, each doing
+    its own lump-target, A and psi lookups."""
+    p = vf.params
+    if y >= p.y_bar:
+        raise DomainError("HJB residual defined for y < y_bar")
+    w_x, w_xx, w_y = vf.partials(x, y)
+    pde = (0.5 * p.sigma**2 * w_xx
+           + p.kappa * ((p.mu - p.beta * y) - x) * w_x
+           - p.rho * vf.w(x, y) + x * y)
+    return pde, w_y - p.c
 
 
 def growth_ratio(vf, xs):

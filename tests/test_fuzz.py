@@ -4,11 +4,15 @@ A draw either yields a boundary and value function whose grids are finite,
 or raises a :class:`SolarInvestError` (which the CLI maps to exit 2 or 4);
 it never escapes as an untyped exception or a NaN.  The same holds for the
 mu=1.4 preset with any one field set to 1e-300, 1e-8, 1e8 or 1e300.  The
-command line, run on the fuzz box, returns 0, 2 or 4 and never raises.
+command line, run on the fuzz box, returns 0, 2 or 4 and never raises.  An
+admitted set is also right where it is checked: A > 0 below y_bar, and w, its
+partials and the HJB residual finite and in criterion 4's pattern on a state
+scan that reaches far into the waiting region and up to y_bar.
 """
 
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -23,7 +27,8 @@ from solarinvest import (FundamentalSolution, SolarInvestError, ValueFunction,
                          integrate_boundary, params_from_dict, table_preset)
 from solarinvest.cli import main
 
-from conftest import FUZZ_BOX
+from conftest import FUZZ_BOX, fuzz_draw
+from oracles import hjb_residual_two_pass
 
 
 def check_solves_finite_or_raises_typed(make_params):
@@ -71,3 +76,55 @@ def test_cli_exits_with_a_documented_code(data):
             value = main(base + ["value", "--x", "0.5", "--y", "0.1"])
     assert classify in (0, 2, 4)
     assert value in (0, 2, 4)
+
+
+def admitted_fuzz_sets(count=12, steps=2000, pinned=(24,)):
+    """{index: vf} for the first ``count`` seed-0 fuzz draws that solve at
+    ``steps``, plus the ``pinned`` draws, which must solve."""
+    def solve(index):
+        params = params_from_dict(fuzz_draw(index))
+        fs = FundamentalSolution(params)
+        return ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=steps))
+
+    out, index = {}, 0
+    while len(out) < count:
+        try:
+            out[index] = solve(index)
+        except SolarInvestError:
+            pass
+        index += 1
+    for index in pinned:
+        if index not in out:
+            out[index] = solve(index)
+    return out
+
+
+def test_admitted_sets_are_right_on_a_state_scan():
+    # 12 x 12 states: y over [0, y_bar), x from F(0) - 3 sd to x_bar + 3 sd
+    # with sd the stationary deviation; the VI tolerances are the benchmark
+    # query check's
+    bad = []
+    for index, vf in admitted_fuzz_sets().items():
+        p, fb = vf.params, vf.fb
+        if not (vf.a_grid[:-1] > 0.0).all():
+            bad.append((index, "A <= 0 on the grid"))
+        sd = p.sigma / math.sqrt(2.0 * p.kappa)
+        for y in np.linspace(0.0, p.y_bar, 12, endpoint=False):
+            y = float(y)
+            if not vf.a(y) > 0.0:
+                bad.append((index, y, "A <= 0"))
+            for x in np.linspace(fb.x0 - 3.0 * sd, fb.x_bar + 3.0 * sd, 12):
+                x = float(x)
+                w = vf.w(x, y)
+                partials = vf.partials(x, y)
+                pde, grad = vf.hjb_residual(x, y)
+                if not all(map(math.isfinite, (w, *partials, pde, grad))):
+                    bad.append((index, x, y, "not finite"))
+                    continue
+                scale = 1.0 + abs(w)
+                if not (pde <= 1e-6 * scale and grad <= 1e-8
+                        and (abs(pde) <= 1e-6 * scale or abs(grad) <= 1e-8)):
+                    bad.append((index, x, y, "variational inequality", pde, grad))
+                if (pde, grad) != hjb_residual_two_pass(vf, x, y):
+                    bad.append((index, x, y, "one-pass residual differs from two-pass"))
+    assert not bad

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from solarinvest import (DomainError, FundamentalSolution, NumericalError, ValueFunction,
-                         integrate_boundary, params_from_dict, r_partials, r_value)
+from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, NumericalError,
+                         ValueFunction, integrate_boundary, params_from_dict, r_partials,
+                         r_value)
 
 from conftest import central_diff, fuzz_draw, rel_err
 from oracles import (a_alt, a_prime_fit_form, d_tilde_forms, growth_ratio,
-                     install_region_pde_closed_form)
+                     hjb_residual_two_pass, install_region_pde_closed_form)
 
 
 def interior_ys(params, n=10, lo=0.05, hi=0.95):
@@ -212,6 +213,49 @@ class TestVariationalInequality:
             s_x = (vf.a_prime(float(y)) * d[1] + params.beta * vf.a(float(y)) * d[2]
                    + 1.0 / (params.rho + params.kappa))
             assert abs(s_x) < 1e-7 * (1.0 + abs(d[1]))
+
+
+class TestOneLookup:
+    """``hjb_residual`` reads its state once and equals the two-pass route."""
+
+    def test_equals_two_pass_route(self, solved):
+        # the benchmark's query states: x in [F(0) - 1.5, x_bar + 1],
+        # y in [0, 0.95 y_bar]; exact equality, not a tolerance
+        rng = np.random.default_rng(18)
+        for mu, (params, _, fb, vf) in solved.items():
+            regions = set()
+            for u, v in rng.random((400, 2)):
+                x = float(fb.x0 - 1.5 + (fb.x_bar + 2.5 - fb.x0) * u)
+                y = float(0.95 * params.y_bar * v)
+                regions.add(fb.region(x, y).value)
+                assert vf.hjb_residual(x, y) == hjb_residual_two_pass(vf, x, y), (mu, x, y)
+            assert regions == {"W", "I1", "I2"}, mu
+
+    def test_one_lookup_per_call(self, base, monkeypatch):
+        params, _, fb, vf = base
+        calls = []
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(FreeBoundary, "lump_target")
+        counted(FundamentalSolution, "psi_derivs")
+        counted(ValueFunction, "a")
+        y = 1.5
+        f_y = fb.f(y)
+        for x, region, per_call in [
+                (f_y - 0.5, "W", ["lump_target", "psi_derivs", "a"]),
+                (0.5 * (f_y + fb.x_bar), "I1", ["lump_target", "psi_derivs", "a"]),
+                (fb.x_bar + 0.5, "I2", ["lump_target"])]:
+            assert fb.region(x, y).value == region
+            calls.clear()
+            vf.hjb_residual(x, y)
+            assert sorted(calls) == sorted(per_call), region
 
 
 class TestGrowth:
