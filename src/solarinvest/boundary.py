@@ -162,6 +162,9 @@ class FreeBoundary:
 
     ``ys`` ascend from 0 to y_bar; ``f_tilde`` is the shifted boundary,
     ``f_grid`` the boundary itself.  Queries interpolate monotone cubics.
+    ``region`` and ``lump_target`` share one classification, which reads
+    F(y) through ``f`` below capacity and below x_bar and not otherwise;
+    ``ValueFunction`` reuses that F(y) for A'(y) instead of reading it again.
     Immutable once built; safe for concurrent reads.
     """
 
@@ -195,27 +198,35 @@ class FreeBoundary:
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
         return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
 
-    def region(self, x: float, y: float) -> Region:
-        """Three-way state classification; at y = y_bar only waiting applies."""
+    def _classify(self, x: float, y: float):
+        """(region, F(y)) at (x, y), F(y) as ``f`` reads it; None at
+        capacity and from x_bar up, where the region needs no F."""
         check_capacity(self.params, y)
         if at_capacity(self.params, y):
-            return Region.W
+            return Region.W, None
         if x >= self.x_bar:
-            return Region.I2
-        if x >= self.f(y):
-            return Region.I1
-        return Region.W
+            return Region.I2, None
+        f_y = self.f(y)
+        return (Region.I1 if x >= f_y else Region.W), f_y
+
+    def region(self, x: float, y: float) -> Region:
+        """Three-way state classification; at y = y_bar only waiting applies."""
+        return self._classify(x, y)[0]
+
+    def _lump(self, x: float, y: float):
+        """(``lump_target(x, y)``, the F(y) its classification read or None)."""
+        region, f_y = self._classify(x, y)  # also rejects y outside [0, y_bar]
+        if x >= self.x_bar:
+            return self.params.y_bar, f_y
+        if region is Region.I1:
+            return max(self.f_inverse(x), y), f_y
+        return y, f_y
 
     def lump_target(self, x: float, y: float) -> float:
         """Capacity right after the optimal installation at (x, y): y_bar
         from x_bar up, max(Finv(x), y) in I1 (the interpolated inverse may
         dip below y just above F(y)), y otherwise."""
-        region = self.region(x, y)  # also rejects y outside [0, y_bar]
-        if x >= self.x_bar:
-            return self.params.y_bar
-        if region is Region.I1:
-            return max(self.f_inverse(x), y)
-        return y
+        return self._lump(x, y)[0]
 
 
 def integrate_boundary(params: ModelParams, fs: FundamentalSolution,

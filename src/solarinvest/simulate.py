@@ -559,6 +559,9 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
         raise ConfigurationError(f"horizon must be finite, got {horizon}")
     if not horizon > dt:
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
+    # Philox would truncate a float key, so 1.5 or True would share seed 1's streams
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ConfigurationError(f"seed={seed!r} must be an integer")
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
     ratio = horizon / dt

@@ -37,7 +37,11 @@ forms a product of raw derivatives that overflows where psi(Ft) is large.
 ``partials`` and ``hjb_residual`` share one lookup of the state: y_hit, A(y_hit)
 and psi^(0..2)(x + beta y_hit), so ``hjb_residual`` forms w from psi = psi^(0)
 instead of repeating the lookups through ``w``.  ``w`` keeps its own read of
-psi alone: psi'' can overflow where psi and w are finite.
+psi alone: psi'' can overflow where psi and w are finite.  F(y) is read once
+too: the boundary's classification of the state reads it, and A'(y) takes
+Ftilde(y) = F(y) + beta y from that value.  The classification reads no F(y)
+at capacity (y = y_bar), so there, and only there, A'(y) reads it itself
+through ``FreeBoundary.f_tilde_at``, as the public ``a_prime`` always does.
 A grid node below y_bar with A <= 0 contradicts A > 0 and is refused with
 :class:`NumericalError`; a grid too coarse where F is steep produces one.  The
 tests check these closed forms against other representations of the same
@@ -70,8 +74,17 @@ class ValueFunction:
         self.params = params
         self.fs = fs
         self.fb = fb
-        self.a_grid = np.array([self._a_closed_form(y, ft)
-                                for y, ft in zip(fb.ys, fb.f_tilde)])
+        # on Python floats, where a zero divisor or an overflow raises instead
+        # of passing on as inf or NaN
+        a_list = []
+        for y, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist()):
+            try:
+                a_list.append(self._a_closed_form(y, ft))
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise NumericalError(
+                    f"coefficient A(y) is not finite at y={y:.6g} (y_bar={params.y_bar}) "
+                    f"on the {fb.ys.size - 1}-step grid: {exc}") from None
+        self.a_grid = np.array(a_list)
         # A > 0 below y_bar is a theorem; a coarse grid that misplaces a steep
         # F near y_bar can flip its sign there, and clamping would hide that
         flipped = np.flatnonzero(~(self.a_grid[:-1] > 0.0))
@@ -104,8 +117,11 @@ class ValueFunction:
 
     def a_prime(self, y: float) -> float:
         """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module docstring)."""
+        return self._a_prime_at(y, self.fb.f_tilde_at(y))
+
+    def _a_prime_at(self, y: float, ft: float) -> float:
+        """A'(y) given ft = Ftilde(y)."""
         p = self.params
-        ft = self.fb.f_tilde_at(y)
         r1, r2, _ = self.fs.psi_ratios(ft)
         return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
                 / (self.fs.psi(ft) * (r2 - r1 ** 2)))
@@ -122,22 +138,28 @@ class ValueFunction:
         return psi_term + r_value(p, x, y_hit) - p.c * (y_hit - y)
 
     def _lookup(self, x: float, y: float):
-        """(y_hit, A(y_hit), psi^(0..2)(x + beta y_hit)) at (x, y); the last
-        two are None from x_bar up, where A(y_bar) = 0 drops the psi term."""
-        y_hit = self.fb.lump_target(x, y)
+        """(y_hit, F(y), A(y_hit), psi^(0..2)(x + beta y_hit)) at (x, y).
+        F(y) is the one the boundary's classification read, None where it
+        read none; the last two are None from x_bar up, where A(y_bar) = 0
+        drops the psi term."""
+        y_hit, f_y = self.fb._lump(x, y)
         if x >= self.fb.x_bar:
-            return y_hit, None, None
+            return y_hit, f_y, None, None
         d = self.fs.psi_derivs(x + self.params.beta * y_hit, 2)
-        return y_hit, self.a(y_hit), d
+        return y_hit, f_y, self.a(y_hit), d
 
-    def _partials_at(self, x, y, y_hit, a_val, d):
+    def _partials_at(self, x, y, y_hit, f_y, a_val, d):
         """(w_x, w_xx, w_y) from the state's ``_lookup``."""
         p = self.params
         r_y, _, r_x = r_partials(p, x, y_hit)
         if d is None:
             return r_x, 0.0, p.c
-        w_y = (p.c if y_hit > y
-               else self.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y)
+        if y_hit > y:
+            w_y = p.c
+        else:
+            # Ftilde(y) from the classification's F(y); at capacity it read none
+            ft = self.fb.f_tilde_at(y) if f_y is None else f_y + p.beta * y
+            w_y = self._a_prime_at(y, ft) * d[0] + p.beta * a_val * d[1] + r_y
         return a_val * d[1] + r_x, a_val * d[2], w_y
 
     def partials(self, x: float, y: float):
@@ -149,8 +171,8 @@ class ValueFunction:
         p = self.params
         if y >= p.y_bar:
             raise DomainError("HJB residual defined for y < y_bar")
-        y_hit, a_val, d = self._lookup(x, y)
-        w_x, w_xx, w_y = self._partials_at(x, y, y_hit, a_val, d)
+        y_hit, f_y, a_val, d = self._lookup(x, y)
+        w_x, w_xx, w_y = self._partials_at(x, y, y_hit, f_y, a_val, d)
         # ``w``'s value: d[0] = psi * 1.0 is the psi ``w`` reads, bit for bit
         w = ((0.0 if d is None else a_val * d[0])
              + r_value(p, x, y_hit) - p.c * (y_hit - y))

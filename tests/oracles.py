@@ -5,8 +5,9 @@ a panel's Chebyshev series by Clenshaw, psi's derivatives straight from the
 integral and to any order, phi, the determinant combinations Q_k and Psi_k,
 the cylinder function D_a, the anchor function H, the coefficient A and its
 derivative through other closed forms, the normalized ODE denominator three
-ways, the PDE term on the lump-to-capacity region, the growth ratio of w and
-the HJB residual from separate ``partials`` and ``w`` calls.
+ways, the PDE term on the lump-to-capacity region, the growth ratio of w,
+the partials with a second F(y) read for A'(y), and the HJB residual from
+separate partials and ``w`` calls.
 None of them is on the solve, value or simulation path, so they live here
 and not in the package.
 """
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from solarinvest import DomainError, NumericalError, r_tilde
+from solarinvest import DomainError, NumericalError, r_partials, r_tilde
 from solarinvest.fundamental import log_weighted_integral
 
 
@@ -143,13 +144,27 @@ def install_region_pde_closed_form(params, x, y):
                             + p.c * p.rho - x)
 
 
+def partials_two_lookup(vf, x, y):
+    """(w_x, w_xx, w_y) through the public ``lump_target``, ``a`` and
+    ``a_prime``: F(y) is read once to classify the state and again for A'(y)."""
+    p = vf.params
+    y_hit = vf.fb.lump_target(x, y)
+    r_y, _, r_x = r_partials(p, x, y_hit)
+    if x >= vf.fb.x_bar:
+        return r_x, 0.0, p.c
+    d = vf.fs.psi_derivs(x + p.beta * y_hit, 2)
+    a_val = vf.a(y_hit)
+    w_y = p.c if y_hit > y else vf.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y
+    return a_val * d[1] + r_x, a_val * d[2], w_y
+
+
 def hjb_residual_two_pass(vf, x, y):
-    """(pde_term, gradient_term) from ``partials`` and then ``w``, each doing
-    its own lump-target, A and psi lookups."""
+    """(pde_term, gradient_term) from ``partials_two_lookup`` and then ``w``,
+    each doing its own lump-target, A and psi lookups."""
     p = vf.params
     if y >= p.y_bar:
         raise DomainError("HJB residual defined for y < y_bar")
-    w_x, w_xx, w_y = vf.partials(x, y)
+    w_x, w_xx, w_y = partials_two_lookup(vf, x, y)
     pde = (0.5 * p.sigma**2 * w_xx
            + p.kappa * ((p.mu - p.beta * y) - x) * w_x
            - p.rho * vf.w(x, y) + x * y)

@@ -28,7 +28,7 @@ from solarinvest import (FundamentalSolution, SolarInvestError, ValueFunction,
 from solarinvest.cli import main
 
 from conftest import FUZZ_BOX, fuzz_draw
-from oracles import hjb_residual_two_pass
+from oracles import hjb_residual_two_pass, partials_two_lookup
 
 
 def check_solves_finite_or_raises_typed(make_params):
@@ -127,4 +127,6 @@ def test_admitted_sets_are_right_on_a_state_scan():
                     bad.append((index, x, y, "variational inequality", pde, grad))
                 if (pde, grad) != hjb_residual_two_pass(vf, x, y):
                     bad.append((index, x, y, "one-pass residual differs from two-pass"))
+                if partials != partials_two_lookup(vf, x, y):
+                    bad.append((index, x, y, "partials differ from the two-lookup route"))
     assert not bad

@@ -395,6 +395,28 @@ class TestEstimator:
             simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
                           seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, True, "3", None])
+    def test_non_integer_seed_rejected(self, setup, seed):
+        # a float or bool key would be truncated and share seed 1's streams
+        params, fb, vf = setup
+        match = r"^seed=" + re.escape(repr(seed)) + " must be an integer"
+        kwargs = dict(dt=0.1, horizon=1.0, seed=seed)
+        with pytest.raises(ConfigurationError, match=match):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            estimate_value_many(params, [(NeverInstall(), 1.0, 1.0)], 4, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            dominance_report(params, fb, vf, verification_states(fb), n_paths=4, **kwargs)
+
+    def test_numpy_integer_seed_accepted(self, setup):
+        params, fb, _ = setup
+        kwargs = dict(n_paths=4, dt=0.1, horizon=1.0, keep_payoffs=True)
+        a = estimate_value(params, NeverInstall(), 1.0, 1.0, seed=np.uint64(5), **kwargs)
+        b = estimate_value(params, NeverInstall(), 1.0, 1.0, seed=5, **kwargs)
+        assert a.payoffs.tobytes() == b.payoffs.tobytes()
+
     def test_largest_seed_accepted(self, setup):
         params, fb, _ = setup
         res = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, dt=0.1,

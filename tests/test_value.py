@@ -9,7 +9,8 @@ from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, Numeric
 
 from conftest import central_diff, fuzz_draw, rel_err
 from oracles import (a_alt, a_prime_fit_form, d_tilde_forms, growth_ratio,
-                     hjb_residual_two_pass, install_region_pde_closed_form)
+                     hjb_residual_two_pass, install_region_pde_closed_form,
+                     partials_two_lookup)
 
 
 def interior_ys(params, n=10, lo=0.05, hi=0.95):
@@ -216,7 +217,8 @@ class TestVariationalInequality:
 
 
 class TestOneLookup:
-    """``hjb_residual`` reads its state once and equals the two-pass route."""
+    """``partials`` and ``hjb_residual`` read their state once, F(y)
+    included, and equal the routes that read it twice."""
 
     def test_equals_two_pass_route(self, solved):
         # the benchmark's query states: x in [F(0) - 1.5, x_bar + 1],
@@ -228,8 +230,17 @@ class TestOneLookup:
                 x = float(fb.x0 - 1.5 + (fb.x_bar + 2.5 - fb.x0) * u)
                 y = float(0.95 * params.y_bar * v)
                 regions.add(fb.region(x, y).value)
+                assert vf.partials(x, y) == partials_two_lookup(vf, x, y), (mu, x, y)
                 assert vf.hjb_residual(x, y) == hjb_residual_two_pass(vf, x, y), (mu, x, y)
             assert regions == {"W", "I1", "I2"}, mu
+            # the classification reads no F(y) at capacity, so A'(y) reads
+            # its own; just below y_bar the residual is defined and does too
+            for y in (params.y_bar, math.nextafter(params.y_bar, 0.0)):
+                for x in np.linspace(fb.x0 - 1.5, fb.x_bar + 1.0, 9).tolist():
+                    assert vf.partials(x, y) == partials_two_lookup(vf, x, y), (mu, x, y)
+                    if y < params.y_bar:
+                        assert (vf.hjb_residual(x, y)
+                                == hjb_residual_two_pass(vf, x, y)), (mu, x, y)
 
     def test_one_lookup_per_call(self, base, monkeypatch):
         params, _, fb, vf = base
@@ -243,19 +254,24 @@ class TestOneLookup:
                 return method(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
-        counted(FreeBoundary, "lump_target")
+        counted(FreeBoundary, "f")
         counted(FundamentalSolution, "psi_derivs")
         counted(ValueFunction, "a")
         y = 1.5
         f_y = fb.f(y)
         for x, region, per_call in [
-                (f_y - 0.5, "W", ["lump_target", "psi_derivs", "a"]),
-                (0.5 * (f_y + fb.x_bar), "I1", ["lump_target", "psi_derivs", "a"]),
-                (fb.x_bar + 0.5, "I2", ["lump_target"])]:
+                (f_y - 0.5, "W", ["f", "psi_derivs", "a"]),
+                (0.5 * (f_y + fb.x_bar), "I1", ["f", "psi_derivs", "a"]),
+                (fb.x_bar + 0.5, "I2", [])]:
             assert fb.region(x, y).value == region
-            calls.clear()
-            vf.hjb_residual(x, y)
-            assert sorted(calls) == sorted(per_call), region
+            for method in (vf.partials, vf.hjb_residual):
+                calls.clear()
+                method(x, y)
+                assert sorted(calls) == sorted(per_call), (region, method.__name__)
+        # at capacity the classification reads no F(y): A'(y) reads it once
+        calls.clear()
+        vf.partials(f_y - 0.5, params.y_bar)
+        assert sorted(calls) == ["a", "f", "psi_derivs"]
 
 
 class TestGrowth:
