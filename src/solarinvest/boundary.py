@@ -24,14 +24,17 @@ overflow where psi does.  Along the exact solution Ftilde' >= beta and
 D > 0, so both are monitored per step; the (N, D) pair of the D check at
 the new node is reused as the next step's k1, so a step evaluates (N, D)
 four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
-interpolated from the swapped grid, monotone piecewise-cubic throughout.
+interpolated from the swapped grid on the first ``f_inverse``, monotone
+piecewise-cubic throughout.
 
-A solve builds one (y, z) -> (N/psi^3, D/psi^3) closure.  It holds the
-constants mu kappa, beta (rho + 2 kappa), rho (rho + kappa), rho + kappa
-and (rho + 2 kappa)/rho, each formed once from the same parenthesised
+A solve builds one (y, z) -> (N/psi^3, D/psi^3) closure.  This module forms
+its constants mu kappa, beta (rho + 2 kappa), rho (rho + kappa), rho + kappa
+and (rho + 2 kappa)/rho, each once from the same parenthesised
 subexpression the formulas above evaluate, so an evaluation rounds exactly
-as they do; it calls ``fs.psi_ratios`` once and nothing else.  The RK4
-stages run inline in the loop.  ``ode_rhs`` is a thin wrapper over the same
+as they do; ``fs.n_d_evaluator`` closes over them, so that one call reads
+the ratio panel as ``fs.psi_ratios`` does and forms N and D in the same
+frame, and the panel layout stays inside ``fundamental``.  The RK4 stages
+run inline in the loop.  ``ode_rhs`` is a thin wrapper over the same
 closure, so the N/D formula exists once.
 """
 
@@ -122,24 +125,15 @@ def _n_d_evaluator(params: ModelParams, fs: FundamentalSolution):
     """(y, z) -> (N/psi^3, D/psi^3), from the ratios r_k = psi^(k)/psi(z):
     same quotient and signs as (N, D), and neither can overflow.  The
     constants are the parenthesised subexpressions of Rtilde, N and D,
-    formed once, so every evaluation rounds as the expressions do."""
-    psi_ratios = fs.psi_ratios
-    c, rho = params.c, params.rho
+    formed once, so every evaluation rounds as the expressions do; the
+    closure that reads them with the ratio panel is built by ``fs``."""
     mu_kappa = params.mu * params.kappa
     beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
     rho_rk = params.rho * (params.rho + params.kappa)
     rk = params.rho + params.kappa
     rk2_over_rho = (params.rho + 2.0 * params.kappa) / params.rho
-
-    def n_d(y: float, z: float) -> tuple:
-        r1, r2, r3 = psi_ratios(z)
-        q0 = r2 - r1 * r1
-        q1 = r1 * r3 - r2 * r2
-        q0_prime = r3 - r1 * r2
-        crt = rk * (c - (mu_kappa + rho * z - beta_rk2 * y) / rho_rk)
-        return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
-
-    return n_d
+    return fs.n_d_evaluator(params.c, params.rho, mu_kappa, beta_rk2, rho_rk, rk,
+                            rk2_over_rho)
 
 
 def _raise_singular(y: float, z: float, n_val: float, d_val: float):
@@ -165,7 +159,8 @@ class FreeBoundary:
     ``region`` and ``lump_target`` share one classification, which reads
     F(y) through ``f`` below capacity and below x_bar and not otherwise;
     ``ValueFunction`` reuses that F(y) for A'(y) instead of reading it again.
-    Immutable once built; safe for concurrent reads.
+    Immutable once built, apart from the inverse's cubic, which the first
+    ``f_inverse`` builds from ``f_grid`` and ``ys``; safe for concurrent reads.
     """
 
     params: ModelParams
@@ -176,7 +171,7 @@ class FreeBoundary:
     x_bar: float
     f_grid: np.ndarray = field(repr=False)
     _f_itp: MonotoneCubic = field(repr=False)
-    _finv_itp: MonotoneCubic = field(repr=False)
+    _finv_itp: MonotoneCubic | None = field(default=None, repr=False, compare=False)
 
     def f(self, y: float) -> float:
         """Boundary price F(y); installing is optimal once x >= F(y)."""
@@ -196,7 +191,16 @@ class FreeBoundary:
         if not self.x0 - eps <= x <= self.x_bar + eps:
             raise DomainError(
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
-        return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
+        itp = self._finv_itp
+        if itp is None:
+            # built on first use, as a solve alone never reads it, and stored
+            # in the field: a functools.cached_property would materialise the
+            # instance __dict__, which makes every later attribute read on the
+            # instance about 3x slower on CPython 3.11.  The build is pure, so
+            # threads that race here store equal cubics.
+            itp = MonotoneCubic(self.f_grid, self.ys)
+            object.__setattr__(self, "_finv_itp", itp)
+        return float(itp(min(max(x, self.x0), self.x_bar)))
 
     def _classify(self, x: float, y: float):
         """(region, F(y)) at (x, y), F(y) as ``f`` reads it; None at
@@ -294,12 +298,10 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
         zs[i - 1] = z = z_new
     zs = np.array(zs)
     f_grid = zs - params.beta * ys
-    f_itp = MonotoneCubic(ys, f_grid)
-    finv_itp = MonotoneCubic(f_grid, ys)
     return FreeBoundary(
         params=params, ys=ys, f_tilde=zs, x_tilde=x_tilde,
         x0=float(f_grid[0]), x_bar=float(f_grid[-1]), f_grid=f_grid,
-        _f_itp=f_itp, _finv_itp=finv_itp)
+        _f_itp=MonotoneCubic(ys, f_grid))
 
 
 def y_star(params: ModelParams, fs: FundamentalSolution) -> float:

@@ -39,6 +39,12 @@ panel), both built from the same two quadrature calls.  ``psi`` is one
 Horner read of the first; ``psi_ratios`` forms psi^(k)/psi from one read
 of g, one exp and the generator recurrence, and stays finite where
 psi itself overflows float64; ``psi_derivs`` is psi times those ratios.
+The boundary ODE's right-hand side, run 4n + 1 times per n-step solve,
+reads g through ``n_d_evaluator``: the same read, recurrence and raises
+as ``psi_ratios``, followed in the same frame by the N/D arithmetic of
+``boundary``, whose constants it is given.  So only this module knows the
+panel layout, and the anchor root, the value layer and the tests read
+the ratios through ``psi_ratios``.
 A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
 shared by every instance with that s0: a sensitivity sweep over sigma, mu,
@@ -270,8 +276,9 @@ def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
     return pair
 
 
-# psi and psi_ratios each find z's cell j and position u in [-1, 1] inline
-# (they run once per boundary-ODE evaluation); floor refuses a NaN or an
+# psi, psi_ratios and the solve's N/D closure each find z's cell j and
+# position u in [-1, 1] inline (one of them runs per boundary-ODE
+# evaluation, the others per value-layer read); floor refuses a NaN or an
 # infinite cell coordinate, so it is also the finiteness check.  Each then
 # unpacks the cell's _PANEL_NODES coefficients and evaluates one Horner
 # expression, two float operations per coefficient and no loop.
@@ -320,6 +327,47 @@ def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: f
     return psi_ratios
 
 
+def _n_d_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
+              s0: float, cells: dict, c: float, rho: float, mu_kappa: float,
+              beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
+    """The boundary solve's (y, z) -> (N/psi^3, D/psi^3) of one instance,
+    over the constants and s0 table of ``psi_ratios`` and the ODE constants
+    that ``boundary._n_d_evaluator`` forms.  One call is one frame: the
+    ``psi_ratios`` read at z, with its raises and messages, then the N/D
+    arithmetic of ``boundary``, each expression as there, so a pair rounds
+    exactly as ``psi_ratios`` followed by that arithmetic does."""
+    get, floor, exp = cells.get, math.floor, math.exp
+    cell_scale = scale / _PANEL_WIDTH
+
+    def n_d(y: float, z: float) -> tuple:
+        d = mu - z
+        zw = d * cell_scale
+        try:
+            j = floor(zw)
+        except (ValueError, OverflowError):
+            raise NumericalError(f"psi'/psi requested at x={z}, z={d * scale}: "
+                                 f"outside the float64 range") from None
+        u = 2.0 * (zw - j) - 1.0
+        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
+         c0) = (get(j) or _cell_pair(s0, cells, j))[1]
+        r1 = scale * exp(c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13)))))))))))))
+        drift = drift_rate * d
+        r2 = drift * r1 + rec0
+        if not r2 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={z}")
+        r3 = drift * r2 + rec1 * r1
+        if not r3 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={z}")
+        q0 = r2 - r1 * r1
+        q1 = r1 * r3 - r2 * r2
+        q0_prime = r3 - r1 * r2
+        crt = rk * (c - (mu_kappa + rho * z - beta_rk2 * y) / rho_rk)
+        return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
+
+    return n_d
+
+
 def _exp(log_value: float, name: str, x: float) -> float:
     try:
         return math.exp(log_value)
@@ -339,12 +387,12 @@ class FundamentalSolution:
     over its 14 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
-    another solve with the same s0 has visited its cells.  ``psi_ratios``,
-    which runs once per boundary-ODE evaluation, is built per instance as
-    a closure over the constants it reads and the s0 table; it keeps no
-    reference to the instance.  ``log_psi_deriv`` calls the quadrature
-    directly and builds no panel, so it checks the interpolant against the
-    function it interpolates.  Pairs are only ever added, and a pair's
+    another solve with the same s0 has visited its cells.  ``psi_ratios``
+    is built per instance as a closure over the constants it reads and the
+    s0 table, and ``n_d_evaluator`` builds the solve's N/D closure over the
+    same ones; neither keeps a reference to the instance.
+    ``log_psi_deriv`` calls the quadrature directly and builds no panel, so
+    it checks the interpolant against the function it interpolates.  Pairs are only ever added, and a pair's
     coefficients depend on (s0, j) alone, so concurrent reads are safe: two
     threads that build the same pair store identical values.  Only binding
     an instance to its table, which may evict the least recently bound
@@ -382,8 +430,16 @@ class FundamentalSolution:
             self._cells = _PANEL_TABLES[s0] = _PANEL_TABLES.pop(s0, {})
             if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
                 del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
-        self.psi_ratios = _ratio_pass(params.mu, scale, drift, rec0, rec1,
-                                      s0, self._cells)
+        self._ratio_constants = (params.mu, scale, drift, rec0, rec1, s0, self._cells)
+        self.psi_ratios = _ratio_pass(*self._ratio_constants)
+
+    def n_d_evaluator(self, c: float, rho: float, mu_kappa: float, beta_rk2: float,
+                      rho_rk: float, rk: float, rk2_over_rho: float):
+        """The boundary ODE's (y, z) -> (N/psi^3, D/psi^3) closure over the
+        given ODE constants (see ``boundary._n_d_evaluator``): one frame per
+        evaluation, reading z's ratio panel as ``psi_ratios`` does."""
+        return _n_d_pass(*self._ratio_constants, c, rho, mu_kappa, beta_rk2, rho_rk, rk,
+                         rk2_over_rho)
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""

@@ -547,12 +547,19 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
         max_overshoot=max(over, 0.0) if math.isfinite(over) else 0.0)
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name}={value!r} must be an integer")
+
+
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     """Validate Monte Carlo settings; return the number of time steps."""
-    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
-        raise ConfigurationError(f"n_paths={n_paths!r} must be an integer")
+    _check_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name}={value!r} must be a real number")
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if not math.isfinite(horizon):
@@ -560,8 +567,7 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     if not horizon > dt:
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
     # Philox would truncate a float key, so 1.5 or True would share seed 1's streams
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ConfigurationError(f"seed={seed!r} must be an integer")
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
     ratio = horizon / dt
@@ -649,6 +655,7 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     standard errors need two paths: fewer raise :class:`ConfigurationError`
     before anything is drawn.
     """
+    _check_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ConfigurationError(
             f"n_paths must be >= 2 for the paired standard errors, got {n_paths}")
@@ -657,11 +664,11 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
         "never_install": NeverInstall(),
         "immediate_full": ImmediateFull(),
     }
-    allowance = 2.0 * math.sqrt(dt)
     names = list(policies)
     jobs = [(policies[name], x, y) for x, y in states for name in names]
     all_results = estimate_value_many(params, jobs, n_paths, dt, horizon,
                                       seed=seed, keep_payoffs=True)
+    allowance = 2.0 * math.sqrt(dt)  # dt is checked by now
     rows = []
     checks = []
     for i, (x, y) in enumerate(states):

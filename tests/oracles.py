@@ -6,8 +6,9 @@ integral and to any order, phi, the determinant combinations Q_k and Psi_k,
 the cylinder function D_a, the anchor function H, the coefficient A and its
 derivative through other closed forms, the normalized ODE denominator three
 ways, the PDE term on the lump-to-capacity region, the growth ratio of w,
-the partials with a second F(y) read for A'(y), and the HJB residual from
-separate partials and ``w`` calls.
+the partials with a second F(y) read for A'(y), the HJB residual from
+separate partials and ``w`` calls, and the boundary ODE's N/D pair from a
+``psi_ratios`` call followed by the N/D arithmetic in a second frame.
 None of them is on the solve, value or simulation path, so they live here
 and not in the package.
 """
@@ -169,6 +170,29 @@ def hjb_residual_two_pass(vf, x, y):
            + p.kappa * ((p.mu - p.beta * y) - x) * w_x
            - p.rho * vf.w(x, y) + x * y)
     return pde, w_y - p.c
+
+
+def n_d_via_psi_ratios(params, fs):
+    """(y, z) -> (N/psi^3, D/psi^3) as two frames: ``fs.psi_ratios(z)``,
+    then the N/D arithmetic over the constants ``boundary._n_d_evaluator``
+    forms, each expression parenthesised as there."""
+    psi_ratios = fs.psi_ratios
+    c, rho = params.c, params.rho
+    mu_kappa = params.mu * params.kappa
+    beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
+    rho_rk = params.rho * (params.rho + params.kappa)
+    rk = params.rho + params.kappa
+    rk2_over_rho = (params.rho + 2.0 * params.kappa) / params.rho
+
+    def n_d(y, z):
+        r1, r2, r3 = psi_ratios(z)
+        q0 = r2 - r1 * r1
+        q1 = r1 * r3 - r2 * r2
+        q0_prime = r3 - r1 * r2
+        crt = rk * (c - (mu_kappa + rho * z - beta_rk2 * y) / rho_rk)
+        return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
+
+    return n_d
 
 
 def growth_ratio(vf, xs):

@@ -13,9 +13,10 @@ from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
 from solarinvest import boundary, fundamental
 from solarinvest.boundary import _n_d_evaluator, export_grid_csv
 from solarinvest.cli import sweep_boundaries
+from solarinvest.interp import MonotoneCubic
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
-from oracles import h_func
+from oracles import h_func, n_d_via_psi_ratios
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -252,6 +253,13 @@ def constant_panel(panel, c0):
     return as_tuples(coeffs.tolist())
 
 
+def ratio_readers(params, fs):
+    """The two routes that read z's ratio panel: ``psi_ratios`` and the
+    solve's N/D closure (at y = y_bar)."""
+    n_d = _n_d_evaluator(params, fs)
+    return fs.psi_ratios, lambda z: n_d(params.y_bar, z)
+
+
 class TestTypedFailures:
     """Every raise on the RK4 path, each by its class and message prefix."""
 
@@ -299,9 +307,94 @@ class TestTypedFailures:
         table = fundamental._PANEL_TABLES[params.rho / params.kappa]
         for j, (log_panel, ratio_panel) in table.items():
             table[j] = (log_panel, constant_panel(ratio_panel, c0))
-        with pytest.raises(NumericalError,
-                           match=rf"^derivative recurrence lost positivity at k={k}, x="):
-            fs.psi_ratios(x)
+        # the solve's N/D closure reads the same panel and raises the same
+        messages = []
+        for read in ratio_readers(params, fs):
+            with pytest.raises(NumericalError,
+                               match=rf"^derivative recurrence lost positivity at k={k}, x="
+                               ) as caught:
+                read(x)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("offset", [1.5e308, -1.5e308, math.nan])
+    def test_cell_coordinate_outside_float64(self, base, offset):
+        # z = mu + offset: the cell coordinate overflows or is NaN, and both
+        # the ratio read and the solve's N/D closure refuse it alike
+        params, fs, _, _ = base
+        z = params.mu + offset
+        messages = []
+        for read in ratio_readers(params, fs):
+            with pytest.raises(NumericalError, match=r"^psi'/psi requested at x=") as caught:
+                read(z)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("outside the float64 range")
+
+
+def n_d_outcomes(n_d, points):
+    """Per (y, z): the pair's float.hex strings, or the NumericalError's
+    message."""
+    out = []
+    for y, z in points:
+        try:
+            out.append(tuple(v.hex() for v in n_d(y, z)))
+        except NumericalError as exc:
+            out.append(str(exc))
+    return out
+
+
+def n_d_grid(params, n_d):
+    """(y, z) points on and off the solve path: a rectangle around mu
+    that reaches D < 0, the two floats around each root of D it brackets
+    (bisected to the last float), and z whose cell coordinate overflows."""
+    ys = np.linspace(0.0, params.y_bar, 9).tolist()
+    zs = np.linspace(params.mu - 3.0, params.mu + 4.0, 57).tolist()
+    points = [(y, z) for y in ys for z in zs]
+    for y in ys:
+        d_vals = [n_d(y, z)[1] for z in zs]
+        for lo, hi, d_lo, d_hi in zip(zs, zs[1:], d_vals, d_vals[1:]):
+            if (d_lo > 0.0) != (d_hi > 0.0):
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if (n_d(y, mid)[1] > 0.0) == (d_lo > 0.0):
+                        lo = mid
+                    else:
+                        hi = mid
+                points += [(y, lo), (y, hi)]
+    points += [(params.y_bar, params.mu + dz) for dz in (1.5e308, -1.5e308, math.nan)]
+    return points
+
+
+class TestEvaluatorOracle:
+    """The solve's one-frame N/D closure equals ``psi_ratios`` followed by
+    the N/D arithmetic in a second frame, byte for byte, raises included."""
+
+    def test_presets(self, solved):
+        for mu, (params, fs, fb, _) in solved.items():
+            n_d = _n_d_evaluator(params, fs)
+            points = n_d_grid(params, n_d)
+            assert any(n_d(y, z)[1] < 0.0 for y, z in points[:-3]), mu
+            points += list(zip(fb.ys.tolist()[::50], fb.f_tilde.tolist()[::50]))
+            assert (n_d_outcomes(n_d, points)
+                    == n_d_outcomes(n_d_via_psi_ratios(params, fs), points)), mu
+
+    def test_empty_table(self, monkeypatch):
+        # an s0 no other test binds, on an emptied table: the closure's own
+        # reads build the cells, and the oracle builds its own on a second one
+        params = replace(table_preset(1.4), rho=0.0437)
+        points = None
+        outcomes, tables = [], []
+        for make in (_n_d_evaluator, n_d_via_psi_ratios):
+            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+            fs = FundamentalSolution(params)
+            assert not fs._cells
+            n_d = make(params, fs)
+            points = points or n_d_grid(params, n_d)
+            outcomes.append(n_d_outcomes(n_d, points))
+            tables.append(fs._cells)
+        assert outcomes[0] == outcomes[1]
+        assert tables[0] and tables[0] == tables[1]
 
 
 def reference_rk4(params, fs, x_tilde, n_steps):
@@ -363,6 +456,32 @@ class TestBoundaryQueries:
         _, _, fb, _ = base
         for x in np.linspace(fb.x0, fb.x_bar, 37):
             assert abs(fb.f(fb.f_inverse(float(x))) - x) < 1e-7
+
+    def test_solve_builds_one_cubic(self, monkeypatch):
+        # the inverse interpolant is built on the first f_inverse, not by the solve
+        built = []
+
+        class Counted(MonotoneCubic):
+            def __init__(self, x, y):
+                built.append((x, y))
+                super().__init__(x, y)
+
+        monkeypatch.setattr(boundary, "MonotoneCubic", Counted)
+        params = table_preset(1.4)
+        fb = integrate_boundary(params, FundamentalSolution(params), n_steps=200)
+        assert len(built) == 1 and built[0][0] is fb.ys
+        for x in (fb.x0, 0.5 * (fb.x0 + fb.x_bar), fb.x_bar):
+            fb.f_inverse(x)
+        assert len(built) == 2 and built[1][0] is fb.f_grid and built[1][1] is fb.ys
+
+    def test_inverse_equals_eager_build(self):
+        for mu in (0.2, 1.4, 2.25):
+            params = table_preset(mu)
+            fb = integrate_boundary(params, FundamentalSolution(params), n_steps=400)
+            eager = MonotoneCubic(fb.f_grid, fb.ys)
+            xs = np.linspace(fb.x0, fb.x_bar, 1001).tolist()
+            got = np.array([fb.f_inverse(x) for x in xs])
+            assert got.tobytes() == np.array([float(eager(x)) for x in xs]).tobytes(), mu
 
     def test_inverse_domain_error(self, base):
         _, _, fb, _ = base

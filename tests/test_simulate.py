@@ -361,7 +361,7 @@ class TestEstimator:
         assert peak < 2 * n_paths * chunk * 8
 
     def test_config_errors(self, setup):
-        params, fb, _ = setup
+        params, fb, vf = setup
         with pytest.raises(ConfigurationError):
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=0, dt=0.01)
         with pytest.raises(ConfigurationError):
@@ -369,14 +369,22 @@ class TestEstimator:
         with pytest.raises(ConfigurationError):
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10,
                            dt=0.01, horizon=0.005)
+        # dominance_report forms its 2 sqrt(dt) allowance only after dt is checked
+        with pytest.raises(ConfigurationError, match="dt must be positive"):
+            dominance_report(params, fb, vf, verification_states(fb), n_paths=4,
+                             dt=-0.1, horizon=1.0)
 
     @pytest.mark.parametrize("n_paths", [2.5, 4.0, True, np.float64(4.0), "4"])
     def test_non_integer_path_count_rejected(self, setup, n_paths):
-        # 2.5 would run np.arange(2.5), 3 paths, and report n_paths=2.5
-        params, fb, _ = setup
+        # 2.5 would run np.arange(2.5), 3 paths, and report n_paths=2.5;
+        # dominance_report types n_paths before its n_paths < 2 check
+        params, fb, vf = setup
         with pytest.raises(ConfigurationError, match=r"^n_paths=.* must be an integer"):
             estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=n_paths, dt=0.1,
                            horizon=1.0)
+        with pytest.raises(ConfigurationError, match=r"^n_paths=.* must be an integer"):
+            dominance_report(params, fb, vf, verification_states(fb), n_paths=n_paths,
+                             dt=0.1, horizon=1.0)
 
     def test_numpy_integer_path_count_accepted(self, setup):
         params, fb, _ = setup
@@ -409,6 +417,33 @@ class TestEstimator:
             simulate_path(params, NeverInstall(), 1.0, 1.0, **kwargs)
         with pytest.raises(ConfigurationError, match=match):
             dominance_report(params, fb, vf, verification_states(fb), n_paths=4, **kwargs)
+
+    @pytest.mark.parametrize("name,value", [
+        ("dt", "0.1"), ("dt", True), ("dt", None), ("dt", 1j),
+        ("horizon", "1.0"), ("horizon", False), ("horizon", [1.0])])
+    def test_non_real_step_settings_rejected(self, setup, name, value):
+        # a string used to escape from the comparisons as a bare TypeError,
+        # and a bool would run as 0 or 1
+        params, fb, vf = setup
+        match = rf"^{name}=" + re.escape(repr(value)) + " must be a real number"
+        kwargs = dict(dt=0.1, horizon=1.0, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ConfigurationError, match=match):
+            estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=4, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            estimate_value_many(params, [(NeverInstall(), 1.0, 1.0)], 4, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            dominance_report(params, fb, vf, verification_states(fb), n_paths=4, **kwargs)
+
+    def test_numpy_real_step_settings_accepted(self, setup):
+        params, fb, _ = setup
+        kwargs = dict(n_paths=4, seed=5, keep_payoffs=True)
+        a = estimate_value(params, NeverInstall(), 1.0, 1.0, dt=np.float64(0.1),
+                           horizon=np.float32(1.0), **kwargs)
+        b = estimate_value(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0, **kwargs)
+        assert a.payoffs.tobytes() == b.payoffs.tobytes()
 
     def test_numpy_integer_seed_accepted(self, setup):
         params, fb, _ = setup
