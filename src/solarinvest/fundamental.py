@@ -22,8 +22,8 @@ accumulated in log space so that neither the t^{s-1} endpoint singularity
 are module constants.
 
 ``log I_s(z)`` is analytic in z, so :class:`FundamentalSolution` does not
-call the quadrature per lookup: it interpolates on half-width panels
-[j/2, (j+1)/2] in z through 14 first-kind Chebyshev nodes, which agree with
+call the quadrature per lookup: it interpolates on quarter-width panels
+[j/4, (j+1)/4] in z through 10 first-kind Chebyshev nodes, which agree with
 mpmath to 1e-13 for every admitted order s0 >= 0.05.  Each panel is stored
 in the power basis of the cell coordinate u in [-1, 1] and read by one
 straight-line Horner expression (on so short a cell the Chebyshev
@@ -32,15 +32,18 @@ coefficients decay fast, so the change of basis is well conditioned).
 on all of them at once, so one panel is one vectorised quadrature call.
 
 The solve reads psi itself and the ratios psi^(k)/psi, and
-psi'/psi = (sqrt(2 kappa)/sigma) exp(log I_{s0+1} - log I_{s0}).  Each cell
-therefore holds one panel pair: log I_{s0}, and the difference
-g = log I_{s0+1} - log I_{s0} (interpolation is linear, so g has its own
-panel), both built from the same two quadrature calls.  ``psi`` is one
-Horner read of the first; ``psi_ratios`` forms psi^(k)/psi from one read
-of g, one exp and the generator recurrence, and stays finite where
-psi itself overflows float64; ``psi_derivs`` is psi times those ratios.
+psi'/psi = (sqrt(2 kappa)/sigma) I_{s0+1}/I_{s0}.  Each cell therefore
+holds one panel pair, both built from the same two quadrature calls:
+log I_{s0}, kept as a log so that ``psi`` can name the log it cannot
+exponentiate, and the ratio I_{s0+1}/I_{s0} itself, the exp of
+log I_{s0+1} - log I_{s0} at the nodes, which is analytic like that log and
+lies far inside float64 (about -z for z << 0, s0/z for z >> 0).  ``psi``
+is one Horner read of the first; ``psi_ratios`` forms psi^(k)/psi from one
+read of the ratio, with no exp, and the generator recurrence, and stays
+finite where psi itself overflows float64; ``psi_derivs`` is psi times
+those ratios.
 The boundary ODE's right-hand side, run 4n + 1 times per n-step solve,
-reads g through ``n_d_evaluator``: the same read, recurrence and raises
+reads the ratio through ``n_d_evaluator``: the same read, recurrence and raises
 as ``psi_ratios``, followed in the same frame by the N/D arithmetic of
 ``boundary``, whose constants it is given.  So only this module knows the
 panel layout, and the anchor root, the value layer and the tests read
@@ -80,12 +83,14 @@ _UMAX = 6.2          # tanh-sinh transform truncation; covers s >= 0.05
 _MAX_LEVEL = 9       # level m has step 0.5 / 2^m
 _TAIL_PAD = 13.0     # upper cutoff T = max(0, -z) + pad; _check_cutoff refuses the
                      # (s, z) whose integrand T truncates
-_PANEL_WIDTH = 0.5   # z-width of one Chebyshev panel of log I_s
-_PANEL_NODES = 14    # nodes per panel, and the coefficients the Horner reads unpack;
-                     # 12 leave errors of 1.1e-13 at s0 = 0.05, 10 leave 1e-11 at 0.06
+_PANEL_WIDTH = 0.25  # z-width of one Chebyshev panel pair
+_PANEL_NODES = 10    # nodes per panel, and the coefficients the Horner reads unpack;
+                     # the ratio panel's worst error is 9.2e-14 (s0 = 0.05, z = -2.5),
+                     # 9 nodes leave 1.9e-12, and 8 on eighth-width cells 1.7e-13
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
-_PANEL_TABLE_CAP = 32  # s0 tables kept: a 2000-step solve over the fuzz box fills 12
-                       # cells at the median and 163 at most, of about 1.1 kB each
+_PANEL_TABLE_CAP = 32  # s0 tables kept: 2000-step solves over the fuzz box fill 7 cells
+                       # at the median (14 on admitted sets) and 325 at most, of about
+                       # 0.8 kB each
 
 # s0 -> {j: cell pair}, least recently bound first; shared by every instance
 # with that s0, since a cell's pair depends on (s0, j) alone
@@ -267,11 +272,11 @@ def _coefficients(values) -> tuple:
 
 
 def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
-    """Panel coefficients of log I_{s0} and of log I_{s0+1} - log I_{s0}
-    on [jW, (j+1)W], stored in ``cells`` (the table of s0) under j."""
+    """Panel coefficients of log I_{s0} and of I_{s0+1}/I_{s0} on
+    [jW, (j+1)W], stored in ``cells`` (the table of s0) under j."""
     nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
     values = log_weighted_integral(s0, nodes)[0]
-    ratio = log_weighted_integral(s0 + 1, nodes)[0] - values
+    ratio = np.exp(log_weighted_integral(s0 + 1, nodes)[0] - values)
     pair = cells[j] = (_coefficients(values), _coefficients(ratio))
     return pair
 
@@ -288,7 +293,7 @@ def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: f
     """``psi_ratios`` of one instance: a closure over its constants and its
     s0 table, never over the instance itself, so an instance that holds it
     is not a reference cycle."""
-    get, floor, exp = cells.get, math.floor, math.exp
+    get, floor = cells.get, math.floor
     cell_scale = scale / _PANEL_WIDTH  # exact: the width is a power of two
 
     def psi_ratios(x: float) -> tuple:
@@ -296,8 +301,8 @@ def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: f
         finite wherever the quadrature converges, also where psi overflows.
 
         One Horner read of the ratio panel of z's cell gives
-        g = log I_{s0+1}(z) - log I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/
-        sigma) exp(g); two steps of the generator recurrence
+        I_{s0+1}(z)/I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/sigma) times
+        that ratio; two steps of the generator recurrence
         psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
         + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
         other two.  Raises :class:`NumericalError` at a z whose cell lies
@@ -311,10 +316,9 @@ def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: f
             raise NumericalError(f"psi'/psi requested at x={x}, z={d * scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
-         c0) = (get(j) or _cell_pair(s0, cells, j))[1]
-        r1 = scale * exp(c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13)))))))))))))
+        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
+        r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * c9)))))))))
         drift = drift_rate * d
         r2 = drift * r1 + rec0
         if not r2 > 0.0:
@@ -336,7 +340,7 @@ def _n_d_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: flo
     ``psi_ratios`` read at z, with its raises and messages, then the N/D
     arithmetic of ``boundary``, each expression as there, so a pair rounds
     exactly as ``psi_ratios`` followed by that arithmetic does."""
-    get, floor, exp = cells.get, math.floor, math.exp
+    get, floor = cells.get, math.floor
     cell_scale = scale / _PANEL_WIDTH
 
     def n_d(y: float, z: float) -> tuple:
@@ -348,10 +352,9 @@ def _n_d_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: flo
             raise NumericalError(f"psi'/psi requested at x={z}, z={d * scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
-         c0) = (get(j) or _cell_pair(s0, cells, j))[1]
-        r1 = scale * exp(c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13)))))))))))))
+        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
+        r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * c9)))))))))
         drift = drift_rate * d
         r2 = drift * r1 + rec0
         if not r2 > 0.0:
@@ -380,11 +383,11 @@ class FundamentalSolution:
     """Evaluator for psi, its first three derivatives and psi^(k)/psi.
 
     The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
-    come from one panel pair per half-width cell [j/2, (j+1)/2] in z: the
+    come from one panel pair per quarter-width cell [j/4, (j+1)/4] in z: the
     power-basis coefficients, in the cell coordinate, of log I_{s0} and of
-    g = log I_{s0+1} - log I_{s0}, each read by one Horner expression.  A
+    the ratio I_{s0+1}/I_{s0}, each read by one Horner expression.  A
     cell's pair is built on first use from one quadrature call per order
-    over its 14 nodes and kept in the module's table for s0 = rho/kappa,
+    over its 10 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
     another solve with the same s0 has visited its cells.  ``psi_ratios``
@@ -392,11 +395,11 @@ class FundamentalSolution:
     s0 table, and ``n_d_evaluator`` builds the solve's N/D closure over the
     same ones; neither keeps a reference to the instance.
     ``log_psi_deriv`` calls the quadrature directly and builds no panel, so
-    it checks the interpolant against the function it interpolates.  Pairs are only ever added, and a pair's
-    coefficients depend on (s0, j) alone, so concurrent reads are safe: two
-    threads that build the same pair store identical values.  Only binding
-    an instance to its table, which may evict the least recently bound
-    one, takes a lock.
+    it checks the interpolant against the function it interpolates.  Pairs
+    are only ever added, and a pair's coefficients depend on (s0, j) alone,
+    so concurrent reads are safe: two threads that build the same pair
+    store identical values.  Only binding an instance to its table, which
+    may evict the least recently bound one, takes a lock.
     """
 
     def __init__(self, params: ModelParams):
@@ -423,7 +426,7 @@ class FundamentalSolution:
         self._log_scale = math.log(scale)
         self._cell_scale = scale / _PANEL_WIDTH
         self._lgamma_s0 = math.lgamma(s0)
-        # j -> (coefficients of log I_{s0}, of log I_{s0+1} - log I_{s0}), the
+        # j -> (coefficients of log I_{s0}, of I_{s0+1}/I_{s0}), the
         # table of this s0 shared across instances; an evicted table stays
         # bound to the instances that hold it
         with _PANEL_LOCK:
@@ -450,10 +453,10 @@ class FundamentalSolution:
             raise NumericalError(f"psi requested at x={x}, z={(self.params.mu - x) * self._scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        (c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2, c1,
+        (c9, c8, c7, c6, c5, c4, c3, c2, c1,
          c0) = (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[0]
         log_psi = c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * (c9 + u * (c10 + u * (c11 + u * (c12 + u * c13))))))))))))
+            c7 + u * (c8 + u * c9))))))))
         return _exp(log_psi - self._lgamma_s0, "psi", x)
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:

@@ -59,6 +59,7 @@ _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the ke
 _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 _FILL_ROWS = 16  # paths per block: drawn by one thread, stored by one transposed multiply
+_STATE_ARRAYS = 8  # (job, path) arrays of doubles that _run holds while it steps
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -481,9 +482,9 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     """
     p = params
     n_steps = _check_mc_config(1, dt, horizon, seed)
-    if not (isinstance(path_index, numbers.Integral) and 0 <= path_index < 2**192):
-        raise ConfigurationError(
-            f"path_index must be an integer in [0, 2**192), got {path_index!r}")
+    _check_integer("path_index", path_index)
+    if not 0 <= path_index < 2**192:
+        raise ConfigurationError(f"path_index must lie in [0, 2**192), got {path_index!r}")
     (lump,), (thr,) = _check_jobs(p, [(policy, x, y)])
     # the record is t, x, y and cum_cost; under overcommit one beyond
     # physical memory is allocated anyway and the loop then pages without
@@ -578,6 +579,24 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     return int(round(ratio))
 
 
+def _check_run_memory(n_jobs: int, n_paths: int, n_steps: int) -> None:
+    """Refuse a run whose (job, path) state and noise exceed physical memory.
+
+    ``_run`` holds ``_STATE_ARRAYS`` (job, path) arrays of doubles while it
+    steps (start and current capacity, price, payoff, first install time,
+    threshold, drift term and a scratch product) and two (steps, path)
+    noise chunks.  Under overcommit a run beyond physical memory is
+    allocated anyway and then pages without end, so it is refused before
+    anything is allocated or drawn."""
+    chunk = _chunk_size(n_paths, n_steps)
+    run_bytes = (_STATE_ARRAYS * n_jobs + 2 * chunk) * n_paths * np.dtype(float).itemsize
+    phys_bytes = physical_memory_bytes()
+    if run_bytes > phys_bytes:
+        raise ConfigurationError(
+            f"{n_jobs} job(s) on {n_paths} paths take {run_bytes} bytes of state and "
+            f"noise, more than the {phys_bytes} bytes of physical memory")
+
+
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
                    n_paths: int, dt: float, horizon: float | None = None,
                    seed: int = 0, keep_payoffs: bool = False) -> SimulationResult:
@@ -606,6 +625,7 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     n_steps = _check_mc_config(n_paths, dt, horizon, seed)
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
+    _check_run_memory(len(jobs), n_paths, n_steps)
     out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
     results = []
     for j, (_, x, _) in enumerate(jobs):

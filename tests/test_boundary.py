@@ -94,15 +94,40 @@ class TestAnchor:
             assert fb.x_bar > floor
 
     def test_anchor_reads_only_panels_the_path_needs(self, monkeypatch):
-        # Newton's iterates from mu and the RK4 path read the panel pair
-        # (log I_s0 and ratio) of each of two cells; an anchor search that
-        # evaluated H far from the root would build panels on more cells.
+        # the solve builds the panel pair (log I_s0 and ratio) of exactly the
+        # cells that Newton's iterates from mu and the RK4 evaluations span,
+        # and the iterates add none to the path's cells (mu = 1.4 lies on
+        # the path); an anchor search that evaluated H far from the root
+        # would build panels on more cells.
         # An empty table: earlier solves with this s0 may have filled it
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
+        newton, path = [], []
+        ratios, evaluator = fs.psi_ratios, fs.n_d_evaluator
+
+        def recorded_ratios(x):
+            newton.append(x)
+            return ratios(x)
+
+        def recorded_evaluator(*constants):
+            n_d = evaluator(*constants)
+
+            def recorded(y, z):
+                path.append(z)
+                return n_d(y, z)
+
+            return recorded
+
+        monkeypatch.setattr(fs, "psi_ratios", recorded_ratios)
+        monkeypatch.setattr(fs, "n_d_evaluator", recorded_evaluator)
         integrate_boundary(params, fs, n_steps=800)
-        assert 2 * len(fs._cells) < 10
+        assert len(newton) > 1 and len(path) == 4 * 800 + 1
+
+        def cells(xs):
+            return {math.floor((params.mu - x) * fs._cell_scale) for x in xs}
+
+        assert set(fs._cells) == cells(path) >= cells(newton)
 
     def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
         # a cell's pair takes one quadrature call at s0 and one at s0+1 over

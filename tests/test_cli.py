@@ -185,6 +185,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_paths_beyond_physical_memory_usage_error(self, capsys):
+        # refused before the path indices alone (80 TB) are allocated
+        assert main(["--steps", "200", "simulate", "--paths", "10000000000000",
+                     "--dt", "0.1", "--horizon", "1.0"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
     def test_infinite_horizon_usage_error(self, tmp_path, capsys):
         code = main(["--steps", "300", "--out", str(tmp_path), "simulate",
                      "--paths", "4", "--horizon", "inf"])

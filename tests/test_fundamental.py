@@ -231,8 +231,9 @@ def mp_log_psi_deriv(s0, k, z):
 
 
 class TestChebyshevPanels:
-    Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -2.5, -2.5 - 1e-12, -1.0, -0.5, 0.0,
-              -1e-12, 0.37, 0.5 - 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.999999, 5.0, 6.8)
+    Z_GRID = (-7.3, -3.0, -3.0 - 1e-12, -2.5, -2.5 - 1e-12, -1.0, -0.75, -0.5, 0.0,
+              -1e-12, 0.25 - 1e-12, 0.25, 0.37, 0.5 - 1e-12, 0.5, 0.75, 1.0 - 1e-12, 1.0,
+              2.999999, 5.0, 6.8)
 
     @pytest.mark.parametrize("s0", [0.05, 0.055, 0.06, 0.3, 1.0, 3.0])
     def test_against_mpmath_including_panel_edges(self, s0):
@@ -256,10 +257,10 @@ class TestChebyshevPanels:
 
     def test_solve_quadrature_budget(self, monkeypatch):
         # quadrature nodes of an 800-step solve, each solve on an empty
-        # table (the three presets share s0 = 0.5): measured 196 (mu=0.2,
-        # seven cells) and 84 (three cells) on 14-node half-width panels;
-        # the budgets, 300 and 120, are 1.5x the 200 and 80 nodes that
-        # 20-node unit panels took
+        # table (the three presets share s0 = 0.5): measured 220 (mu=0.2,
+        # 11 cells), 120 (mu=1.4, six cells) and 100 (mu=2.25, five cells)
+        # on 10-node quarter-width panels; the budgets, 300 and 120, are
+        # 1.5x the 200 and 80 nodes that 20-node unit panels took
         nodes = []
         quad = fundamental.log_weighted_integral
 
@@ -298,7 +299,8 @@ class TestChebyshevPanels:
 
     def test_horner_reads_match_clenshaw(self):
         # each stored panel, read by Horner in the power basis, against a
-        # Clenshaw pass over the Chebyshev coefficients of the same node values
+        # Clenshaw pass over the Chebyshev coefficients of the same node
+        # values: log I_s0, and the ratio I_{s0+1}/I_s0 = exp(g)
         width = fundamental._PANEL_WIDTH
         for s0 in (0.05, 0.3, 3.0):
             fs = unit_scale_solution(s0)
@@ -306,7 +308,7 @@ class TestChebyshevPanels:
                 fs.psi_ratios(-width * (j + 0.5))  # builds cell j's pair
                 nodes = width * (j + 0.5 * (1.0 + fundamental._CHEB_NODES))
                 values = log_weighted_integral(s0, nodes)[0]
-                panels = (values, log_weighted_integral(s0 + 1, nodes)[0] - values)
+                panels = (values, np.exp(log_weighted_integral(s0 + 1, nodes)[0] - values))
                 for stored, node_values in zip(fs._cells[j], panels):
                     assert len(stored) == fundamental._PANEL_NODES
                     chebyshev = fundamental._CHEB_INV @ node_values
@@ -336,8 +338,9 @@ class TestSharedPanelTable:
 
     @pytest.mark.parametrize("other", [dict(sigma=0.6), dict(mu=0.3)])
     def test_same_s0_builds_no_panel(self, monkeypatch, other):
-        # the mu=0.2 preset visits cells -4..0; sigma=0.6 and mu=0.3 (same
-        # s0 = 0.5) visit -3..0, so their solves find every pair built
+        # the mu=0.2 preset visits cells -13..-4 and 0 (Newton's start at mu);
+        # sigma=0.6 and mu=0.3 (same s0 = 0.5) visit -12..-4 and 0, so their
+        # solves find every pair built
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         integrate_boundary(table_preset(0.2), FundamentalSolution(table_preset(0.2)),
                            n_steps=800)

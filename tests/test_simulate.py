@@ -472,12 +472,25 @@ class TestEstimator:
             simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
                           seed=0, path_index=path_index)
 
+    @pytest.mark.parametrize("path_index", [True, False, np.bool_(True)])
+    def test_bool_path_index_rejected(self, setup, monkeypatch, path_index):
+        # as for n_paths and seed: True is not path 1
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        with pytest.raises(ConfigurationError, match=re.escape(f"path_index={path_index!r}")):
+            simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                          seed=0, path_index=path_index)
+
     def test_last_path_index_accepted(self, setup):
         params, fb, _ = setup
         for path_index in (2**192 - 1, np.int64(3)):
             rec = simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
                                 seed=0, path_index=path_index)
             assert math.isfinite(rec.payoff)
+        # a numpy integer runs that path, bit for bit
+        three = simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0,
+                              seed=0, path_index=3)
+        assert (rec.payoff, rec.x.tobytes()) == (three.payoff, three.x.tobytes())
 
     @pytest.mark.parametrize("x,y,bad", [(1.0, 7.5, "y"), (1.0, -1.0, "y"),
                                          (1.0, math.nan, "y"), (math.nan, 1.0, "x"),
@@ -591,6 +604,37 @@ class TestEstimator:
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
         with pytest.raises(ConfigurationError, match=rf"takes {counted} bytes"):
             simulate_path(params, pol, x, y, **settings)
+
+    def test_run_beyond_physical_memory_rejected(self, setup, monkeypatch):
+        # 10**13 paths of 10 steps: eight (job, path) state arrays and two
+        # 10-step noise chunks, (8 + 2 x 10) x 8 bytes per path; refused
+        # before the path indices, a state array or a draw is allocated
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 2**33)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=r"take 2240000000000000 bytes"):
+                estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10**13, dt=0.1,
+                               horizon=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_run_guard_counts_jobs_paths_and_chunks(self, setup, monkeypatch):
+        # with exactly the counted bytes of physical memory the run goes
+        # ahead; with one byte less it is refused before any draw
+        params, fb, _ = setup
+        jobs = [(NeverInstall(), 1.0, 1.0), (ImmediateFull(), 1.0, 1.0)]
+        n_paths = 40
+        counted = (8 * len(jobs) + 2 * 10) * n_paths * 8
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
+        estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        with pytest.raises(ConfigurationError, match=rf"take {counted} bytes"):
+            estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
