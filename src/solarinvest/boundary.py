@@ -27,15 +27,16 @@ four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
 interpolated from the swapped grid on the first ``f_inverse``, monotone
 piecewise-cubic throughout.
 
-A solve builds one (y, z) -> (N/psi^3, D/psi^3) closure.  This module forms
-its constants mu kappa, beta (rho + 2 kappa), rho (rho + kappa), rho + kappa
-and (rho + 2 kappa)/rho, each once from the same parenthesised
-subexpression the formulas above evaluate, so an evaluation rounds exactly
-as they do; ``fs.n_d_evaluator`` closes over them, so that one call reads
-the ratio panel as ``fs.psi_ratios`` does and forms N and D in the same
-frame, and the panel layout stays inside ``fundamental``.  The RK4 stages
-run inline in the loop.  ``ode_rhs`` is a thin wrapper over the same
-closure, so the N/D formula exists once.
+A solve runs in one frame.  This module forms the constants mu kappa,
+beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and (rho + 2 kappa)/rho,
+each once from the same parenthesised subexpression the formulas above
+evaluate, so an evaluation rounds exactly as they do; ``fs.rk4_solver``
+builds one closure over them that runs every RK4 stage, each evaluation
+reading the ratio panel as ``fs.psi_ratios`` does and forming N and D
+inline, with every check above, so the panel layout stays inside
+``fundamental``.  ``ode_rhs`` runs the same closure on a one-node grid,
+which is one evaluation, so the panel read and the N/D formula each exist
+once.
 """
 
 from __future__ import annotations
@@ -48,17 +49,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, SolverError
+from .errors import DomainError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import MonotoneCubic
 from .model import ModelParams, at_capacity, check_capacity
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
-_SINGULAR_RATIO = 1e-12   # |D| below this times |N| counts as hitting D = 0
 _MAX_ROOT_ITER = 100
 _ROOT_XTOL = 1e-13        # absolute tolerance of the anchor root
 _ROOT_RTOL = 4.0 * np.finfo(float).eps  # relative tolerance of the anchor root
-_NODE_BYTES = 256         # peak bytes a solve holds per grid node (193 traced)
+_NODE_BYTES = 256         # peak bytes a solve holds per grid node (129 traced)
 
 
 class Regime(enum.Enum):
@@ -121,33 +121,19 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
                       f"Newton steps; last step {step:.3e} at x = {x}")
 
 
-def _n_d_evaluator(params: ModelParams, fs: FundamentalSolution):
-    """(y, z) -> (N/psi^3, D/psi^3), from the ratios r_k = psi^(k)/psi(z):
-    same quotient and signs as (N, D), and neither can overflow.  The
-    constants are the parenthesised subexpressions of Rtilde, N and D,
-    formed once, so every evaluation rounds as the expressions do; the
-    closure that reads them with the ratio panel is built by ``fs``."""
-    mu_kappa = params.mu * params.kappa
-    beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
-    rho_rk = params.rho * (params.rho + params.kappa)
-    rk = params.rho + params.kappa
-    rk2_over_rho = (params.rho + 2.0 * params.kappa) / params.rho
-    return fs.n_d_evaluator(params.c, params.rho, mu_kappa, beta_rk2, rho_rk, rk,
-                            rk2_over_rho)
-
-
-def _raise_singular(y: float, z: float, n_val: float, d_val: float):
-    raise IntegrationError(f"boundary ODE singular: D/psi^3({y}, {z}) = {d_val:.3e} "
-                           f"with N/psi^3 = {n_val:.3e}")
+def _rk4_solver(p: ModelParams, fs: FundamentalSolution):
+    """``fs``'s one-frame RK4 solve, over the parenthesised subexpressions
+    of Rtilde, N and D, formed once so that it rounds as the formulas do."""
+    return fs.rk4_solver(p.c, p.rho, p.beta, p.mu * p.kappa, p.beta * (p.rho + 2.0 * p.kappa),
+                         p.rho * (p.rho + p.kappa), p.rho + p.kappa,
+                         (p.rho + 2.0 * p.kappa) / p.rho)
 
 
 # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
-    """Right-hand side beta*N/D of the boundary ODE in shifted coordinates."""
-    n_val, d_val = _n_d_evaluator(params, fs)(y, z)
-    if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-        _raise_singular(y, z, n_val, d_val)
-    return params.beta * n_val / d_val
+    """Right-hand side beta*N/D of the boundary ODE in shifted coordinates:
+    the solve on the one-node grid (y, z), which is one evaluation."""
+    return _rk4_solver(params, fs)([y], [z], 0.0)
 
 
 @dataclass(frozen=True)
@@ -256,46 +242,9 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
             f"n_steps={n_steps} needs about {_NODE_BYTES * (n_steps + 1)} bytes, more than "
             f"the {physical_memory_bytes()} bytes of physical memory")
     x_tilde = solve_x_tilde(params, fs)
-    h = params.y_bar / n_steps
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
-    y_list = ys.tolist()
     zs = [math.nan] * n_steps + [x_tilde]
-    z = x_tilde
-    n_d = _n_d_evaluator(params, fs)
-    beta = params.beta
-    slope_floor = beta * (1.0 - 1e-9)
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    n_val, d_val = n_d(y_list[-1], z)
-    for i in range(n_steps, 0, -1):
-        y, y_new = y_list[i], y_list[i - 1]
-        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-            _raise_singular(y, z, n_val, d_val)
-        k1 = beta * n_val / d_val
-        y_mid = y - half_h
-        z_mid = z - half_h * k1
-        n_val, d_val = n_d(y_mid, z_mid)
-        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-            _raise_singular(y_mid, z_mid, n_val, d_val)
-        k2 = beta * n_val / d_val
-        z_mid = z - half_h * k2
-        n_val, d_val = n_d(y_mid, z_mid)
-        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-            _raise_singular(y_mid, z_mid, n_val, d_val)
-        k3 = beta * n_val / d_val
-        y_end, z_end = y - h, z - h * k3
-        n_val, d_val = n_d(y_end, z_end)
-        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-            _raise_singular(y_end, z_end, n_val, d_val)
-        k4 = beta * n_val / d_val
-        z_new = z - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        slope = (z - z_new) / h
-        if slope < slope_floor:
-            raise IntegrationError(
-                f"Ftilde' = {slope:.6e} fell below beta = {beta} at y = {y_new:.6g}")
-        n_val, d_val = n_d(y_new, z_new)
-        if d_val <= 0.0:
-            raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_new:.6g}")
-        zs[i - 1] = z = z_new
+    _rk4_solver(params, fs)(ys.tolist(), zs, params.y_bar / n_steps)
     zs = np.array(zs)
     f_grid = zs - params.beta * ys
     return FreeBoundary(

@@ -43,11 +43,11 @@ read of the ratio, with no exp, and the generator recurrence, and stays
 finite where psi itself overflows float64; ``psi_derivs`` is psi times
 those ratios.
 The boundary ODE's right-hand side, run 4n + 1 times per n-step solve,
-reads the ratio through ``n_d_evaluator``: the same read, recurrence and raises
-as ``psi_ratios``, followed in the same frame by the N/D arithmetic of
-``boundary``, whose constants it is given.  So only this module knows the
-panel layout, and the anchor root, the value layer and the tests read
-the ratios through ``psi_ratios``.
+is evaluated in the solve's one frame, built by ``rk4_solver`` over the
+ODE constants of ``boundary``: the read, recurrence and raises of
+``psi_ratios``, then the N/D arithmetic and the solve's checks inline.  So
+only this module knows the panel layout, and the anchor root, the value
+layer and the tests read the ratios through ``psi_ratios``.
 A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
 shared by every instance with that s0: a sensitivity sweep over sigma, mu,
@@ -74,7 +74,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, IntegrationError, NumericalError
 from .model import ModelParams
 
 _LOG2 = math.log(2.0)
@@ -88,6 +88,7 @@ _PANEL_NODES = 10    # nodes per panel, and the coefficients the Horner reads un
                      # the ratio panel's worst error is 9.2e-14 (s0 = 0.05, z = -2.5),
                      # 9 nodes leave 1.9e-12, and 8 on eighth-width cells 1.7e-13
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
+_SINGULAR_RATIO = 1e-12  # |D| below this times |N| counts as hitting D = 0 in a solve
 _PANEL_TABLE_CAP = 32  # s0 tables kept: 2000-step solves over the fuzz box fill 7 cells
                        # at the median (14 on admitted sets) and 325 at most, of about
                        # 0.8 kB each
@@ -281,11 +282,11 @@ def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
     return pair
 
 
-# psi, psi_ratios and the solve's N/D closure each find z's cell j and
-# position u in [-1, 1] inline (one of them runs per boundary-ODE
-# evaluation, the others per value-layer read); floor refuses a NaN or an
-# infinite cell coordinate, so it is also the finiteness check.  Each then
-# unpacks the cell's _PANEL_NODES coefficients and evaluates one Horner
+# psi, psi_ratios and the solve's RK4 closure each find z's cell j and
+# position u in [-1, 1] inline (the closure per boundary-ODE evaluation);
+# floor refuses a NaN or an infinite cell coordinate, so it is also the
+# finiteness check.  Each then unpacks the cell's _PANEL_NODES coefficients
+# (the closure only when the cell changes) and evaluates one Horner
 # expression, two float operations per coefficient and no loop.
 
 def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
@@ -331,44 +332,83 @@ def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: f
     return psi_ratios
 
 
-def _n_d_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
-              s0: float, cells: dict, c: float, rho: float, mu_kappa: float,
+def _rk4_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
+              s0: float, cells: dict, c: float, rho: float, beta: float, mu_kappa: float,
               beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
-    """The boundary solve's (y, z) -> (N/psi^3, D/psi^3) of one instance,
-    over the constants and s0 table of ``psi_ratios`` and the ODE constants
-    that ``boundary._n_d_evaluator`` forms.  One call is one frame: the
-    ``psi_ratios`` read at z, with its raises and messages, then the N/D
-    arithmetic of ``boundary``, each expression as there, so a pair rounds
-    exactly as ``psi_ratios`` followed by that arithmetic does."""
+    """The boundary solve of one instance, one frame over the constants and
+    s0 table of ``psi_ratios`` and the ODE constants of ``boundary``.  Each
+    evaluation is the ``psi_ratios`` read, raises and messages included,
+    then the N/D arithmetic of ``boundary``, each expression as there, so
+    it rounds exactly as they do.  A cell's coefficients are unpacked only
+    when the cell changes: a pair depends on (s0, j) alone."""
     get, floor = cells.get, math.floor
     cell_scale = scale / _PANEL_WIDTH
+    slope_floor = beta * (1.0 - 1e-9)
 
-    def n_d(y: float, z: float) -> tuple:
-        d = mu - z
-        zw = d * cell_scale
-        try:
-            j = floor(zw)
-        except (ValueError, OverflowError):
-            raise NumericalError(f"psi'/psi requested at x={z}, z={d * scale}: "
-                                 f"outside the float64 range") from None
-        u = 2.0 * (zw - j) - 1.0
-        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
-        r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * c9)))))))))
-        drift = drift_rate * d
-        r2 = drift * r1 + rec0
-        if not r2 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={z}")
-        r3 = drift * r2 + rec1 * r1
-        if not r3 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={z}")
-        q0 = r2 - r1 * r1
-        q1 = r1 * r3 - r2 * r2
-        q0_prime = r3 - r1 * r2
-        crt = rk * (c - (mu_kappa + rho * z - beta_rk2 * y) / rho_rk)
-        return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
+    def rk4(ys: list, zs: list, h: float):
+        """Fill ``zs[:-1]`` by RK4 steps of ``h`` backward from (ys[-1],
+        zs[-1]); on a one-node grid return beta N/D there instead.  Stages
+        0 to 3 evaluate k1 to k4; stage 4 checks D > 0 at the new node, and
+        its pair is the next step's k1.  Raises as ``integrate_boundary``."""
+        i = len(ys) - 1
+        y, z = y_e, z_e = ys[i], zs[i]
+        half_h, sixth_h = 0.5 * h, h / 6.0
+        stage, jc = 0, None
+        while True:
+            d = mu - z_e
+            zw = d * cell_scale
+            try:
+                j = floor(zw)
+            except (ValueError, OverflowError):
+                raise NumericalError(f"psi'/psi requested at x={z_e}, z={d * scale}: "
+                                     f"outside the float64 range") from None
+            if j != jc:
+                c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
+                jc = j
+            u = 2.0 * (zw - j) - 1.0
+            r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+                c7 + u * (c8 + u * c9)))))))))
+            drift = drift_rate * d
+            r2 = drift * r1 + rec0
+            if not r2 > 0.0:
+                raise NumericalError(f"derivative recurrence lost positivity at k=2, x={z_e}")
+            r3 = drift * r2 + rec1 * r1
+            if not r3 > 0.0:
+                raise NumericalError(f"derivative recurrence lost positivity at k=3, x={z_e}")
+            q0 = r2 - r1 * r1
+            crt = rk * (c - (mu_kappa + rho * z_e - beta_rk2 * y_e) / rho_rk)
+            n_val = q0 * (rk2_over_rho * r1 + crt * r2 + r1)
+            d_val = crt * (r1 * r3 - r2 * r2) + (r3 - r1 * r2)
+            if stage == 4:
+                if d_val <= 0.0:
+                    raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_e:.6g}")
+                i -= 1
+                zs[i] = z = z_e
+                if not i:
+                    return None
+                y = y_e
+                stage = 0
+            if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+                raise IntegrationError(f"boundary ODE singular: D/psi^3({y_e}, {z_e}) = "
+                                       f"{d_val:.3e} with N/psi^3 = {n_val:.3e}")
+            k = beta * n_val / d_val
+            if stage == 0:
+                if not i:
+                    return k
+                k1, y_e, z_e = k, y - half_h, z - half_h * k
+            elif stage == 1:
+                k2, z_e = k, z - half_h * k
+            elif stage == 2:
+                k3, y_e, z_e = k, y - h, z - h * k
+            else:
+                y_e, z_e = ys[i - 1], z - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k)
+                slope = (z - z_e) / h
+                if slope < slope_floor:
+                    raise IntegrationError(
+                        f"Ftilde' = {slope:.6e} fell below beta = {beta} at y = {y_e:.6g}")
+            stage += 1
 
-    return n_d
+    return rk4
 
 
 def _exp(log_value: float, name: str, x: float) -> float:
@@ -392,8 +432,8 @@ class FundamentalSolution:
     stays inside a few cells, builds at most a few pairs, and none once
     another solve with the same s0 has visited its cells.  ``psi_ratios``
     is built per instance as a closure over the constants it reads and the
-    s0 table, and ``n_d_evaluator`` builds the solve's N/D closure over the
-    same ones; neither keeps a reference to the instance.
+    s0 table, and ``rk4_solver`` builds a solve's one-frame RK4 closure over
+    the same ones; neither keeps a reference to the instance.
     ``log_psi_deriv`` calls the quadrature directly and builds no panel, so
     it checks the interpolant against the function it interpolates.  Pairs
     are only ever added, and a pair's coefficients depend on (s0, j) alone,
@@ -436,12 +476,11 @@ class FundamentalSolution:
         self._ratio_constants = (params.mu, scale, drift, rec0, rec1, s0, self._cells)
         self.psi_ratios = _ratio_pass(*self._ratio_constants)
 
-    def n_d_evaluator(self, c: float, rho: float, mu_kappa: float, beta_rk2: float,
-                      rho_rk: float, rk: float, rk2_over_rho: float):
-        """The boundary ODE's (y, z) -> (N/psi^3, D/psi^3) closure over the
-        given ODE constants (see ``boundary._n_d_evaluator``): one frame per
-        evaluation, reading z's ratio panel as ``psi_ratios`` does."""
-        return _n_d_pass(*self._ratio_constants, c, rho, mu_kappa, beta_rk2, rho_rk, rk,
+    def rk4_solver(self, c: float, rho: float, beta: float, mu_kappa: float,
+                   beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
+        """The boundary solve's one-frame RK4 closure over the given ODE
+        constants (see ``boundary._rk4_solver``)."""
+        return _rk4_pass(*self._ratio_constants, c, rho, beta, mu_kappa, beta_rk2, rho_rk, rk,
                          rk2_over_rho)
 
     def psi(self, x: float) -> float:

@@ -60,6 +60,7 @@ _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 _FILL_ROWS = 16  # paths per block: drawn by one thread, stored by one transposed multiply
 _STATE_ARRAYS = 8  # (job, path) arrays of doubles that _run holds while it steps
+_STREAM_BYTES = 611  # traced bytes of one path's generator: Generator, Philox and its lock
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -230,12 +231,13 @@ class _NoiseFeed:
     chunk k+1 from the queue; once the caller has stepped chunk k it draws
     the blocks still queued itself instead of waiting, so at most one thread
     per usable CPU steps or draws.  A block's generators are built by the
-    thread that first draws it.  Each path's generator writes its own draws
-    in stream order into a thread's scratch rows, which are scaled and stored
-    transposed, so no value depends on the chunking or on which thread draws
-    a block.  Two buffers alternate, and together they hold at most
-    ``_CHUNK_BUDGET`` elements unless that would cut a chunk below
-    ``_MIN_CHUNK`` steps.  Leaving the ``with`` block empties the queue, so
+    thread that first draws it and dropped after its last chunk, so a run
+    of one chunk never holds every path's generator at once.  Each path's
+    generator writes its own draws in stream order into a thread's scratch
+    rows, which are scaled and stored transposed, so no value depends on
+    the chunking or on which thread draws a block.  Two buffers alternate,
+    and together they hold at most ``_CHUNK_BUDGET`` elements unless that
+    would cut a chunk below ``_MIN_CHUNK`` steps.  Leaving the ``with`` block empties the queue, so
     each helper stops after the block in hand, and joins the helpers; a
     helper's exception is raised on the caller's thread.
     """
@@ -247,7 +249,7 @@ class _NoiseFeed:
         self._scale = scale
         self._chunk = _chunk_size(len(indices), n_steps)
         self._gens = [None] * -(-len(indices) // _FILL_ROWS)  # per block, built lazily
-        self._tasks = queue.SimpleQueue()  # (chunk buffer, block) to draw, None to stop
+        self._tasks = queue.SimpleQueue()  # (chunk buffer, block, last?) to draw, None to stop
         self._done = queue.SimpleQueue()  # None or the exception, per block a helper drew
         self._helpers = []
 
@@ -273,12 +275,11 @@ class _NoiseFeed:
     def _scratch(self):
         return np.empty((min(_FILL_ROWS, len(self._indices)), self._chunk))
 
-    def _draw(self, out, blk, scratch):
+    def _draw(self, out, blk, last, scratch):
         lo = blk * _FILL_ROWS
         hi = min(lo + _FILL_ROWS, len(self._indices))
-        gens = self._gens[blk]
-        if gens is None:
-            gens = self._gens[blk] = _path_generators(self._seed, self._indices[lo:hi])
+        gens = self._gens[blk] or _path_generators(self._seed, self._indices[lo:hi])
+        self._gens[blk] = None if last else gens
         rows = scratch[:hi - lo, :len(out)]
         for gen, row in zip(gens, rows):
             gen.standard_normal(out=row)
@@ -323,7 +324,7 @@ class _NoiseFeed:
         def submit(k, start):  # chunk k reuses the buffer of chunk k - 2
             out = bufs[k % 2][:min(chunk, n_steps - start)]
             for blk in range(len(self._gens)):
-                self._tasks.put((out, blk))
+                self._tasks.put((out, blk, start + chunk >= n_steps))
             return out
 
         pending = submit(0, 0)
@@ -368,23 +369,25 @@ def _check_jobs(params, jobs):
     return lumps, thresholds
 
 
-def _check_end(jobs, x, y, thr):
+def _check_end(jobs, x, y, thr, back):
     """Refuse a finished run, naming the first job whose price is not finite
-    or whose threshold is NaN; ``x``, ``y`` and ``thr`` hold one row per job.
+    or whose threshold is NaN; ``x``, ``y`` and ``thr`` hold job j in row
+    ``back[j]``, and each test reduces a row to one value (min and max pass NaN).
 
     A NaN threshold set by a crossing is never replaced, since no later
     price exceeds it, so checking once after the last step finds it.
     """
-    finite = np.isfinite(x).all(axis=1)
+    finite = (np.isfinite(x.min(axis=1)) & np.isfinite(x.max(axis=1)))[back]
     if not finite.all():
         j = int(np.argmin(finite))
-        nan_cap = "NaN" if np.isnan(y[j]).any() else "not NaN"
+        nan_cap = "NaN" if np.isnan(y[back[j]]).any() else "not NaN"
         raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
                               f"encountered; its capacity is {nan_cap}")
-    stuck = np.isnan(thr).any(axis=1)
+    stuck = np.isnan(thr.max(axis=1))[back]
     if stuck.any():
         j = int(np.argmax(stuck))
-        lvl = float(y[j][np.isnan(thr[j])][0])
+        row = back[j]
+        lvl = float(y[row][np.isnan(thr[row])][0])
         raise SimulationError(
             f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
             "installation, so the policy stopped acting")
@@ -463,9 +466,9 @@ def _run(params, jobs, dt, n_steps, seed, indices):
             x += z
             disc *= disc_step
             step += 1
-    _check_end(jobs, x[back], y[back], thr[back])
-    return {"payoffs": pay[back], "lumps": lumps,
-            "total_installed": (y - y_start)[back], "first_install_time": first[back]}
+    _check_end(jobs, x, y, thr, back)
+    return {"rows": back, "payoffs": pay, "lumps": lumps, "y_start": y_start, "y": y,
+            "first_install_time": first}
 
 
 def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
@@ -538,7 +541,7 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     x_rec[n_steps] = xt
     y_rec[n_steps] = yt
     _check_end([(policy, x, y)], x_rec[None, n_steps:], y_rec[None, n_steps:],
-               np.array([[thr]]))
+               np.array([[thr]]), [0])
     t = np.linspace(0.0, n_steps * dt, n_rec)
     cum_cost = y_rec - y
     cum_cost *= p.c
@@ -585,11 +588,19 @@ def _check_run_memory(n_jobs: int, n_paths: int, n_steps: int) -> None:
     ``_run`` holds ``_STATE_ARRAYS`` (job, path) arrays of doubles while it
     steps (start and current capacity, price, payoff, first install time,
     threshold, drift term and a scratch product) and two (steps, path)
-    noise chunks.  Under overcommit a run beyond physical memory is
+    noise chunks; its callers read a job's row through a row index, and
+    its end-of-run checks reduce each row to one value, so nothing copies
+    the (job, path) arrays.  A run of more than one chunk also holds every
+    path's generator from chunk to chunk, beside each drawing thread's
+    scratch rows.  Under overcommit a run beyond physical memory is
     allocated anyway and then pages without end, so it is refused before
     anything is allocated or drawn."""
     chunk = _chunk_size(n_paths, n_steps)
-    run_bytes = (_STATE_ARRAYS * n_jobs + 2 * chunk) * n_paths * np.dtype(float).itemsize
+    item = np.dtype(float).itemsize
+    run_bytes = (_STATE_ARRAYS * n_jobs + 2 * chunk) * n_paths * item
+    if chunk < n_steps:
+        run_bytes += (n_paths * _STREAM_BYTES
+                      + _fill_workers() * min(_FILL_ROWS, n_paths) * chunk * item)
     phys_bytes = physical_memory_bytes()
     if run_bytes > phys_bytes:
         raise ConfigurationError(
@@ -626,15 +637,16 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
     _check_run_memory(len(jobs), n_paths, n_steps)
-    out = _run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
+    out = _run(params, jobs, dt, n_steps, seed, range(n_paths))
     results = []
     for j, (_, x, _) in enumerate(jobs):
-        pay = out["payoffs"][j]
+        row = out["rows"][j]  # job j's row: a view, not a copy of the (job, path) arrays
+        pay = out["payoffs"][row]
         estimate = float(np.mean(pay))
         std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
                      if n_paths > 1 else 0.0)
-        installed = out["total_installed"][j]
-        first = out["first_install_time"][j]
+        installed = out["y"][row] - out["y_start"][row]
+        first = out["first_install_time"][row]
         frac = float(np.mean(installed > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,

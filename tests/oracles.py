@@ -8,7 +8,8 @@ derivative through other closed forms, the normalized ODE denominator three
 ways, the PDE term on the lump-to-capacity region, the growth ratio of w,
 the partials with a second F(y) read for A'(y), the HJB residual from
 separate partials and ``w`` calls, and the boundary ODE's N/D pair from a
-``psi_ratios`` call followed by the N/D arithmetic in a second frame.
+``psi_ratios`` call followed by the N/D arithmetic in a second frame, and
+its right-hand side beta*N/D with the singular check in a third.
 None of them is on the solve, value or simulation path, so they live here
 and not in the package.
 """
@@ -17,8 +18,8 @@ import math
 
 import numpy as np
 
-from solarinvest import DomainError, NumericalError, r_partials, r_tilde
-from solarinvest.fundamental import log_weighted_integral
+from solarinvest import DomainError, IntegrationError, NumericalError, r_partials, r_tilde
+from solarinvest.fundamental import _SINGULAR_RATIO, log_weighted_integral
 
 
 def _exp(log_value, name, x):
@@ -174,7 +175,7 @@ def hjb_residual_two_pass(vf, x, y):
 
 def n_d_via_psi_ratios(params, fs):
     """(y, z) -> (N/psi^3, D/psi^3) as two frames: ``fs.psi_ratios(z)``,
-    then the N/D arithmetic over the constants ``boundary._n_d_evaluator``
+    then the N/D arithmetic over the constants ``boundary._rk4_solver``
     forms, each expression parenthesised as there."""
     psi_ratios = fs.psi_ratios
     c, rho = params.c, params.rho
@@ -193,6 +194,21 @@ def n_d_via_psi_ratios(params, fs):
         return q0 * (rk2_over_rho * r1 + crt * r2 + r1), crt * q1 + q0_prime
 
     return n_d
+
+
+def rhs_via_psi_ratios(params, fs):
+    """(y, z) -> beta*N/D from ``n_d_via_psi_ratios``, refused as the solve
+    refuses it where |D| < _SINGULAR_RATIO |N|, with the solve's message."""
+    n_d = n_d_via_psi_ratios(params, fs)
+
+    def rhs(y, z):
+        n_val, d_val = n_d(y, z)
+        if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+            raise IntegrationError(f"boundary ODE singular: D/psi^3({y}, {z}) = "
+                                   f"{d_val:.3e} with N/psi^3 = {n_val:.3e}")
+        return params.beta * n_val / d_val
+
+    return rhs
 
 
 def growth_ratio(vf, xs):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -11,12 +12,12 @@ from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
                          integrate_boundary, ode_rhs, params_from_dict, r_tilde,
                          solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
-from solarinvest.boundary import _n_d_evaluator, export_grid_csv
+from solarinvest.boundary import export_grid_csv
 from solarinvest.cli import sweep_boundaries
 from solarinvest.interp import MonotoneCubic
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
-from oracles import h_func, n_d_via_psi_ratios
+from oracles import h_func, n_d_via_psi_ratios, rhs_via_psi_ratios
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -25,6 +26,22 @@ BASELINES = {
     1.4: {"x_tilde": 2.365159228914, "f0": 0.939552865900, "y_star": 2.421282588965},
     2.25: {"x_tilde": 1.974471605720, "f0": 0.866736735136, "y_star": 5.821282588965},
 }
+
+
+def record_floors(monkeypatch):
+    """Patch ``math.floor`` to record every value it returns.  A solve's
+    closure binds floor when it is built, so one built after the patch
+    records the cell index of each of its evaluations, one floor each."""
+    floors = []
+    floor = math.floor
+
+    def recorded(v):
+        j = floor(v)
+        floors.append(j)
+        return j
+
+    monkeypatch.setattr(math, "floor", recorded)
+    return floors
 
 
 def bisect_root(f, lo, hi, tol=1e-12):
@@ -103,31 +120,20 @@ class TestAnchor:
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
-        newton, path = [], []
-        ratios, evaluator = fs.psi_ratios, fs.n_d_evaluator
+        newton = []
+        ratios = fs.psi_ratios
 
         def recorded_ratios(x):
             newton.append(x)
             return ratios(x)
 
-        def recorded_evaluator(*constants):
-            n_d = evaluator(*constants)
-
-            def recorded(y, z):
-                path.append(z)
-                return n_d(y, z)
-
-            return recorded
-
         monkeypatch.setattr(fs, "psi_ratios", recorded_ratios)
-        monkeypatch.setattr(fs, "n_d_evaluator", recorded_evaluator)
+        path = record_floors(monkeypatch)
         integrate_boundary(params, fs, n_steps=800)
         assert len(newton) > 1 and len(path) == 4 * 800 + 1
-
-        def cells(xs):
-            return {math.floor((params.mu - x) * fs._cell_scale) for x in xs}
-
-        assert set(fs._cells) == cells(path) >= cells(newton)
+        path_cells = set(path)
+        newton_cells = {int(np.floor((params.mu - x) * fs._cell_scale)) for x in newton}
+        assert set(fs._cells) == path_cells >= newton_cells
 
     def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
         # a cell's pair takes one quadrature call at s0 and one at s0+1 over
@@ -166,22 +172,31 @@ class TestOdeRightHandSide:
         assert ode_rhs(params, fs, params.y_bar, fb.x_tilde) > params.beta
 
     def test_denominator_identity_at_anchor(self, base):
-        # at the anchor, D collapses to Q0 psi psi'' / psi'; the evaluator returns
-        # D / psi^3, the same identity in the derivatives divided by psi
+        # at the anchor (rho+kappa)(c - Rtilde) = -psi/psi', so D collapses
+        # to Q0 psi psi'' / psi' and N to Q0 ((rho+2 kappa)/rho psi'^2
+        # - psi psi'' + psi'^2) / psi'; in the derivatives divided by psi,
+        # the right-hand side is beta times their quotient
         params, fs, fb, _ = base
         xt = fb.x_tilde
-        _, d_val = _n_d_evaluator(params, fs)(params.y_bar, xt)
         d = fs.psi_derivs(xt, 2) / fs.psi(xt)
         q0 = d[0] * d[2] - d[1] ** 2
-        assert rel_err(d_val, q0 * d[2] / (d[0] * d[1])) < 1e-9
+        d_val = q0 * d[2] / (d[0] * d[1])
+        n_val = q0 * ((params.rho + 2.0 * params.kappa) / params.rho * d[1] ** 2
+                      - d[0] * d[2] + d[1] ** 2) / (d[0] * d[1])
+        assert rel_err(ode_rhs(params, fs, params.y_bar, xt),
+                       params.beta * n_val / d_val) < 1e-9
 
     def test_numerator_dominates_where_denominator_nonnegative(self, base):
+        # N > D wherever D >= 0, so the slope exceeds beta wherever D > 0
         params, fs, _, _ = base
+        n_d = n_d_via_psi_ratios(params, fs)
         for y in np.linspace(0.0, params.y_bar, 6):
             for z in np.linspace(params.mu - 2.0, params.mu + 3.0, 11):
-                n_val, d_val = _n_d_evaluator(params, fs)(float(y), float(z))
+                n_val, d_val = n_d(float(y), float(z))
                 if d_val >= 0.0:
                     assert n_val > d_val
+                if d_val > 0.0:
+                    assert ode_rhs(params, fs, float(y), float(z)) > params.beta
 
 
 class TestIntegration:
@@ -201,8 +216,9 @@ class TestIntegration:
         # re-evaluates D at every accepted node, independently of the
         # integrator's own per-step check
         params, fs, fb, _ = base
+        n_d = n_d_via_psi_ratios(params, fs)
         for y, z in zip(fb.ys, fb.f_tilde):
-            _, d_val = _n_d_evaluator(params, fs)(float(y), float(z))
+            _, d_val = n_d(float(y), float(z))
             assert d_val > 0.0
 
     def test_self_convergence_order(self, base):
@@ -217,23 +233,15 @@ class TestIntegration:
 
     def test_four_evaluations_per_step(self, monkeypatch):
         # k2, k3, k4 and the D check per step; the D check's pair is the
-        # next step's k1, and the anchor's k1 is the one extra
-        calls = []
-        evaluator = boundary._n_d_evaluator
-
-        def counted_evaluator(params, fs):
-            n_d = evaluator(params, fs)
-
-            def counted(y, z):
-                calls.append((y, z))
-                return n_d(y, z)
-            return counted
-
-        monkeypatch.setattr(boundary, "_n_d_evaluator", counted_evaluator)
+        # next step's k1, and the anchor's k1 is the one extra.  Each
+        # evaluation takes one floor; the anchor's Newton reads do not
+        # count, as psi_ratios bound floor when fs was built
         params = table_preset(1.4)
+        fs = FundamentalSolution(params)
+        floors = record_floors(monkeypatch)
         n_steps = 150
-        integrate_boundary(params, FundamentalSolution(params), n_steps=n_steps)
-        assert len(calls) == 4 * n_steps + 1
+        integrate_boundary(params, fs, n_steps=n_steps)
+        assert len(floors) == 4 * n_steps + 1
 
     def test_too_coarse_rejected(self, base):
         params, fs, _, _ = base
@@ -280,9 +288,8 @@ def constant_panel(panel, c0):
 
 def ratio_readers(params, fs):
     """The two routes that read z's ratio panel: ``psi_ratios`` and the
-    solve's N/D closure (at y = y_bar)."""
-    n_d = _n_d_evaluator(params, fs)
-    return fs.psi_ratios, lambda z: n_d(params.y_bar, z)
+    solve's evaluation, through ``ode_rhs`` (at y = y_bar)."""
+    return fs.psi_ratios, lambda z: ode_rhs(params, fs, params.y_bar, z)
 
 
 class TestTypedFailures:
@@ -305,7 +312,7 @@ class TestTypedFailures:
         y = params.y_bar
 
         def d_at(z):
-            return _n_d_evaluator(params, fs)(y, z)[1]
+            return n_d_via_psi_ratios(params, fs)(y, z)[1]
 
         lo, hi = params.mu + 1.5, params.mu + 2.0
         assert d_at(lo) > 0.0 > d_at(hi)
@@ -332,7 +339,7 @@ class TestTypedFailures:
         table = fundamental._PANEL_TABLES[params.rho / params.kappa]
         for j, (log_panel, ratio_panel) in table.items():
             table[j] = (log_panel, constant_panel(ratio_panel, c0))
-        # the solve's N/D closure reads the same panel and raises the same
+        # the solve's evaluation reads the same panel and raises the same
         messages = []
         for read in ratio_readers(params, fs):
             with pytest.raises(NumericalError,
@@ -345,7 +352,7 @@ class TestTypedFailures:
     @pytest.mark.parametrize("offset", [1.5e308, -1.5e308, math.nan])
     def test_cell_coordinate_outside_float64(self, base, offset):
         # z = mu + offset: the cell coordinate overflows or is NaN, and both
-        # the ratio read and the solve's N/D closure refuse it alike
+        # the ratio read and the solve's evaluation refuse it alike
         params, fs, _, _ = base
         z = params.mu + offset
         messages = []
@@ -357,15 +364,15 @@ class TestTypedFailures:
         assert messages[0].endswith("outside the float64 range")
 
 
-def n_d_outcomes(n_d, points):
-    """Per (y, z): the pair's float.hex strings, or the NumericalError's
+def rhs_outcomes(rhs, points):
+    """Per (y, z): the slope's float.hex string, or the refusal's class and
     message."""
     out = []
     for y, z in points:
         try:
-            out.append(tuple(v.hex() for v in n_d(y, z)))
-        except NumericalError as exc:
-            out.append(str(exc))
+            out.append(rhs(y, z).hex())
+        except (NumericalError, IntegrationError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -392,31 +399,34 @@ def n_d_grid(params, n_d):
 
 
 class TestEvaluatorOracle:
-    """The solve's one-frame N/D closure equals ``psi_ratios`` followed by
-    the N/D arithmetic in a second frame, byte for byte, raises included."""
+    """The solve's one evaluation route, ``ode_rhs``, equals ``psi_ratios``
+    followed by the N/D arithmetic and the singular check in further
+    frames, byte for byte, raises included."""
 
     def test_presets(self, solved):
         for mu, (params, fs, fb, _) in solved.items():
-            n_d = _n_d_evaluator(params, fs)
+            n_d = n_d_via_psi_ratios(params, fs)
             points = n_d_grid(params, n_d)
             assert any(n_d(y, z)[1] < 0.0 for y, z in points[:-3]), mu
             points += list(zip(fb.ys.tolist()[::50], fb.f_tilde.tolist()[::50]))
-            assert (n_d_outcomes(n_d, points)
-                    == n_d_outcomes(n_d_via_psi_ratios(params, fs), points)), mu
+            outcomes = rhs_outcomes(partial(ode_rhs, params, fs), points)
+            assert outcomes == rhs_outcomes(rhs_via_psi_ratios(params, fs), points), mu
+            assert any(o.startswith("IntegrationError: boundary ODE singular")
+                       for o in outcomes), mu
 
     def test_empty_table(self, monkeypatch):
-        # an s0 no other test binds, on an emptied table: the closure's own
-        # reads build the cells, and the oracle builds its own on a second one
+        # an s0 no other test binds, on an emptied table: the solve's own
+        # reads build the cells, and the oracle builds its own on a second
+        # one (the points come from a third)
         params = replace(table_preset(1.4), rho=0.0437)
-        points = None
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        points = n_d_grid(params, n_d_via_psi_ratios(params, FundamentalSolution(params)))
         outcomes, tables = [], []
-        for make in (_n_d_evaluator, n_d_via_psi_ratios):
+        for make in (partial(partial, ode_rhs), rhs_via_psi_ratios):
             monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
             fs = FundamentalSolution(params)
             assert not fs._cells
-            n_d = make(params, fs)
-            points = points or n_d_grid(params, n_d)
-            outcomes.append(n_d_outcomes(n_d, points))
+            outcomes.append(rhs_outcomes(make(params, fs), points))
             tables.append(fs._cells)
         assert outcomes[0] == outcomes[1]
         assert tables[0] and tables[0] == tables[1]
@@ -469,6 +479,22 @@ class TestReferenceRK4:
                 fs = FundamentalSolution(fb.params)
                 ref = reference_rk4(fb.params, fs, fb.x_tilde, 800)
                 assert ref.tobytes() == fb.f_tilde.tobytes(), (name, v)
+
+
+class TestCellCache:
+    def test_reference_rk4_on_an_emptied_table(self, monkeypatch):
+        # an s0 no other test binds, on an emptied table: the solve builds
+        # each cell its path enters, and a stage that crosses a cell edge
+        # unpacks the new cell's coefficients before its read
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        params = replace(table_preset(0.2), rho=0.0391)
+        fs = FundamentalSolution(params)
+        path = record_floors(monkeypatch)
+        fb = integrate_boundary(params, fs, n_steps=800)
+        monkeypatch.undo()
+        assert len(set(path)) > 10
+        ref = reference_rk4(params, fs, fb.x_tilde, 800)
+        assert ref.tobytes() == fb.f_tilde.tobytes()
 
 
 class TestBoundaryQueries:

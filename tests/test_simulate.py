@@ -636,6 +636,24 @@ class TestEstimator:
         with pytest.raises(ConfigurationError, match=rf"take {counted} bytes"):
             estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
 
+    def test_run_peak_within_guard(self, setup):
+        # the verify jobs, three policies from each of three states, on
+        # 20,000 paths of 10 steps: the traced peak, with the end-of-run
+        # checks and each job's statistics, stays within the guard's count
+        params, fb, _ = setup
+        policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
+        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        n_paths = 20_000
+        counted = (simulate._STATE_ARRAYS * len(jobs) + 2 * 10) * n_paths * 8
+        estimate_value_many(params, jobs, 50, dt=0.1, horizon=1.0)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted
+
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
         # largest double below 2**64
@@ -908,9 +926,10 @@ class TestReferenceMC:
             for j, (pol, x, y) in enumerate(jobs):
                 ref[:, j, i] = reference_mc(params, pol, x, y, dt, z)[:3]
         assert np.stack([r.payoffs for r in many]).tobytes() == ref[0].tobytes()
-        assert out["payoffs"].tobytes() == ref[0].tobytes()
-        assert out["total_installed"].tobytes() == ref[1].tobytes()
-        assert out["first_install_time"].tobytes() == ref[2].tobytes()
+        rows = out["rows"]  # job j's row in the kernel's arrays
+        assert out["payoffs"][rows].tobytes() == ref[0].tobytes()
+        assert (out["y"] - out["y_start"])[rows].tobytes() == ref[1].tobytes()
+        assert out["first_install_time"][rows].tobytes() == ref[2].tobytes()
         assert (ref[2] > 0.0).any() and np.isnan(ref[2]).any()
 
     def test_recorded_path(self, setup):
