@@ -32,11 +32,12 @@ beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and (rho + 2 kappa)/rho,
 each once from the same parenthesised subexpression the formulas above
 evaluate, so an evaluation rounds exactly as they do; ``fs.rk4_solver``
 builds one closure over them that runs every RK4 stage, each evaluation
-reading the ratio panel as ``fs.psi_ratios`` does and forming N and D
-inline, with every check above, so the panel layout stays inside
-``fundamental``.  ``ode_rhs`` runs the same closure on a one-node grid,
-which is one evaluation, so the panel read and the N/D formula each exist
-once.
+reading psi'/psi and psi''/psi as ``fs.psi_ratios`` does, taking
+psi'''/psi one recurrence step further and forming N and D inline, with
+every check above, so the panel layout stays inside ``fundamental``.
+``ode_rhs`` runs the same closure on a one-node grid, which is one
+evaluation, so the panel read and the N/D formula each exist once; the
+anchor root and ``y_star`` read ``fs.psi_ratios``.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
     rk = params.rho + params.kappa
     x = params.mu
     for _ in range(_MAX_ROOT_ITER):
-        r1, r2, _ = fs.psi_ratios(x)
+        r1, r2 = fs.psi_ratios(x)
         h = params.c - r_tilde(params, x, params.y_bar) + 1.0 / (rk * r1)
         step = h * rk * r1 * r1 / r2
         if not math.isfinite(step):

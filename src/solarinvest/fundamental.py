@@ -38,25 +38,27 @@ log I_{s0}, kept as a log so that ``psi`` can name the log it cannot
 exponentiate, and the ratio I_{s0+1}/I_{s0} itself, the exp of
 log I_{s0+1} - log I_{s0} at the nodes, which is analytic like that log and
 lies far inside float64 (about -z for z << 0, s0/z for z >> 0).  ``psi``
-is one Horner read of the first; ``psi_ratios`` forms psi^(k)/psi from one
-read of the ratio, with no exp, and the generator recurrence, and stays
-finite where psi itself overflows float64; ``psi_derivs`` is psi times
-those ratios.
+is one Horner read of the first; ``psi_ratios`` forms psi'/psi and
+psi''/psi from one read of the ratio, with no exp, and one step of the
+generator recurrence, and stays finite where psi itself overflows float64;
+``psi_derivs`` is psi times those ratios.  The anchor root and the value
+layer read psi up to its second derivative, so both stop there.
 The boundary ODE's right-hand side, run 4n + 1 times per n-step solve,
-is evaluated in the solve's one frame, built by ``rk4_solver`` over the
-ODE constants of ``boundary``: the read, recurrence and raises of
-``psi_ratios``, then the N/D arithmetic and the solve's checks inline.  So
-only this module knows the panel layout, and the anchor root, the value
-layer and the tests read the ratios through ``psi_ratios``.
+also reads psi'''/psi.  It is evaluated in the solve's one frame, the
+closure ``FundamentalSolution.rk4_solver`` builds over the ODE constants of
+``boundary``: the read, recurrence and raises of ``psi_ratios``, one more
+recurrence step for psi'''/psi, then the N/D arithmetic and the solve's
+checks inline.  So only this module knows the panel layout, and the anchor
+root, the value layer and the tests read the ratios through ``psi_ratios``.
 A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
 shared by every instance with that s0: a sensitivity sweep over sigma, mu,
 beta, c or y_bar, or any process that solves repeatedly, builds each pair
-once.  The 32 most recently bound s0 tables are kept.  The solve and the
-value layer read psi up to its third derivative, so ``psi_derivs`` stops
-there.  ``log_psi_deriv`` is one quadrature call with no panel; the other
-reference routes the tests compare against (phi, direct derivatives of any
-order, Q_k and Psi_k, D_a itself) are plain functions in ``tests/oracles.py``.
+once.  The 32 most recently bound s0 tables are kept.  ``log_psi_deriv``
+is one quadrature call with no panel; the other reference routes the tests
+compare against (phi, psi'''/psi and higher orders by the recurrence,
+direct derivatives of any order, Q_k and Psi_k, D_a itself) are plain
+functions in ``tests/oracles.py``.
 
 Every derivative of psi is again positive, increasing and convex, and the
 determinant combinations
@@ -193,7 +195,7 @@ def _check_cutoff(s: float, zs) -> None:
             f"truncates the integrand, whose peak lies at t*={t_peak[i]:.6g}")
 
 
-def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
+def log_weighted_integral(s: float, z):
     """log of I_s(z) = int_0^inf t^{s-1} e^{-t^2/2 - z t} dt, s > 0.
 
     ``z`` is a float or a 1-d array.  Doubles the tanh-sinh level until two
@@ -202,10 +204,11 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     of the level at which it converged, so an array gives exactly the
     values of one call per node.  Returns (log_value, achieved, level),
     with the worst ``achieved`` and ``level`` over the nodes of an array.
-    Raises :class:`NumericalError` if the doubling budget is exhausted at
-    any node, if a z is not finite or beyond 1e150 in magnitude, where
-    the integrand's exponent overflows float64, or if the cutoff would
-    truncate the integrand (large s, see :func:`_check_cutoff`).
+    Raises :class:`NumericalError` if the doubling budget, ``_MAX_LEVEL``
+    as it reads at the call, is exhausted at any node, if a z is not
+    finite or beyond 1e150 in magnitude, where the integrand's exponent
+    overflows float64, or if the cutoff would truncate the integrand
+    (large s, see :func:`_check_cutoff`).
     """
     if s <= 0.0:
         raise DomainError(f"integral order s={s} must be positive")
@@ -231,7 +234,7 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     run_max = np.full(zs.shape, -math.inf)
     run_sum = np.zeros(zs.shape)
     prev = None
-    for m, (logx, logw, h) in enumerate(_TABLES[:max_level + 1]):
+    for m, (logx, logw, h) in enumerate(_TABLES[:_MAX_LEVEL + 1]):
         logt = log_t_max[:, None] + logx
         t = np.exp(logt)
         expo = logw + (s - 1.0) * logt - 0.5 * t * t - z_col * t
@@ -258,7 +261,7 @@ def log_weighted_integral(s: float, z, max_level: int = _MAX_LEVEL):
     worst = live[np.argmax(achieved[live])]
     raise NumericalError(
         f"quadrature for I_s(z) with s={s}, z={zs[worst]} did not converge "
-        f"within {max_level} level doublings", achieved=float(achieved[worst]))
+        f"within {_MAX_LEVEL} level doublings", achieved=float(achieved[worst]))
 
 
 def _coefficients(values) -> tuple:
@@ -287,128 +290,9 @@ def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
 # floor refuses a NaN or an infinite cell coordinate, so it is also the
 # finiteness check.  Each then unpacks the cell's _PANEL_NODES coefficients
 # (the closure only when the cell changes) and evaluates one Horner
-# expression, two float operations per coefficient and no loop.
-
-def _ratio_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
-                s0: float, cells: dict):
-    """``psi_ratios`` of one instance: a closure over its constants and its
-    s0 table, never over the instance itself, so an instance that holds it
-    is not a reference cycle."""
-    get, floor = cells.get, math.floor
-    cell_scale = scale / _PANEL_WIDTH  # exact: the width is a power of two
-
-    def psi_ratios(x: float) -> tuple:
-        """(psi'/psi, psi''/psi, psi'''/psi) at x, formed without psi itself:
-        finite wherever the quadrature converges, also where psi overflows.
-
-        One Horner read of the ratio panel of z's cell gives
-        I_{s0+1}(z)/I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/sigma) times
-        that ratio; two steps of the generator recurrence
-        psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1)
-        + (2 (rho + k kappa)/sigma^2) psi^(k), divided by psi, give the
-        other two.  Raises :class:`NumericalError` at a z whose cell lies
-        outside the float64 range or when a ratio comes out non-positive.
-        """
-        d = mu - x
-        zw = d * cell_scale
-        try:
-            j = floor(zw)
-        except (ValueError, OverflowError):
-            raise NumericalError(f"psi'/psi requested at x={x}, z={d * scale}: "
-                                 f"outside the float64 range") from None
-        u = 2.0 * (zw - j) - 1.0
-        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
-        r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * c9)))))))))
-        drift = drift_rate * d
-        r2 = drift * r1 + rec0
-        if not r2 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
-        r3 = drift * r2 + rec1 * r1
-        if not r3 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=3, x={x}")
-        return r1, r2, r3
-
-    return psi_ratios
-
-
-def _rk4_pass(mu: float, scale: float, drift_rate: float, rec0: float, rec1: float,
-              s0: float, cells: dict, c: float, rho: float, beta: float, mu_kappa: float,
-              beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
-    """The boundary solve of one instance, one frame over the constants and
-    s0 table of ``psi_ratios`` and the ODE constants of ``boundary``.  Each
-    evaluation is the ``psi_ratios`` read, raises and messages included,
-    then the N/D arithmetic of ``boundary``, each expression as there, so
-    it rounds exactly as they do.  A cell's coefficients are unpacked only
-    when the cell changes: a pair depends on (s0, j) alone."""
-    get, floor = cells.get, math.floor
-    cell_scale = scale / _PANEL_WIDTH
-    slope_floor = beta * (1.0 - 1e-9)
-
-    def rk4(ys: list, zs: list, h: float):
-        """Fill ``zs[:-1]`` by RK4 steps of ``h`` backward from (ys[-1],
-        zs[-1]); on a one-node grid return beta N/D there instead.  Stages
-        0 to 3 evaluate k1 to k4; stage 4 checks D > 0 at the new node, and
-        its pair is the next step's k1.  Raises as ``integrate_boundary``."""
-        i = len(ys) - 1
-        y, z = y_e, z_e = ys[i], zs[i]
-        half_h, sixth_h = 0.5 * h, h / 6.0
-        stage, jc = 0, None
-        while True:
-            d = mu - z_e
-            zw = d * cell_scale
-            try:
-                j = floor(zw)
-            except (ValueError, OverflowError):
-                raise NumericalError(f"psi'/psi requested at x={z_e}, z={d * scale}: "
-                                     f"outside the float64 range") from None
-            if j != jc:
-                c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = (get(j) or _cell_pair(s0, cells, j))[1]
-                jc = j
-            u = 2.0 * (zw - j) - 1.0
-            r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-                c7 + u * (c8 + u * c9)))))))))
-            drift = drift_rate * d
-            r2 = drift * r1 + rec0
-            if not r2 > 0.0:
-                raise NumericalError(f"derivative recurrence lost positivity at k=2, x={z_e}")
-            r3 = drift * r2 + rec1 * r1
-            if not r3 > 0.0:
-                raise NumericalError(f"derivative recurrence lost positivity at k=3, x={z_e}")
-            q0 = r2 - r1 * r1
-            crt = rk * (c - (mu_kappa + rho * z_e - beta_rk2 * y_e) / rho_rk)
-            n_val = q0 * (rk2_over_rho * r1 + crt * r2 + r1)
-            d_val = crt * (r1 * r3 - r2 * r2) + (r3 - r1 * r2)
-            if stage == 4:
-                if d_val <= 0.0:
-                    raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_e:.6g}")
-                i -= 1
-                zs[i] = z = z_e
-                if not i:
-                    return None
-                y = y_e
-                stage = 0
-            if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
-                raise IntegrationError(f"boundary ODE singular: D/psi^3({y_e}, {z_e}) = "
-                                       f"{d_val:.3e} with N/psi^3 = {n_val:.3e}")
-            k = beta * n_val / d_val
-            if stage == 0:
-                if not i:
-                    return k
-                k1, y_e, z_e = k, y - half_h, z - half_h * k
-            elif stage == 1:
-                k2, z_e = k, z - half_h * k
-            elif stage == 2:
-                k3, y_e, z_e = k, y - h, z - h * k
-            else:
-                y_e, z_e = ys[i - 1], z - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k)
-                slope = (z - z_e) / h
-                if slope < slope_floor:
-                    raise IntegrationError(
-                        f"Ftilde' = {slope:.6e} fell below beta = {beta} at y = {y_e:.6g}")
-            stage += 1
-
-    return rk4
+# expression, two float operations per coefficient and no loop.  psi and
+# psi_ratios read floor bound here, the closure the one bound when it is built.
+_floor = math.floor
 
 
 def _exp(log_value: float, name: str, x: float) -> float:
@@ -420,7 +304,7 @@ def _exp(log_value: float, name: str, x: float) -> float:
 
 
 class FundamentalSolution:
-    """Evaluator for psi, its first three derivatives and psi^(k)/psi.
+    """Evaluator for psi, its first two derivatives and psi'/psi, psi''/psi.
 
     The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
     come from one panel pair per quarter-width cell [j/4, (j+1)/4] in z: the
@@ -430,20 +314,20 @@ class FundamentalSolution:
     over its 10 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
     stays inside a few cells, builds at most a few pairs, and none once
-    another solve with the same s0 has visited its cells.  ``psi_ratios``
-    is built per instance as a closure over the constants it reads and the
-    s0 table, and ``rk4_solver`` builds a solve's one-frame RK4 closure over
-    the same ones; neither keeps a reference to the instance.
-    ``log_psi_deriv`` calls the quadrature directly and builds no panel, so
-    it checks the interpolant against the function it interpolates.  Pairs
-    are only ever added, and a pair's coefficients depend on (s0, j) alone,
-    so concurrent reads are safe: two threads that build the same pair
-    store identical values.  Only binding an instance to its table, which
-    may evict the least recently bound one, takes a lock.
+    another solve with the same s0 has visited its cells.  ``rk4_solver``
+    builds a solve's one-frame RK4 closure over the instance's constants,
+    its s0 table and the ODE constants, and keeps no reference to the
+    instance.  ``log_psi_deriv`` calls the quadrature directly and builds
+    no panel, so it checks the interpolant against the function it
+    interpolates.  Pairs are only ever added, and a pair's coefficients
+    depend on (s0, j) alone, so concurrent reads are safe: two threads that
+    build the same pair store identical values.  Only binding an instance
+    to its table, which may evict the least recently bound one, takes a lock.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self._mu = params.mu
         self._s0 = s0 = params.rho / params.kappa
         self._scale = scale = math.sqrt(2.0 * params.kappa) / params.sigma
         # the generator equation differentiated k times and divided by psi:
@@ -453,9 +337,9 @@ class FundamentalSolution:
             two_over_s2 = 2.0 / params.sigma**2
         except (OverflowError, ZeroDivisionError):  # sigma^2 outside float64
             two_over_s2 = 2.0 / params.sigma / params.sigma  # 0 or inf
-        drift = -two_over_s2 * params.kappa
-        rec0 = two_over_s2 * params.rho
-        rec1 = two_over_s2 * (params.rho + params.kappa)
+        self._drift_rate = drift = -two_over_s2 * params.kappa
+        self._rec0 = rec0 = two_over_s2 * params.rho
+        self._rec1 = rec1 = two_over_s2 * (params.rho + params.kappa)
         for name, value in (("rho/kappa", s0), ("sqrt(2 kappa)/sigma", scale),
                             ("2 kappa/sigma^2", -drift), ("2 rho/sigma^2", rec0),
                             ("2 (rho+kappa)/sigma^2", rec1)):
@@ -473,23 +357,125 @@ class FundamentalSolution:
             self._cells = _PANEL_TABLES[s0] = _PANEL_TABLES.pop(s0, {})
             if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
                 del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
-        self._ratio_constants = (params.mu, scale, drift, rec0, rec1, s0, self._cells)
-        self.psi_ratios = _ratio_pass(*self._ratio_constants)
+
+    def psi_ratios(self, x: float) -> tuple:
+        """(psi'/psi, psi''/psi) at x, formed without psi itself: finite
+        wherever the quadrature converges, also where psi overflows.
+
+        One Horner read of the ratio panel of z's cell gives
+        I_{s0+1}(z)/I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/sigma) times
+        that ratio; one step of the generator recurrence, divided by psi,
+        gives psi''/psi = drift (mu - x) psi'/psi + rec_0.  Raises
+        :class:`NumericalError` at a z whose cell lies outside the float64
+        range or when psi''/psi comes out non-positive.
+        """
+        d = self._mu - x
+        zw = d * self._cell_scale
+        try:
+            j = _floor(zw)
+        except (ValueError, OverflowError):
+            raise NumericalError(f"psi'/psi requested at x={x}, z={d * self._scale}: "
+                                 f"outside the float64 range") from None
+        u = 2.0 * (zw - j) - 1.0
+        (c9, c8, c7, c6, c5, c4, c3, c2, c1,
+         c0) = (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[1]
+        r1 = self._scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (
+            c6 + u * (c7 + u * (c8 + u * c9)))))))))
+        r2 = self._drift_rate * d * r1 + self._rec0
+        if not r2 > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
+        return r1, r2
 
     def rk4_solver(self, c: float, rho: float, beta: float, mu_kappa: float,
                    beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
-        """The boundary solve's one-frame RK4 closure over the given ODE
-        constants (see ``boundary._rk4_solver``)."""
-        return _rk4_pass(*self._ratio_constants, c, rho, beta, mu_kappa, beta_rk2, rho_rk, rk,
-                         rk2_over_rho)
+        """The boundary solve of this instance: a closure over its constants
+        and s0 table and the given ODE constants (see ``boundary._rk4_solver``).
+        Each evaluation is the ``psi_ratios`` read, raises and messages
+        included, the next recurrence step psi'''/psi = drift (mu - x)
+        psi''/psi + rec_1 psi'/psi, refused unless positive, and the N/D
+        arithmetic of ``boundary``, each expression as there, so it rounds
+        exactly as they do.  A cell's coefficients are unpacked only when
+        the cell changes: a pair depends on (s0, j) alone."""
+        mu, scale, drift_rate, rec0, rec1 = (self._mu, self._scale, self._drift_rate,
+                                             self._rec0, self._rec1)
+        s0, cells, cell_scale = self._s0, self._cells, self._cell_scale
+        get, floor = cells.get, math.floor
+        slope_floor = beta * (1.0 - 1e-9)
+
+        def rk4(ys: list, zs: list, h: float):
+            """Fill ``zs[:-1]`` by RK4 steps of ``h`` backward from (ys[-1],
+            zs[-1]); on a one-node grid return beta N/D there instead.  Stages
+            0 to 3 evaluate k1 to k4; stage 4 checks D > 0 at the new node, and
+            its pair is the next step's k1.  Raises as ``integrate_boundary``."""
+            i = len(ys) - 1
+            y, z = y_e, z_e = ys[i], zs[i]
+            half_h, sixth_h = 0.5 * h, h / 6.0
+            stage, jc = 0, None
+            while True:
+                d = mu - z_e
+                zw = d * cell_scale
+                try:
+                    j = floor(zw)
+                except (ValueError, OverflowError):
+                    raise NumericalError(f"psi'/psi requested at x={z_e}, z={d * scale}: "
+                                         f"outside the float64 range") from None
+                if j != jc:
+                    (c9, c8, c7, c6, c5, c4, c3, c2, c1,
+                     c0) = (get(j) or _cell_pair(s0, cells, j))[1]
+                    jc = j
+                u = 2.0 * (zw - j) - 1.0
+                r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (
+                    c6 + u * (c7 + u * (c8 + u * c9)))))))))
+                drift = drift_rate * d
+                r2 = drift * r1 + rec0
+                if not r2 > 0.0:
+                    raise NumericalError(f"derivative recurrence lost positivity at k=2, x={z_e}")
+                r3 = drift * r2 + rec1 * r1
+                if not r3 > 0.0:
+                    raise NumericalError(f"derivative recurrence lost positivity at k=3, x={z_e}")
+                q0 = r2 - r1 * r1
+                crt = rk * (c - (mu_kappa + rho * z_e - beta_rk2 * y_e) / rho_rk)
+                n_val = q0 * (rk2_over_rho * r1 + crt * r2 + r1)
+                d_val = crt * (r1 * r3 - r2 * r2) + (r3 - r1 * r2)
+                if stage == 4:
+                    if d_val <= 0.0:
+                        raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_e:.6g}")
+                    i -= 1
+                    zs[i] = z = z_e
+                    if not i:
+                        return None
+                    y = y_e
+                    stage = 0
+                if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
+                    raise IntegrationError(f"boundary ODE singular: D/psi^3({y_e}, {z_e}) = "
+                                           f"{d_val:.3e} with N/psi^3 = {n_val:.3e}")
+                k = beta * n_val / d_val
+                if stage == 0:
+                    if not i:
+                        return k
+                    k1, y_e, z_e = k, y - half_h, z - half_h * k
+                elif stage == 1:
+                    k2, z_e = k, z - half_h * k
+                elif stage == 2:
+                    k3, y_e, z_e = k, y - h, z - h * k
+                else:
+                    y_e, z_e = ys[i - 1], z - sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k)
+                    slope = (z - z_e) / h
+                    if slope < slope_floor:
+                        raise IntegrationError(
+                            f"Ftilde' = {slope:.6e} fell below beta = {beta} at y = {y_e:.6g}")
+                stage += 1
+
+        return rk4
 
     def psi(self, x: float) -> float:
         """Strictly increasing positive solution of the generator equation."""
-        zw = (self.params.mu - x) * self._cell_scale
+        d = self._mu - x
+        zw = d * self._cell_scale
         try:
-            j = math.floor(zw)
+            j = _floor(zw)
         except (ValueError, OverflowError):
-            raise NumericalError(f"psi requested at x={x}, z={(self.params.mu - x) * self._scale}: "
+            raise NumericalError(f"psi requested at x={x}, z={d * self._scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
         (c9, c8, c7, c6, c5, c4, c3, c2, c1,
@@ -499,9 +485,9 @@ class FundamentalSolution:
         return _exp(log_psi - self._lgamma_s0, "psi", x)
 
     def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x), k_max <= 3: psi times (1, *psi_ratios(x))."""
-        if not 0 <= k_max <= 3:
-            raise DomainError(f"derivative order k_max={k_max} must lie in [0, 3]")
+        """psi^(0..k_max)(x), k_max <= 2: psi times (1, *psi_ratios(x))."""
+        if not 0 <= k_max <= 2:
+            raise DomainError(f"derivative order k_max={k_max} must lie in [0, 2]")
         ratios = (1.0, *self.psi_ratios(x))
         psi = self.psi(x)
         out = [psi * r for r in ratios[:k_max + 1]]

@@ -58,7 +58,7 @@ from .value import ValueFunction
 _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the kernel idle
 _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
-_FILL_ROWS = 16  # paths per block: drawn by one thread, stored by one transposed multiply
+_FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
 _STATE_ARRAYS = 8  # (job, path) arrays of doubles that _run holds while it steps
 _STREAM_BYTES = 611  # traced bytes of one path's generator: Generator, Philox and its lock
 
@@ -283,7 +283,10 @@ class _NoiseFeed:
         rows = scratch[:hi - lo, :len(out)]
         for gen, row in zip(gens, rows):
             gen.standard_normal(out=row)
-        np.multiply(rows.T, self._scale, out=out[:, lo:hi])
+        # scaled in the contiguous rows: a multiply into the strided
+        # transposed view would allocate a ufunc buffer per call
+        rows *= self._scale
+        out[:, lo:hi] = rows.T
 
     def _help(self):
         scratch = self._scratch()

@@ -31,7 +31,8 @@ the same monotone cubic family as F; the derivative formula
     A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft)
 
 is kept closed-form (not re-integrated); ``partials`` reads it.  Both A and
-A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft) and one psi(Ft), e.g.
+A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, the pair
+``psi_ratios`` returns, and one psi(Ft), e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
 ``partials`` and ``hjb_residual`` share one lookup of the state: y_hit, A(y_hit)
@@ -41,14 +42,14 @@ psi alone: psi'' can overflow where psi and w are finite.  F(y) is read once
 too: the boundary's classification of the state reads it, and A'(y) takes
 Ftilde(y) = F(y) + beta y from that value.  The classification reads no F(y)
 at capacity (y = y_bar), so there, and only there, A'(y) reads it itself
-through ``FreeBoundary.f_tilde_at``, as the public ``a_prime`` always does.
+through ``FreeBoundary.f_tilde_at``.
 A grid node below y_bar with A <= 0 contradicts A > 0 and is refused with
 :class:`NumericalError`; a grid too coarse where F is steep produces one.  The
 tests check these closed forms against other representations of the same
-quantities (A from its Rtilde/Q0 form, A' from the smooth-fit pair, the
-normalized ODE denominator three ways, the PDE term on the lump-to-capacity
-region and the linear growth bound); those routes live in
-``tests/oracles.py``, not here.
+quantities (A from its Rtilde/Q0 form, A' at its own read of F(y) and from
+the smooth-fit pair, the normalized ODE denominator three ways, the PDE
+term on the lump-to-capacity region and the linear growth bound); those
+routes live in ``tests/oracles.py``, not here.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class ValueFunction:
         # where the psi-derivatives themselves would overflow to inf/inf
         p = self.params
         f_val = f_tilde - p.beta * y
-        r1, r2, _ = self.fs.psi_ratios(f_tilde)
+        r1, r2 = self.fs.psi_ratios(f_tilde)
         rk = p.rho + p.kappa
         num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * r1
                + 0.5 * p.sigma**2 * r2)
@@ -115,14 +116,11 @@ class ValueFunction:
         """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
         return float(self._a_itp(check_capacity(self.params, y)))
 
-    def a_prime(self, y: float) -> float:
-        """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module docstring)."""
-        return self._a_prime_at(y, self.fb.f_tilde_at(y))
-
     def _a_prime_at(self, y: float, ft: float) -> float:
-        """A'(y) given ft = Ftilde(y)."""
+        """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module
+        docstring), given ft = Ftilde(y)."""
         p = self.params
-        r1, r2, _ = self.fs.psi_ratios(ft)
+        r1, r2 = self.fs.psi_ratios(ft)
         return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
                 / (self.fs.psi(ft) * (r2 - r1 ** 2)))
 

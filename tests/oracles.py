@@ -4,12 +4,14 @@ Each is a second representation of a quantity the package computes one way:
 a panel's Chebyshev series by Clenshaw, psi's derivatives straight from the
 integral and to any order, phi, the determinant combinations Q_k and Psi_k,
 the cylinder function D_a, the anchor function H, the coefficient A and its
-derivative through other closed forms, the normalized ODE denominator three
-ways, the PDE term on the lump-to-capacity region, the growth ratio of w,
-the partials with a second F(y) read for A'(y), the HJB residual from
-separate partials and ``w`` calls, and the boundary ODE's N/D pair from a
-``psi_ratios`` call followed by the N/D arithmetic in a second frame, and
-its right-hand side beta*N/D with the singular check in a third.
+derivative through other closed forms and at its own read of F(y), the
+normalized ODE denominator three ways, the PDE term on the lump-to-capacity
+region, the growth ratio of w, the partials with a second F(y) read for
+A'(y), the HJB residual from separate partials and ``w`` calls, psi'''/psi
+by the solve's recurrence step after a ``psi_ratios`` call, and the
+boundary ODE's N/D pair from those three ratios followed by the N/D
+arithmetic in a second frame, and its right-hand side beta*N/D with the
+singular check in a third.
 None of them is on the solve, value or simulation path, so they live here
 and not in the package.
 """
@@ -50,15 +52,27 @@ def cylinder_d(alpha, x):
     return math.exp(-0.25 * x * x + log_i - math.lgamma(-alpha))
 
 
+def ratios3(fs, x):
+    """(psi'/psi, psi''/psi, psi'''/psi) at x: ``fs.psi_ratios`` and the
+    recurrence step to order 3 with the boundary solve's expression,
+    refused with the solve's message where it is not positive."""
+    r1, r2 = fs.psi_ratios(x)
+    drift = fs._drift_rate * (fs._mu - x)
+    r3 = drift * r2 + fs._rec1 * r1
+    if not r3 > 0.0:
+        raise NumericalError(f"derivative recurrence lost positivity at k=3, x={x}")
+    return r1, r2, r3
+
+
 def psi_derivs(fs, x, k_max):
     """psi^(0..k_max)(x) for any order: ``fs.psi_derivs`` carried past order
-    3 by the generator recurrence
+    2 by the generator recurrence
     psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1) + (2 (rho + k kappa)/sigma^2) psi^(k)."""
     p = fs.params
     ratios = [1.0, *fs.psi_ratios(x)]
     two_over_s2 = 2.0 / p.sigma**2
     drift = -two_over_s2 * p.kappa * (p.mu - x)
-    for k in range(2, k_max - 1):
+    for k in range(1, k_max - 1):
         nxt = drift * ratios[k + 1] + two_over_s2 * (p.rho + k * p.kappa) * ratios[k]
         if not nxt > 0.0:
             raise NumericalError(f"derivative recurrence lost positivity at k={k + 2}, x={x}")
@@ -146,9 +160,16 @@ def install_region_pde_closed_form(params, x, y):
                             + p.c * p.rho - x)
 
 
+def a_prime(vf, y):
+    """Closed-form A'(y) at its own read of Ftilde(y), as ``partials``
+    forms it at capacity."""
+    return vf._a_prime_at(y, vf.fb.f_tilde_at(y))
+
+
 def partials_two_lookup(vf, x, y):
-    """(w_x, w_xx, w_y) through the public ``lump_target``, ``a`` and
-    ``a_prime``: F(y) is read once to classify the state and again for A'(y)."""
+    """(w_x, w_xx, w_y) through the public ``lump_target`` and ``a`` and
+    through ``a_prime``: F(y) is read once to classify the state and again
+    for A'(y)."""
     p = vf.params
     y_hit = vf.fb.lump_target(x, y)
     r_y, _, r_x = r_partials(p, x, y_hit)
@@ -156,7 +177,7 @@ def partials_two_lookup(vf, x, y):
         return r_x, 0.0, p.c
     d = vf.fs.psi_derivs(x + p.beta * y_hit, 2)
     a_val = vf.a(y_hit)
-    w_y = p.c if y_hit > y else vf.a_prime(y) * d[0] + p.beta * a_val * d[1] + r_y
+    w_y = p.c if y_hit > y else a_prime(vf, y) * d[0] + p.beta * a_val * d[1] + r_y
     return a_val * d[1] + r_x, a_val * d[2], w_y
 
 
@@ -174,10 +195,9 @@ def hjb_residual_two_pass(vf, x, y):
 
 
 def n_d_via_psi_ratios(params, fs):
-    """(y, z) -> (N/psi^3, D/psi^3) as two frames: ``fs.psi_ratios(z)``,
+    """(y, z) -> (N/psi^3, D/psi^3) as two frames: ``ratios3(fs, z)``,
     then the N/D arithmetic over the constants ``boundary._rk4_solver``
     forms, each expression parenthesised as there."""
-    psi_ratios = fs.psi_ratios
     c, rho = params.c, params.rho
     mu_kappa = params.mu * params.kappa
     beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
@@ -186,7 +206,7 @@ def n_d_via_psi_ratios(params, fs):
     rk2_over_rho = (params.rho + 2.0 * params.kappa) / params.rho
 
     def n_d(y, z):
-        r1, r2, r3 = psi_ratios(z)
+        r1, r2, r3 = ratios3(fs, z)
         q0 = r2 - r1 * r1
         q1 = r1 * r3 - r2 * r2
         q0_prime = r3 - r1 * r2
@@ -229,14 +249,14 @@ def d_tilde_forms(vf, y):
     """
     p = vf.params
     ft = vf.fb.f_tilde_at(y)
-    d = vf.fs.psi_derivs(ft, 3)
+    d = psi_derivs(vf.fs, ft, 3)
     q0 = d[0] * d[2] - d[1] ** 2
     q1 = d[1] * d[3] - d[2] ** 2
     q0_prime = d[0] * d[3] - d[1] * d[2]
     rk = p.rho + p.kappa
     big_d = d[0] * (rk * (p.c - r_tilde(p, ft, y)) * q1 + q0_prime)
     via_d = big_d / (rk * d[0] * q0)
-    a_val, ap_val = vf.a(y), vf.a_prime(y)
+    a_val, ap_val = vf.a(y), a_prime(vf, y)
     via_coeffs = -p.beta * d[3] * a_val - d[2] * ap_val
     via_linear = (2.0 / p.sigma**2) * (
         ft - p.c * p.rho - (p.rho + 2.0 * p.kappa) * p.beta * y / rk

@@ -17,7 +17,7 @@ from solarinvest.cli import sweep_boundaries
 from solarinvest.interp import MonotoneCubic
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
-from oracles import h_func, n_d_via_psi_ratios, rhs_via_psi_ratios
+from oracles import h_func, n_d_via_psi_ratios, ratios3, rhs_via_psi_ratios
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -235,7 +235,7 @@ class TestIntegration:
         # k2, k3, k4 and the D check per step; the D check's pair is the
         # next step's k1, and the anchor's k1 is the one extra.  Each
         # evaluation takes one floor; the anchor's Newton reads do not
-        # count, as psi_ratios bound floor when fs was built
+        # count, as psi_ratios reads the floor bound at import
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         floors = record_floors(monkeypatch)
@@ -287,9 +287,11 @@ def constant_panel(panel, c0):
 
 
 def ratio_readers(params, fs):
-    """The two routes that read z's ratio panel: ``psi_ratios`` and the
-    solve's evaluation, through ``ode_rhs`` (at y = y_bar)."""
-    return fs.psi_ratios, lambda z: ode_rhs(params, fs, params.y_bar, z)
+    """The routes that read z's ratio panel: ``psi_ratios``, the oracle
+    ``ratios3`` that carries it to psi'''/psi, and the solve's evaluation,
+    through ``ode_rhs`` (at y = y_bar)."""
+    return (fs.psi_ratios, partial(ratios3, fs),
+            lambda z: ode_rhs(params, fs, params.y_bar, z))
 
 
 class TestTypedFailures:
@@ -328,9 +330,10 @@ class TestTypedFailures:
 
     @pytest.mark.parametrize("c0,k", [(40.0, 2), (-40.0, 3)])
     def test_recurrence_loses_positivity(self, monkeypatch, c0, k):
-        # a constant ratio panel g = c0: left of mu the drift term of the
-        # recurrence is negative, so a large psi'/psi = scale e^c0 turns
-        # psi''/psi negative, and a tiny one leaves psi'''/psi negative
+        # a constant ratio panel c0: left of mu the drift term of the
+        # recurrence is negative, so a large psi'/psi = scale c0 turns
+        # psi''/psi negative, and a negative one leaves psi''/psi positive
+        # and psi'''/psi negative
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
@@ -339,20 +342,25 @@ class TestTypedFailures:
         table = fundamental._PANEL_TABLES[params.rho / params.kappa]
         for j, (log_panel, ratio_panel) in table.items():
             table[j] = (log_panel, constant_panel(ratio_panel, c0))
+        readers = ratio_readers(params, fs)
+        if k == 3:
+            # psi_ratios stops at psi''/psi, which is positive here
+            assert fs.psi_ratios(x)[1] > 0.0
+            readers = readers[1:]
         # the solve's evaluation reads the same panel and raises the same
         messages = []
-        for read in ratio_readers(params, fs):
+        for read in readers:
             with pytest.raises(NumericalError,
                                match=rf"^derivative recurrence lost positivity at k={k}, x="
                                ) as caught:
                 read(x)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
 
     @pytest.mark.parametrize("offset", [1.5e308, -1.5e308, math.nan])
     def test_cell_coordinate_outside_float64(self, base, offset):
-        # z = mu + offset: the cell coordinate overflows or is NaN, and both
-        # the ratio read and the solve's evaluation refuse it alike
+        # z = mu + offset: the cell coordinate overflows or is NaN, and the
+        # ratio reads and the solve's evaluation refuse it alike
         params, fs, _, _ = base
         z = params.mu + offset
         messages = []
@@ -360,7 +368,7 @@ class TestTypedFailures:
             with pytest.raises(NumericalError, match=r"^psi'/psi requested at x=") as caught:
                 read(z)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
         assert messages[0].endswith("outside the float64 range")
 
 
@@ -438,7 +446,7 @@ def reference_rk4(params, fs, x_tilde, n_steps):
     p = params
 
     def rhs(y, z):
-        r1, r2, r3 = fs.psi_ratios(z)
+        r1, r2, r3 = ratios3(fs, z)
         q0 = r2 - r1 * r1
         q1 = r1 * r3 - r2 * r2
         q0_prime = r3 - r1 * r2

@@ -128,6 +128,14 @@ class TestValueCommand:
         assert captured.out == ""
         assert "w = inf, not finite" in captured.err
 
+    def test_state_far_below_the_mean(self, capsys):
+        # psi'''/psi rounds negative near x = -1e6; the value layer reads
+        # psi up to psi'' and answers
+        assert main(["--steps", "200", "value", "--x=-1e6", "--y", "1.0"]) == 0
+        payload = last_json(capsys)
+        assert payload["region"] == "W"
+        assert payload["gradient_term"] < 0.0
+
     def test_cell_outside_float64_is_a_numerical_failure(self, capsys):
         # x is finite, but its panel cell index z / width overflows float64
         assert main(["--steps", "200", "value", "--x=-1.5e308", "--y", "1.0"]) == 4

@@ -754,6 +754,25 @@ class TestNoiseFeed:
                          rec.x.tobytes(), rec.y.tobytes(), rec.payoff, rec.max_overshoot))
         assert all(run == runs[0] for run in runs[1:])
 
+    def test_block_draw_allocates_no_buffer(self):
+        # a block's second chunk, drawn into its own scratch rows: scaling
+        # the rows in place and copying them transposed allocates nothing
+        # that grows with the block (a multiply into the strided transposed
+        # view took a 132 kB ufunc buffer per call at 2000 paths)
+        feed = simulate._NoiseFeed(5, range(2000), 4000, 0.1)
+        out = np.empty((feed._chunk, 2000))
+        scratch = feed._scratch()
+        feed._draw(out, 0, False, scratch)
+        first = out[:, :simulate._FILL_ROWS].copy()
+        tracemalloc.start()
+        try:
+            feed._draw(out, 0, True, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feed._chunk == 2000 and peak < 4096
+        assert not np.array_equal(out[:, :simulate._FILL_ROWS], first)
+
     def test_fill_threads_change_no_value(self, setup, monkeypatch):
         # the stepping thread drawing alone against 1 and 7 helpers on fewer
         # cores, with the interpreter switching threads as often as it can,

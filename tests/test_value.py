@@ -8,7 +8,7 @@ from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, Numeric
                          r_value)
 
 from conftest import central_diff, fuzz_draw, rel_err
-from oracles import (a_alt, a_prime_fit_form, d_tilde_forms, growth_ratio,
+from oracles import (a_alt, a_prime, a_prime_fit_form, d_tilde_forms, growth_ratio,
                      hjb_residual_two_pass, install_region_pde_closed_form,
                      partials_two_lookup)
 
@@ -40,17 +40,17 @@ class TestCoefficient:
         params, _, _, vf = base
         for y in interior_ys(params, 7, 0.1, 0.9):
             fd = central_diff(vf.a, float(y), 1e-5)
-            assert rel_err(vf.a_prime(float(y)), fd) < 1e-5
+            assert rel_err(a_prime(vf, float(y)), fd) < 1e-5
 
     def test_derivative_matches_fit_form(self, base):
         params, _, _, vf = base
         for y in interior_ys(params):
-            assert rel_err(vf.a_prime(float(y)), a_prime_fit_form(vf, float(y))) < 1e-7
+            assert rel_err(a_prime(vf, float(y)), a_prime_fit_form(vf, float(y))) < 1e-7
 
     def test_derivative_negative(self, base):
         params, _, _, vf = base
         for y in interior_ys(params):
-            assert vf.a_prime(float(y)) < 0.0
+            assert a_prime(vf, float(y)) < 0.0
 
 
 class TestValue:
@@ -211,7 +211,7 @@ class TestVariationalInequality:
             f_y = fb.f(float(y))
             assert abs(vf.partials(f_y, float(y))[2] - params.c) < 1e-7 * (1.0 + params.c)
             d = fs.psi_derivs(f_y + params.beta * float(y), 2)
-            s_x = (vf.a_prime(float(y)) * d[1] + params.beta * vf.a(float(y)) * d[2]
+            s_x = (a_prime(vf, float(y)) * d[1] + params.beta * vf.a(float(y)) * d[2]
                    + 1.0 / (params.rho + params.kappa))
             assert abs(s_x) < 1e-7 * (1.0 + abs(d[1]))
 
@@ -314,6 +314,24 @@ class TestAcrossRegimes:
             assert pde_i <= 1e-8 * (1.0 + abs(vf.w(fb.x_bar + 0.4, y)))
 
 
+class TestFarBelowTheMean:
+    @pytest.mark.parametrize("x", [-1e6, -1e7])
+    def test_waiting_pattern_where_psi_third_ratio_rounds_negative(self, solved, x):
+        # far below the mean psi^(k)/psi falls like (mu - x)^-k, and the
+        # recurrence step to psi'''/psi is the difference of two terms of
+        # about 6e-7 (6e-8 at -1e7) that agree beyond float64, so it rounds
+        # to either sign; w and its partials read psi up to psi'' only
+        params, _, fb, vf = solved[0.2]
+        y = 1.0
+        assert fb.region(x, y).value == "W"
+        w = vf.w(x, y)
+        w_x, w_xx, w_y = vf.partials(x, y)
+        pde, grad = vf.hjb_residual(x, y)
+        assert all(map(math.isfinite, (w, w_x, w_xx, w_y, pde, grad)))
+        assert abs(pde) <= 1e-6 * (1.0 + abs(w))
+        assert grad < 0.0
+
+
 class TestFuzzDraw24:
     """Fuzz draw 24 (kappa 1.77, rho 0.107, y_bar 8.86): psi(Ftilde) nears
     1e150 on the upper grid, and a coarse grid misplaces the steep F there."""
@@ -330,7 +348,7 @@ class TestFuzzDraw24:
         w_x, w_xx, w_y = vf.partials(x, y)
         assert all(map(math.isfinite, (w_x, w_xx, w_y)))
         assert 0.0 < w_y < params.c
-        assert vf.a_prime(y) < 0.0
+        assert a_prime(vf, y) < 0.0
 
     def test_sign_flipped_coefficient_is_refused(self):
         # at 400 steps A turns negative on the top of the grid, first at
