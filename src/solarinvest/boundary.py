@@ -27,17 +27,17 @@ four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
 interpolated from the swapped grid on the first ``f_inverse``, monotone
 piecewise-cubic throughout.
 
-A solve runs in one frame.  This module forms the constants mu kappa,
-beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and (rho + 2 kappa)/rho,
-each once from the same parenthesised subexpression the formulas above
-evaluate, so an evaluation rounds exactly as they do; ``fs.rk4_solver``
-builds one closure over them that runs every RK4 stage, each evaluation
-reading psi'/psi and psi''/psi as ``fs.psi_ratios`` does, taking
-psi'''/psi one recurrence step further and forming N and D inline, with
-every check above, so the panel layout stays inside ``fundamental``.
-``ode_rhs`` runs the same closure on a one-node grid, which is one
-evaluation, so the panel read and the N/D formula each exist once; the
-anchor root and ``y_star`` read ``fs.psi_ratios``.
+A solve runs in one frame: ``fs.rk4_solver(params)`` builds one closure
+that runs every RK4 stage.  It forms the constants mu kappa,
+beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and (rho + 2 kappa)/rho
+once, each from the same parenthesised subexpression the formulas above
+evaluate, so an evaluation rounds exactly as they do.  Each evaluation reads
+psi'/psi and psi''/psi as ``fs.log_psi_ratios`` does, takes psi'''/psi one
+recurrence step further and forms N and D inline, with every check above,
+so the panel layout stays inside ``fundamental``.  ``ode_rhs`` runs the
+same closure on a one-node grid, which is one evaluation, so the N/D
+formula exists once; the anchor root and ``y_star`` read
+``fs.log_psi_ratios``.
 """
 
 from __future__ import annotations
@@ -105,12 +105,12 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
     increasing in (rho/(rho+kappa), 1), so h is strictly decreasing and
     convex: every Newton iterate after the first lies left of the root,
     and from there the iterates rise to it monotonically.  A step reads
-    (psi'/psi, psi''/psi) from one ratio-panel pass.
+    psi'/psi and psi''/psi from one cell read.
     """
     rk = params.rho + params.kappa
     x = params.mu
     for _ in range(_MAX_ROOT_ITER):
-        r1, r2 = fs.psi_ratios(x)
+        _, r1, r2 = fs.log_psi_ratios(x)
         h = params.c - r_tilde(params, x, params.y_bar) + 1.0 / (rk * r1)
         step = h * rk * r1 * r1 / r2
         if not math.isfinite(step):
@@ -122,19 +122,11 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
                       f"Newton steps; last step {step:.3e} at x = {x}")
 
 
-def _rk4_solver(p: ModelParams, fs: FundamentalSolution):
-    """``fs``'s one-frame RK4 solve, over the parenthesised subexpressions
-    of Rtilde, N and D, formed once so that it rounds as the formulas do."""
-    return fs.rk4_solver(p.c, p.rho, p.beta, p.mu * p.kappa, p.beta * (p.rho + 2.0 * p.kappa),
-                         p.rho * (p.rho + p.kappa), p.rho + p.kappa,
-                         (p.rho + 2.0 * p.kappa) / p.rho)
-
-
 # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates:
     the solve on the one-node grid (y, z), which is one evaluation."""
-    return _rk4_solver(params, fs)([y], [z], 0.0)
+    return fs.rk4_solver(params)([y], [z], 0.0)
 
 
 @dataclass(frozen=True)
@@ -245,7 +237,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     x_tilde = solve_x_tilde(params, fs)
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
     zs = [math.nan] * n_steps + [x_tilde]
-    _rk4_solver(params, fs)(ys.tolist(), zs, params.y_bar / n_steps)
+    fs.rk4_solver(params)(ys.tolist(), zs, params.y_bar / n_steps)
     zs = np.array(zs)
     f_grid = zs - params.beta * ys
     return FreeBoundary(
@@ -257,7 +249,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
 def y_star(params: ModelParams, fs: FundamentalSolution) -> float:
     """Critical capacity bound: line of means through the install-region corner."""
     return (((params.mu - params.rho * params.c) * (params.rho + params.kappa)
-             - params.rho * (1.0 / fs.psi_ratios(params.mu)[0]))
+             - params.rho * (1.0 / fs.log_psi_ratios(params.mu)[1]))
             / (params.beta * (params.rho + 2.0 * params.kappa)))
 
 

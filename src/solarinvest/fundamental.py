@@ -37,19 +37,20 @@ holds one panel pair, both built from the same two quadrature calls:
 log I_{s0}, kept as a log so that ``psi`` can name the log it cannot
 exponentiate, and the ratio I_{s0+1}/I_{s0} itself, the exp of
 log I_{s0+1} - log I_{s0} at the nodes, which is analytic like that log and
-lies far inside float64 (about -z for z << 0, s0/z for z >> 0).  ``psi``
-is one Horner read of the first; ``psi_ratios`` forms psi'/psi and
-psi''/psi from one read of the ratio, with no exp, and one step of the
-generator recurrence, and stays finite where psi itself overflows float64;
-``psi_derivs`` is psi times those ratios.  The anchor root and the value
-layer read psi up to its second derivative, so both stop there.
+lies far inside float64 (about -z for z << 0, s0/z for z >> 0).  One read
+of a point's cell gives log psi, psi'/psi with no exp, and psi''/psi by one
+step of the generator recurrence.  ``log_psi_ratios`` returns all three and
+refuses a non-positive psi''/psi; the ratios stay finite where psi
+overflows float64.  ``psi`` is the exp of the first and does not check
+psi''/psi, which far below the mean is a difference of nearly equal terms
+that rounds to either sign.  The anchor root and the value layer read psi
+up to its second derivative, one cell read per point.
 The boundary ODE's right-hand side, run 4n + 1 times per n-step solve,
 also reads psi'''/psi.  It is evaluated in the solve's one frame, the
-closure ``FundamentalSolution.rk4_solver`` builds over the ODE constants of
-``boundary``: the read, recurrence and raises of ``psi_ratios``, one more
-recurrence step for psi'''/psi, then the N/D arithmetic and the solve's
-checks inline.  So only this module knows the panel layout, and the anchor
-root, the value layer and the tests read the ratios through ``psi_ratios``.
+closure ``FundamentalSolution.rk4_solver`` builds: the ratio read, its
+recurrence and raises, one more recurrence step for psi'''/psi, then the
+N/D arithmetic and the solve's checks inline.  So only this module knows
+the panel layout.
 A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
 and the kappa scale), so the pairs live in one module-level table per s0,
 shared by every instance with that s0: a sensitivity sweep over sigma, mu,
@@ -285,17 +286,19 @@ def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
     return pair
 
 
-# psi, psi_ratios and the solve's RK4 closure each find z's cell j and
-# position u in [-1, 1] inline (the closure per boundary-ODE evaluation);
-# floor refuses a NaN or an infinite cell coordinate, so it is also the
-# finiteness check.  Each then unpacks the cell's _PANEL_NODES coefficients
-# (the closure only when the cell changes) and evaluates one Horner
-# expression, two float operations per coefficient and no loop.  psi and
-# psi_ratios read floor bound here, the closure the one bound when it is built.
+# _read and the solve's RK4 closure are the two places that find z's cell j
+# and position u in [-1, 1] (the closure per boundary-ODE evaluation); floor
+# refuses a NaN or an infinite cell coordinate, so it is also the finiteness
+# check.  Each then unpacks the cell's _PANEL_NODES coefficients (the closure
+# only when the cell changes) and evaluates one Horner expression per panel,
+# two float operations per coefficient and no loop.  _read reads floor bound
+# here, the closure the one bound when it is built.
 _floor = math.floor
 
 
-def _exp(log_value: float, name: str, x: float) -> float:
+def checked_exp(log_value: float, name: str, x: float) -> float:
+    """exp(log_value), refused with :class:`NumericalError` naming
+    ``name``(x) where it overflows float64."""
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -304,12 +307,12 @@ def _exp(log_value: float, name: str, x: float) -> float:
 
 
 class FundamentalSolution:
-    """Evaluator for psi, its first two derivatives and psi'/psi, psi''/psi.
+    """Evaluator for psi, log psi and the ratios psi'/psi, psi''/psi.
 
-    The solve reads psi in two ways, psi itself and psi^(k)/psi, and both
-    come from one panel pair per quarter-width cell [j/4, (j+1)/4] in z: the
-    power-basis coefficients, in the cell coordinate, of log I_{s0} and of
-    the ratio I_{s0+1}/I_{s0}, each read by one Horner expression.  A
+    All of them come from one panel pair per quarter-width cell
+    [j/4, (j+1)/4] in z: the power-basis coefficients, in the cell
+    coordinate, of log I_{s0} and of the ratio I_{s0+1}/I_{s0}, each read
+    by one Horner expression, and one ``_read`` of a point reads both.  A
     cell's pair is built on first use from one quadrature call per order
     over its 10 nodes and kept in the module's table for s0 = rho/kappa,
     which every instance with that s0 shares, so a boundary solve, which
@@ -358,17 +361,13 @@ class FundamentalSolution:
             if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
                 del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
 
-    def psi_ratios(self, x: float) -> tuple:
-        """(psi'/psi, psi''/psi) at x, formed without psi itself: finite
-        wherever the quadrature converges, also where psi overflows.
-
-        One Horner read of the ratio panel of z's cell gives
-        I_{s0+1}(z)/I_{s0}(z), and psi'/psi = (sqrt(2 kappa)/sigma) times
-        that ratio; one step of the generator recurrence, divided by psi,
-        gives psi''/psi = drift (mu - x) psi'/psi + rec_0.  Raises
-        :class:`NumericalError` at a z whose cell lies outside the float64
-        range or when psi''/psi comes out non-positive.
-        """
+    def _read(self, x: float) -> tuple:
+        """(log psi, psi'/psi, psi''/psi) at x from one read of z's cell:
+        one Horner expression per panel, psi'/psi = (sqrt(2 kappa)/sigma)
+        I_{s0+1}/I_{s0}, and one step of the generator recurrence divided
+        by psi, psi''/psi = drift (mu - x) psi'/psi + rec_0, whose sign is
+        not checked.  Raises :class:`NumericalError` at a z whose cell lies
+        outside the float64 range."""
         d = self._mu - x
         zw = d * self._cell_scale
         try:
@@ -377,25 +376,44 @@ class FundamentalSolution:
             raise NumericalError(f"psi'/psi requested at x={x}, z={d * self._scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        (c9, c8, c7, c6, c5, c4, c3, c2, c1,
-         c0) = (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[1]
+        log_panel, ratio_panel = self._cells.get(j) or _cell_pair(self._s0, self._cells, j)
+        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = log_panel
+        log_psi = c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
+            c7 + u * (c8 + u * c9))))))))
+        c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = ratio_panel
         r1 = self._scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (
             c6 + u * (c7 + u * (c8 + u * c9)))))))))
-        r2 = self._drift_rate * d * r1 + self._rec0
-        if not r2 > 0.0:
-            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
-        return r1, r2
+        return log_psi - self._lgamma_s0, r1, self._drift_rate * d * r1 + self._rec0
 
-    def rk4_solver(self, c: float, rho: float, beta: float, mu_kappa: float,
-                   beta_rk2: float, rho_rk: float, rk: float, rk2_over_rho: float):
-        """The boundary solve of this instance: a closure over its constants
-        and s0 table and the given ODE constants (see ``boundary._rk4_solver``).
-        Each evaluation is the ``psi_ratios`` read, raises and messages
-        included, the next recurrence step psi'''/psi = drift (mu - x)
-        psi''/psi + rec_1 psi'/psi, refused unless positive, and the N/D
-        arithmetic of ``boundary``, each expression as there, so it rounds
-        exactly as they do.  A cell's coefficients are unpacked only when
-        the cell changes: a pair depends on (s0, j) alone."""
+    def psi(self, x: float) -> float:
+        """Strictly increasing positive solution of the generator equation."""
+        return checked_exp(self._read(x)[0], "psi", x)
+
+    def log_psi_ratios(self, x: float) -> tuple:
+        """(log psi, psi'/psi, psi''/psi) at x from one cell read; the
+        ratios are finite wherever the quadrature converges, also where
+        psi overflows.  Raises :class:`NumericalError` where ``psi`` does
+        and where psi''/psi comes out non-positive."""
+        read = self._read(x)
+        if not read[2] > 0.0:
+            raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
+        return read
+
+    def rk4_solver(self, p: ModelParams):
+        """The boundary solve of this instance for the parameters ``p``: a
+        closure over its constants, its s0 table and the ODE constants.
+        Each evaluation is the ratio half of ``log_psi_ratios``, raises and
+        messages included, the next recurrence step psi'''/psi = drift
+        (mu - x) psi''/psi + rec_1 psi'/psi, refused unless positive, and
+        the N/D arithmetic of ``boundary``, each expression as there, so it
+        rounds exactly as they do.  A cell's coefficients are unpacked only
+        when the cell changes: a pair depends on (s0, j) alone."""
+        # the parenthesised subexpressions of Rtilde, N and D, each formed
+        # once as the formulas in ``boundary`` evaluate it
+        c, rho, beta, mu_kappa = p.c, p.rho, p.beta, p.mu * p.kappa
+        beta_rk2 = p.beta * (p.rho + 2.0 * p.kappa)
+        rho_rk, rk = p.rho * (p.rho + p.kappa), p.rho + p.kappa
+        rk2_over_rho = (p.rho + 2.0 * p.kappa) / p.rho
         mu, scale, drift_rate, rec0, rec1 = (self._mu, self._scale, self._drift_rate,
                                              self._rec0, self._rec1)
         s0, cells, cell_scale = self._s0, self._cells, self._cell_scale
@@ -467,36 +485,6 @@ class FundamentalSolution:
                 stage += 1
 
         return rk4
-
-    def psi(self, x: float) -> float:
-        """Strictly increasing positive solution of the generator equation."""
-        d = self._mu - x
-        zw = d * self._cell_scale
-        try:
-            j = _floor(zw)
-        except (ValueError, OverflowError):
-            raise NumericalError(f"psi requested at x={x}, z={d * self._scale}: "
-                                 f"outside the float64 range") from None
-        u = 2.0 * (zw - j) - 1.0
-        (c9, c8, c7, c6, c5, c4, c3, c2, c1,
-         c0) = (self._cells.get(j) or _cell_pair(self._s0, self._cells, j))[0]
-        log_psi = c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
-            c7 + u * (c8 + u * c9))))))))
-        return _exp(log_psi - self._lgamma_s0, "psi", x)
-
-    def psi_derivs(self, x: float, k_max: int) -> np.ndarray:
-        """psi^(0..k_max)(x), k_max <= 2: psi times (1, *psi_ratios(x))."""
-        if not 0 <= k_max <= 2:
-            raise DomainError(f"derivative order k_max={k_max} must lie in [0, 2]")
-        ratios = (1.0, *self.psi_ratios(x))
-        psi = self.psi(x)
-        out = [psi * r for r in ratios[:k_max + 1]]
-        if math.inf in out:
-            k = out.index(math.inf)
-            raise NumericalError(
-                f"psi^({k})({x}) overflows float64: "
-                f"log psi^({k}) = {math.log(psi) + math.log(ratios[k]):.6g}")
-        return np.array(out)
 
     # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
     def log_psi_deriv(self, k: int, x: float) -> float:

@@ -59,7 +59,7 @@ _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the ke
 _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 _FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
-_STATE_ARRAYS = 8  # (job, path) arrays of doubles that _run holds while it steps
+_STATE_ARRAYS = 7  # (job, path) arrays of doubles that _run holds while it steps
 _STREAM_BYTES = 611  # traced bytes of one path's generator: Generator, Philox and its lock
 
 
@@ -420,7 +420,9 @@ def _run(params, jobs, dt, n_steps, seed, indices):
     def rows(values):
         return np.repeat(np.array(values, dtype=float)[:, None], nb, axis=1)
 
-    y_start = rows([jobs[i][2] for i in order])
+    # a (job, 1) column, not a state array: it broadcasts into y and into
+    # the callers' installed capacity y - y_start
+    y_start = np.array([jobs[i][2] for i in order], dtype=float)[:, None]
     lump_rows = [lumps[i] for i in order]
     x = rows([jobs[i][1] for i in order])
     y = y_start + rows(lump_rows)
@@ -526,7 +528,8 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
                 over = excess
             if xt > thr:
                 y_old = yt
-                lvl = policy.target(np.array([xt]), np.array([y_old]))[0]
+                # broadcast as the kernel's np.maximum does: a scalar target too
+                lvl = np.broadcast_to(policy.target(np.array([xt]), np.array([y_old])), 1)[0]
                 lvl = min(max(float(lvl), y_old), p.y_bar)  # a NaN target passes
                 dy = lvl - y_old
                 pay -= (disc * p.c) * dy
@@ -589,7 +592,7 @@ def _check_run_memory(n_jobs: int, n_paths: int, n_steps: int) -> None:
     """Refuse a run whose (job, path) state and noise exceed physical memory.
 
     ``_run`` holds ``_STATE_ARRAYS`` (job, path) arrays of doubles while it
-    steps (start and current capacity, price, payoff, first install time,
+    steps (capacity, price, payoff, first install time,
     threshold, drift term and a scratch product) and two (steps, path)
     noise chunks; its callers read a job's row through a row index, and
     its end-of-run checks reduce each row to one value, so nothing copies

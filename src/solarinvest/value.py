@@ -31,14 +31,15 @@ the same monotone cubic family as F; the derivative formula
     A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft)
 
 is kept closed-form (not re-integrated); ``partials`` reads it.  Both A and
-A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, the pair
-``psi_ratios`` returns, and one psi(Ft), e.g.
+A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), all
+from one ``log_psi_ratios`` call, e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
 ``partials`` and ``hjb_residual`` share one lookup of the state: y_hit, A(y_hit)
-and psi^(0..2)(x + beta y_hit), so ``hjb_residual`` forms w from psi = psi^(0)
-instead of repeating the lookups through ``w``.  ``w`` keeps its own read of
-psi alone: psi'' can overflow where psi and w are finite.  F(y) is read once
+and psi^(0..2)(x + beta y_hit) from one ``log_psi_ratios`` call, so
+``hjb_residual`` forms w from psi = psi^(0) instead of repeating the lookups
+through ``w``.  ``w`` reads psi alone, through ``psi``: where psi and w are
+finite, psi'' can overflow and psi''/psi round negative.  F(y) is read once
 too: the boundary's classification of the state reads it, and A'(y) takes
 Ftilde(y) = F(y) + beta y from that value.  The classification reads no F(y)
 at capacity (y = y_bar), so there, and only there, A'(y) reads it itself
@@ -54,13 +55,14 @@ routes live in ``tests/oracles.py``, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from .boundary import FreeBoundary, r_tilde, y_star
 from .errors import DomainError, NumericalError
-from .fundamental import FundamentalSolution
+from .fundamental import FundamentalSolution, checked_exp
 from .interp import MonotoneCubic
 from .model import ModelParams, check_capacity, r_partials, r_value
 
@@ -105,12 +107,12 @@ class ValueFunction:
         # where the psi-derivatives themselves would overflow to inf/inf
         p = self.params
         f_val = f_tilde - p.beta * y
-        r1, r2 = self.fs.psi_ratios(f_tilde)
+        log_psi, r1, r2 = self.fs.log_psi_ratios(f_tilde)
         rk = p.rho + p.kappa
         num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * r1
                + 0.5 * p.sigma**2 * r2)
         den = r1 ** 2 - r2
-        return num / den / (p.beta * p.rho * rk) / self.fs.psi(f_tilde)
+        return num / den / (p.beta * p.rho * rk) / checked_exp(log_psi, "psi", f_tilde)
 
     def a(self, y: float) -> float:
         """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
@@ -120,9 +122,9 @@ class ValueFunction:
         """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module
         docstring), given ft = Ftilde(y)."""
         p = self.params
-        r1, r2 = self.fs.psi_ratios(ft)
+        log_psi, r1, r2 = self.fs.log_psi_ratios(ft)
         return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
-                / (self.fs.psi(ft) * (r2 - r1 ** 2)))
+                / (checked_exp(log_psi, "psi", ft) * (r2 - r1 ** 2)))
 
     # -- value and derivatives -------------------------------------------------
 
@@ -143,7 +145,14 @@ class ValueFunction:
         y_hit, f_y = self.fb._lump(x, y)
         if x >= self.fb.x_bar:
             return y_hit, f_y, None, None
-        d = self.fs.psi_derivs(x + self.params.beta * y_hit, 2)
+        xs = x + self.params.beta * y_hit
+        log_psi, r1, r2 = self.fs.log_psi_ratios(xs)
+        psi = checked_exp(log_psi, "psi", xs)
+        d = (psi, psi * r1, psi * r2)
+        if math.inf in d:
+            k = d.index(math.inf)
+            raise NumericalError(f"psi^({k})({xs}) overflows float64: log psi^({k}) = "
+                                 f"{log_psi + math.log((r1, r2)[k - 1]):.6g}")
         return y_hit, f_y, self.a(y_hit), d
 
     def _partials_at(self, x, y, y_hit, f_y, a_val, d):
@@ -171,7 +180,7 @@ class ValueFunction:
             raise DomainError("HJB residual defined for y < y_bar")
         y_hit, f_y, a_val, d = self._lookup(x, y)
         w_x, w_xx, w_y = self._partials_at(x, y, y_hit, f_y, a_val, d)
-        # ``w``'s value: d[0] = psi * 1.0 is the psi ``w`` reads, bit for bit
+        # ``w``'s value: d[0] is the psi ``w`` reads, bit for bit
         w = ((0.0 if d is None else a_val * d[0])
              + r_value(p, x, y_hit) - p.c * (y_hit - y))
         pde = (0.5 * p.sigma**2 * w_xx

@@ -8,7 +8,7 @@ derivative through other closed forms and at its own read of F(y), the
 normalized ODE denominator three ways, the PDE term on the lump-to-capacity
 region, the growth ratio of w, the partials with a second F(y) read for
 A'(y), the HJB residual from separate partials and ``w`` calls, psi'''/psi
-by the solve's recurrence step after a ``psi_ratios`` call, and the
+by the solve's recurrence step after a ``log_psi_ratios`` call, and the
 boundary ODE's N/D pair from those three ratios followed by the N/D
 arithmetic in a second frame, and its right-hand side beta*N/D with the
 singular check in a third.
@@ -21,15 +21,7 @@ import math
 import numpy as np
 
 from solarinvest import DomainError, IntegrationError, NumericalError, r_partials, r_tilde
-from solarinvest.fundamental import _SINGULAR_RATIO, log_weighted_integral
-
-
-def _exp(log_value, name, x):
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise NumericalError(
-            f"{name}({x}) overflows float64: log {name} = {log_value:.6g}") from None
+from solarinvest.fundamental import _SINGULAR_RATIO, checked_exp, log_weighted_integral
 
 
 # -- fundamental solutions ----------------------------------------------------
@@ -53,10 +45,10 @@ def cylinder_d(alpha, x):
 
 
 def ratios3(fs, x):
-    """(psi'/psi, psi''/psi, psi'''/psi) at x: ``fs.psi_ratios`` and the
+    """(psi'/psi, psi''/psi, psi'''/psi) at x: ``fs.log_psi_ratios`` and the
     recurrence step to order 3 with the boundary solve's expression,
     refused with the solve's message where it is not positive."""
-    r1, r2 = fs.psi_ratios(x)
+    _, r1, r2 = fs.log_psi_ratios(x)
     drift = fs._drift_rate * (fs._mu - x)
     r3 = drift * r2 + fs._rec1 * r1
     if not r3 > 0.0:
@@ -65,11 +57,12 @@ def ratios3(fs, x):
 
 
 def psi_derivs(fs, x, k_max):
-    """psi^(0..k_max)(x) for any order: ``fs.psi_derivs`` carried past order
-    2 by the generator recurrence
-    psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1) + (2 (rho + k kappa)/sigma^2) psi^(k)."""
+    """psi^(0..k_max)(x) for any order: ``fs.psi`` times the ratios of
+    ``fs.log_psi_ratios``, carried past order 2 by the generator recurrence
+    psi^(k+2) = -(2 kappa/sigma^2)(mu - x) psi^(k+1) + (2 (rho + k kappa)/sigma^2) psi^(k),
+    refused with :class:`NumericalError` where an order overflows float64."""
     p = fs.params
-    ratios = [1.0, *fs.psi_ratios(x)]
+    ratios = [1.0, *fs.log_psi_ratios(x)[1:]]
     two_over_s2 = 2.0 / p.sigma**2
     drift = -two_over_s2 * p.kappa * (p.mu - x)
     for k in range(1, k_max - 1):
@@ -78,7 +71,10 @@ def psi_derivs(fs, x, k_max):
             raise NumericalError(f"derivative recurrence lost positivity at k={k + 2}, x={x}")
         ratios.append(nxt)
     psi = fs.psi(x)
-    return np.array([psi * r for r in ratios[:k_max + 1]])
+    out = [psi * r for r in ratios[:k_max + 1]]
+    if math.inf in out:
+        raise NumericalError(f"psi^({out.index(math.inf)})({x}) overflows float64")
+    return np.array(out)
 
 
 def psi_deriv_direct(fs, k, x):
@@ -86,7 +82,7 @@ def psi_deriv_direct(fs, k, x):
     and of the panels."""
     if k < 0:
         raise DomainError(f"derivative order k={k} must be >= 0")
-    return _exp(fs.log_psi_deriv(k, x), f"psi^({k})", x)
+    return checked_exp(fs.log_psi_deriv(k, x), f"psi^({k})", x)
 
 
 def phi_deriv(fs, k, x):
@@ -98,8 +94,8 @@ def phi_deriv(fs, k, x):
     s0 = p.rho / p.kappa
     scale = math.sqrt(2.0 * p.kappa) / p.sigma
     z = (p.mu - x) * scale
-    mag = _exp(k * math.log(scale) + log_weighted_integral(s0 + k, -z)[0] - math.lgamma(s0),
-               f"|phi^({k})|", x)
+    mag = checked_exp(k * math.log(scale) + log_weighted_integral(s0 + k, -z)[0]
+                      - math.lgamma(s0), f"|phi^({k})|", x)
     return mag if k % 2 == 0 else -mag
 
 
@@ -127,7 +123,7 @@ def ratio(fs, k, x):
 
 def h_func(params, fs, x):
     """Anchor function H; its unique root is Ftilde(y_bar)."""
-    return (fs.psi_derivs(x, 1)[1] * (params.c - r_tilde(params, x, params.y_bar))
+    return (psi_derivs(fs, x, 1)[1] * (params.c - r_tilde(params, x, params.y_bar))
             + fs.psi(x) / (params.rho + params.kappa))
 
 
@@ -138,7 +134,7 @@ def a_alt(vf, y):
     """A(y) through the Rtilde/Q0 representation."""
     p = vf.params
     ft = vf.fb.f_tilde_at(y)
-    d = vf.fs.psi_derivs(ft, 2)
+    d = psi_derivs(vf.fs, ft, 2)
     q0 = d[0] * d[2] - d[1] ** 2
     num = d[1] * (p.c - r_tilde(p, ft, y)) + d[0] / (p.rho + p.kappa)
     return num / (-q0) / p.beta
@@ -148,7 +144,7 @@ def a_prime_fit_form(vf, y):
     """A' from the smooth-fit pair directly: -beta psi''/psi' A - 1/((rho+kappa) psi')."""
     p = vf.params
     ft = vf.fb.f_tilde_at(y)
-    d = vf.fs.psi_derivs(ft, 2)
+    d = psi_derivs(vf.fs, ft, 2)
     return -p.beta * d[2] / d[1] * vf.a(y) - 1.0 / ((p.rho + p.kappa) * d[1])
 
 
@@ -175,7 +171,7 @@ def partials_two_lookup(vf, x, y):
     r_y, _, r_x = r_partials(p, x, y_hit)
     if x >= vf.fb.x_bar:
         return r_x, 0.0, p.c
-    d = vf.fs.psi_derivs(x + p.beta * y_hit, 2)
+    d = psi_derivs(vf.fs, x + p.beta * y_hit, 2)
     a_val = vf.a(y_hit)
     w_y = p.c if y_hit > y else a_prime(vf, y) * d[0] + p.beta * a_val * d[1] + r_y
     return a_val * d[1] + r_x, a_val * d[2], w_y
@@ -194,10 +190,10 @@ def hjb_residual_two_pass(vf, x, y):
     return pde, w_y - p.c
 
 
-def n_d_via_psi_ratios(params, fs):
+def n_d_via_ratios3(params, fs):
     """(y, z) -> (N/psi^3, D/psi^3) as two frames: ``ratios3(fs, z)``,
-    then the N/D arithmetic over the constants ``boundary._rk4_solver``
-    forms, each expression parenthesised as there."""
+    then the N/D arithmetic over the constants ``fs.rk4_solver`` forms,
+    each expression parenthesised as there."""
     c, rho = params.c, params.rho
     mu_kappa = params.mu * params.kappa
     beta_rk2 = params.beta * (params.rho + 2.0 * params.kappa)
@@ -216,10 +212,10 @@ def n_d_via_psi_ratios(params, fs):
     return n_d
 
 
-def rhs_via_psi_ratios(params, fs):
-    """(y, z) -> beta*N/D from ``n_d_via_psi_ratios``, refused as the solve
+def rhs_via_ratios3(params, fs):
+    """(y, z) -> beta*N/D from ``n_d_via_ratios3``, refused as the solve
     refuses it where |D| < _SINGULAR_RATIO |N|, with the solve's message."""
-    n_d = n_d_via_psi_ratios(params, fs)
+    n_d = n_d_via_ratios3(params, fs)
 
     def rhs(y, z):
         n_val, d_val = n_d(y, z)

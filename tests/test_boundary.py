@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
-                         NumericalError, Regime, Region, classify_regime,
+                         NumericalError, Regime, Region, ValueFunction, classify_regime,
                          integrate_boundary, ode_rhs, params_from_dict, r_tilde,
                          solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
@@ -17,7 +17,7 @@ from solarinvest.cli import sweep_boundaries
 from solarinvest.interp import MonotoneCubic
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
-from oracles import h_func, n_d_via_psi_ratios, ratios3, rhs_via_psi_ratios
+from oracles import h_func, n_d_via_ratios3, psi_derivs, ratios3, rhs_via_ratios3
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -61,7 +61,7 @@ class TestAnchor:
     def test_root_residual_small(self, solved):
         for mu, (params, fs, fb, _) in solved.items():
             xt = fb.x_tilde
-            scale = (abs(fs.psi_derivs(xt, 1)[1] * (params.c - r_tilde(params, xt, params.y_bar)))
+            scale = (abs(psi_derivs(fs, xt, 1)[1] * (params.c - r_tilde(params, xt, params.y_bar)))
                      + fs.psi(xt) / (params.rho + params.kappa))
             assert abs(h_func(params, fs, xt)) < 1e-10 * scale
 
@@ -121,13 +121,13 @@ class TestAnchor:
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         newton = []
-        ratios = fs.psi_ratios
+        ratios = fs.log_psi_ratios
 
         def recorded_ratios(x):
             newton.append(x)
             return ratios(x)
 
-        monkeypatch.setattr(fs, "psi_ratios", recorded_ratios)
+        monkeypatch.setattr(fs, "log_psi_ratios", recorded_ratios)
         path = record_floors(monkeypatch)
         integrate_boundary(params, fs, n_steps=800)
         assert len(newton) > 1 and len(path) == 4 * 800 + 1
@@ -178,7 +178,7 @@ class TestOdeRightHandSide:
         # the right-hand side is beta times their quotient
         params, fs, fb, _ = base
         xt = fb.x_tilde
-        d = fs.psi_derivs(xt, 2) / fs.psi(xt)
+        d = psi_derivs(fs, xt, 2) / fs.psi(xt)
         q0 = d[0] * d[2] - d[1] ** 2
         d_val = q0 * d[2] / (d[0] * d[1])
         n_val = q0 * ((params.rho + 2.0 * params.kappa) / params.rho * d[1] ** 2
@@ -189,7 +189,7 @@ class TestOdeRightHandSide:
     def test_numerator_dominates_where_denominator_nonnegative(self, base):
         # N > D wherever D >= 0, so the slope exceeds beta wherever D > 0
         params, fs, _, _ = base
-        n_d = n_d_via_psi_ratios(params, fs)
+        n_d = n_d_via_ratios3(params, fs)
         for y in np.linspace(0.0, params.y_bar, 6):
             for z in np.linspace(params.mu - 2.0, params.mu + 3.0, 11):
                 n_val, d_val = n_d(float(y), float(z))
@@ -216,7 +216,7 @@ class TestIntegration:
         # re-evaluates D at every accepted node, independently of the
         # integrator's own per-step check
         params, fs, fb, _ = base
-        n_d = n_d_via_psi_ratios(params, fs)
+        n_d = n_d_via_ratios3(params, fs)
         for y, z in zip(fb.ys, fb.f_tilde):
             _, d_val = n_d(float(y), float(z))
             assert d_val > 0.0
@@ -235,7 +235,7 @@ class TestIntegration:
         # k2, k3, k4 and the D check per step; the D check's pair is the
         # next step's k1, and the anchor's k1 is the one extra.  Each
         # evaluation takes one floor; the anchor's Newton reads do not
-        # count, as psi_ratios reads the floor bound at import
+        # count, as log_psi_ratios reads the floor bound at import
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         floors = record_floors(monkeypatch)
@@ -287,10 +287,10 @@ def constant_panel(panel, c0):
 
 
 def ratio_readers(params, fs):
-    """The routes that read z's ratio panel: ``psi_ratios``, the oracle
+    """The routes that read z's ratio panel: ``log_psi_ratios``, the oracle
     ``ratios3`` that carries it to psi'''/psi, and the solve's evaluation,
     through ``ode_rhs`` (at y = y_bar)."""
-    return (fs.psi_ratios, partial(ratios3, fs),
+    return (fs.log_psi_ratios, partial(ratios3, fs),
             lambda z: ode_rhs(params, fs, params.y_bar, z))
 
 
@@ -314,7 +314,7 @@ class TestTypedFailures:
         y = params.y_bar
 
         def d_at(z):
-            return n_d_via_psi_ratios(params, fs)(y, z)[1]
+            return n_d_via_ratios3(params, fs)(y, z)[1]
 
         lo, hi = params.mu + 1.5, params.mu + 2.0
         assert d_at(lo) > 0.0 > d_at(hi)
@@ -338,15 +338,26 @@ class TestTypedFailures:
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         x = params.mu - 0.3
-        fs.psi_ratios(x)
+        # a value function built before the patch, and a waiting state
+        # whose psi point x + beta y is x; psi(x) builds x's cell
+        vf = ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=200))
+        y = 0.5 * params.y_bar
+        state = (x - params.beta * y, y)
+        assert vf.fb.region(*state) is Region.W and state[0] + params.beta * y == x
+        unpatched = (fs.psi(x), vf.w(*state))
         table = fundamental._PANEL_TABLES[params.rho / params.kappa]
         for j, (log_panel, ratio_panel) in table.items():
             table[j] = (log_panel, constant_panel(ratio_panel, c0))
+        # psi and w read the log panel alone and do not check psi''/psi
+        assert (fs.psi(x), vf.w(*state)) == unpatched
         readers = ratio_readers(params, fs)
         if k == 3:
-            # psi_ratios stops at psi''/psi, which is positive here
-            assert fs.psi_ratios(x)[1] > 0.0
+            # log_psi_ratios stops at psi''/psi, which is positive here
+            assert fs.log_psi_ratios(x)[2] > 0.0
             readers = readers[1:]
+        else:
+            # partials reads psi''/psi at x and refuses it as the others do
+            readers += (lambda _: vf.partials(*state),)
         # the solve's evaluation reads the same panel and raises the same
         messages = []
         for read in readers:
@@ -413,12 +424,12 @@ class TestEvaluatorOracle:
 
     def test_presets(self, solved):
         for mu, (params, fs, fb, _) in solved.items():
-            n_d = n_d_via_psi_ratios(params, fs)
+            n_d = n_d_via_ratios3(params, fs)
             points = n_d_grid(params, n_d)
             assert any(n_d(y, z)[1] < 0.0 for y, z in points[:-3]), mu
             points += list(zip(fb.ys.tolist()[::50], fb.f_tilde.tolist()[::50]))
             outcomes = rhs_outcomes(partial(ode_rhs, params, fs), points)
-            assert outcomes == rhs_outcomes(rhs_via_psi_ratios(params, fs), points), mu
+            assert outcomes == rhs_outcomes(rhs_via_ratios3(params, fs), points), mu
             assert any(o.startswith("IntegrationError: boundary ODE singular")
                        for o in outcomes), mu
 
@@ -428,9 +439,9 @@ class TestEvaluatorOracle:
         # one (the points come from a third)
         params = replace(table_preset(1.4), rho=0.0437)
         monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
-        points = n_d_grid(params, n_d_via_psi_ratios(params, FundamentalSolution(params)))
+        points = n_d_grid(params, n_d_via_ratios3(params, FundamentalSolution(params)))
         outcomes, tables = [], []
-        for make in (partial(partial, ode_rhs), rhs_via_psi_ratios):
+        for make in (partial(partial, ode_rhs), rhs_via_ratios3):
             monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
             fs = FundamentalSolution(params)
             assert not fs._cells

@@ -141,12 +141,12 @@ class TestDerivatives:
     def test_first_derivative_matches_finite_difference(self, params, fs):
         for x in np.linspace(params.mu - 2, params.mu + 2, 5):
             fd = central_diff(fs.psi, float(x), 1e-5)
-            assert rel_err(fs.psi_derivs(float(x), 1)[1], fd) < 1e-5
+            assert rel_err(psi_derivs(fs, float(x), 1)[1], fd) < 1e-5
 
     def test_second_derivative_matches_finite_difference(self, params, fs):
         for x in np.linspace(params.mu - 1, params.mu + 1, 5):
-            fd = central_diff(lambda t: fs.psi_derivs(t, 1)[1], float(x), 1e-5)
-            assert rel_err(fs.psi_derivs(float(x), 2)[2], fd) < 1e-4
+            fd = central_diff(lambda t: psi_derivs(fs, t, 1)[1], float(x), 1e-5)
+            assert rel_err(psi_derivs(fs, float(x), 2)[2], fd) < 1e-4
 
     def test_recurrence_agrees_with_direct_quadrature(self, params, fs):
         for x in np.linspace(params.mu - 3, params.mu + 3, 7):
@@ -164,12 +164,6 @@ class TestDerivatives:
             for x in np.linspace(params.mu - 2, params.mu + 2, 5):
                 res, scale = ode_residual(params, fs, float(x), k=k)
                 assert abs(res) < 1e-8 * (1.0 + abs(scale))
-
-    def test_order_beyond_two_rejected(self, fs):
-        # the anchor root and the value layer read psi up to psi''; the
-        # solve takes psi'''/psi inline, the tests through oracles
-        with pytest.raises(DomainError, match="k_max=3"):
-            fs.psi_derivs(0.0, 3)
 
 
 class TestDeterminants:
@@ -254,7 +248,7 @@ class TestChebyshevPanels:
         fs = unit_scale_solution(s0)
         for z in self.Z_GRID:
             exact = math.exp(mp_log_psi_deriv(s0, 1, z) - mp_log_psi_deriv(s0, 0, z))
-            assert rel_err(fs.psi_ratios(-z)[0], exact) <= 1e-13, (s0, z)
+            assert rel_err(fs.log_psi_ratios(-z)[1], exact) <= 1e-13, (s0, z)
 
     def test_solve_quadrature_budget(self, monkeypatch):
         # quadrature nodes of an 800-step solve, each solve on an empty
@@ -292,11 +286,9 @@ class TestChebyshevPanels:
     def test_non_finite_argument_is_typed(self, fs):
         # +-1.5e308 are finite, but their cell index z / width is not
         for x in (math.nan, math.inf, -math.inf, 1.5e308, -1.5e308):
-            for read in (fs.psi, fs.psi_ratios):
+            for read in (fs.psi, fs.log_psi_ratios):
                 with pytest.raises(NumericalError, match=re.escape(f"x={x},")):
                     read(x)
-            with pytest.raises(NumericalError):
-                fs.psi_derivs(x, 2)
 
     def test_horner_reads_match_clenshaw(self):
         # each stored panel, read by Horner in the power basis, against a
@@ -306,7 +298,7 @@ class TestChebyshevPanels:
         for s0 in (0.05, 0.3, 3.0):
             fs = unit_scale_solution(s0)
             for j in range(-24, 24):
-                fs.psi_ratios(-width * (j + 0.5))  # builds cell j's pair
+                fs.log_psi_ratios(-width * (j + 0.5))  # builds cell j's pair
                 nodes = width * (j + 0.5 * (1.0 + fundamental._CHEB_NODES))
                 values = log_weighted_integral(s0, nodes)[0]
                 panels = (values, np.exp(log_weighted_integral(s0 + 1, nodes)[0] - values))
@@ -324,7 +316,7 @@ class TestChebyshevPanels:
         # log psi grows like z^2/2 for z << 0, past the float64 range near z = -38
         x = params.mu + 45.0 * params.sigma / math.sqrt(2.0 * params.kappa)
         with pytest.raises(NumericalError, match="log psi") as exc:
-            fs.psi_derivs(x, 2)
+            fs.psi(x)
         assert repr(x) in str(exc.value)
 
 
@@ -365,17 +357,18 @@ class TestSharedPanelTable:
         cap = fundamental._PANEL_TABLE_CAP
         first = unit_scale_solution(0.3)
         xs = (-2.5, -0.4, 0.0, 1.7)
-        before = [(first.psi(x), first.psi_ratios(x)) for x in xs]
+        before = [(first.psi(x), first.log_psi_ratios(x)) for x in xs]
         for i in range(cap):
             unit_scale_solution(0.31 + 0.01 * i)
         assert len(fundamental._PANEL_TABLES) == cap
         assert 0.3 not in fundamental._PANEL_TABLES
-        assert [(first.psi(x), first.psi_ratios(x)) for x in xs] == before
+        assert [(first.psi(x), first.log_psi_ratios(x)) for x in xs] == before
         # a fresh instance binds a new table; x = 3.2 adds a cell to both
         fresh = unit_scale_solution(0.3)
         assert fresh._cells is not first._cells
         for x in (*xs, 3.2):
-            assert (fresh.psi(x), fresh.psi_ratios(x)) == (first.psi(x), first.psi_ratios(x))
+            assert ((fresh.psi(x), fresh.log_psi_ratios(x))
+                    == (first.psi(x), first.log_psi_ratios(x)))
         assert len(fundamental._PANEL_TABLES) == cap
 
     def test_concurrent_solves_match_serial(self, monkeypatch):
@@ -450,10 +443,10 @@ class TestPsiRatios:
         checked = 0
         for x in np.linspace(p.mu - half, p.mu + half, 300):
             try:
-                derivs = fs.psi_derivs(float(x), 2)
+                derivs = psi_derivs(fs, float(x), 2)
             except NumericalError:
                 continue
-            ratios = fs.psi_ratios(float(x))
+            ratios = fs.log_psi_ratios(float(x))[1:]
             for k in (1, 2):
                 assert rel_err(ratios[k - 1], derivs[k] / derivs[0]) < 1e-12, (x, k)
             checked += 1
@@ -465,7 +458,7 @@ class TestPsiRatios:
         x = p.mu + 60.0 * p.sigma / math.sqrt(2.0 * p.kappa)  # z = -60
         with pytest.raises(NumericalError):
             fs.psi(x)
-        ratios = fs.psi_ratios(x)
+        ratios = fs.log_psi_ratios(x)[1:]
         assert all(math.isfinite(r) and r > 0.0 for r in ratios)
 
 

@@ -246,6 +246,27 @@ class TestPaths:
         # same stream, same decisions, same float operations
         assert rec.payoff == res.payoffs[1]
 
+    def test_scalar_target_is_broadcast(self, setup):
+        # a target that returns one level for all paths: the kernel's
+        # np.maximum broadcasts it, and the traced path reads it the same way
+        params, fb, _ = setup
+
+        class FlatTarget(Policy):
+            name = "flat_target"
+
+            def target(self, x_arr, y_arr):
+                return 3.0
+
+            def boundary_at(self, y_arr):
+                return 1.5
+
+        settings = dict(dt=0.02, horizon=10.0, seed=99)
+        res = estimate_value(params, FlatTarget(), 1.45, 1.0, n_paths=4, keep_payoffs=True,
+                             **settings)
+        rec = simulate_path(params, FlatTarget(), 1.45, 1.0, path_index=3, **settings)
+        assert rec.total_installed == 2.0
+        assert rec.payoff == res.payoffs[3]
+
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_path_equals_estimator_payoff_exactly(self, setup, name):
         params, fb, _ = setup
@@ -606,15 +627,15 @@ class TestEstimator:
             simulate_path(params, pol, x, y, **settings)
 
     def test_run_beyond_physical_memory_rejected(self, setup, monkeypatch):
-        # 10**13 paths of 10 steps: eight (job, path) state arrays and two
-        # 10-step noise chunks, (8 + 2 x 10) x 8 bytes per path; refused
+        # 10**13 paths of 10 steps: seven (job, path) state arrays and two
+        # 10-step noise chunks, (7 + 2 x 10) x 8 bytes per path; refused
         # before the path indices, a state array or a draw is allocated
         params, fb, _ = setup
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 2**33)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=r"take 2240000000000000 bytes"):
+            with pytest.raises(ConfigurationError, match=r"take 2160000000000000 bytes"):
                 estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10**13, dt=0.1,
                                horizon=1.0)
             peak = tracemalloc.get_traced_memory()[1]
@@ -628,7 +649,7 @@ class TestEstimator:
         params, fb, _ = setup
         jobs = [(NeverInstall(), 1.0, 1.0), (ImmediateFull(), 1.0, 1.0)]
         n_paths = 40
-        counted = (8 * len(jobs) + 2 * 10) * n_paths * 8
+        counted = (7 * len(jobs) + 2 * 10) * n_paths * 8
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
         estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)

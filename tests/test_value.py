@@ -6,11 +6,12 @@ import pytest
 from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, NumericalError,
                          ValueFunction, integrate_boundary, params_from_dict, r_partials,
                          r_value)
+from solarinvest import fundamental
 
 from conftest import central_diff, fuzz_draw, rel_err
 from oracles import (a_alt, a_prime, a_prime_fit_form, d_tilde_forms, growth_ratio,
                      hjb_residual_two_pass, install_region_pde_closed_form,
-                     partials_two_lookup)
+                     partials_two_lookup, psi_derivs)
 
 
 def interior_ys(params, n=10, lo=0.05, hi=0.95):
@@ -103,7 +104,7 @@ class TestValue:
                 x = math.nextafter(fb.f(y), math.inf)
                 y_hit = fb.lump_target(x, y)
                 assert y_hit == max(fb.f_inverse(x), y), (mu, y)
-                d = fs.psi_derivs(x + params.beta * y_hit, 2)
+                d = psi_derivs(fs, x + params.beta * y_hit, 2)
                 a_val = vf.a(y_hit)
                 waiting = a_val * d[0] + r_value(params, x, y_hit)
                 assert vf.w(x, y) == pytest.approx(
@@ -210,7 +211,7 @@ class TestVariationalInequality:
         for y in interior_ys(params):
             f_y = fb.f(float(y))
             assert abs(vf.partials(f_y, float(y))[2] - params.c) < 1e-7 * (1.0 + params.c)
-            d = fs.psi_derivs(f_y + params.beta * float(y), 2)
+            d = psi_derivs(fs, f_y + params.beta * float(y), 2)
             s_x = (a_prime(vf, float(y)) * d[1] + params.beta * vf.a(float(y)) * d[2]
                    + 1.0 / (params.rho + params.kappa))
             assert abs(s_x) < 1e-7 * (1.0 + abs(d[1]))
@@ -242,8 +243,25 @@ class TestOneLookup:
                         assert (vf.hjb_residual(x, y)
                                 == hjb_residual_two_pass(vf, x, y)), (mu, x, y)
 
+    def test_cold_table_equals_warm(self, solved, monkeypatch):
+        # built and queried on an emptied panel table, each read builds the
+        # cells it needs: test_equals_two_pass_route's states, bit for bit
+        rng = np.random.default_rng(18)
+        for mu, (params, _, fb, vf) in solved.items():
+            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+            cold = ValueFunction(params, FundamentalSolution(params), fb)
+            assert cold.a_grid.tobytes() == vf.a_grid.tobytes(), mu
+            for u, v in rng.random((400, 2)):
+                x = float(fb.x0 - 1.5 + (fb.x_bar + 2.5 - fb.x0) * u)
+                y = float(0.95 * params.y_bar * v)
+                for method in ("w", "partials", "hjb_residual"):
+                    got = getattr(cold, method)(x, y)
+                    assert got == getattr(vf, method)(x, y), (mu, method, x, y)
+
     def test_one_lookup_per_call(self, base, monkeypatch):
-        params, _, fb, vf = base
+        # each psi point is one cell read: log_psi_ratios where the
+        # ratios are needed, psi where psi alone is
+        params, fs, fb, vf = base
         calls = []
 
         def counted(cls, name):
@@ -255,23 +273,31 @@ class TestOneLookup:
             monkeypatch.setattr(cls, name, wrapper)
 
         counted(FreeBoundary, "f")
-        counted(FundamentalSolution, "psi_derivs")
+        counted(FundamentalSolution, "log_psi_ratios")
+        counted(FundamentalSolution, "psi")
         counted(ValueFunction, "a")
         y = 1.5
         f_y = fb.f(y)
+        lookup = ["a", "f", "log_psi_ratios"]
         for x, region, per_call in [
-                (f_y - 0.5, "W", ["f", "psi_derivs", "a"]),
-                (0.5 * (f_y + fb.x_bar), "I1", ["f", "psi_derivs", "a"]),
-                (fb.x_bar + 0.5, "I2", [])]:
+                # in W, A'(y) reads the ratios at Ftilde(y) too
+                (f_y - 0.5, "W", (lookup + ["log_psi_ratios"], ["a", "f", "psi"])),
+                (0.5 * (f_y + fb.x_bar), "I1", (lookup, ["a", "f", "psi"])),
+                (fb.x_bar + 0.5, "I2", ([], []))]:
             assert fb.region(x, y).value == region
-            for method in (vf.partials, vf.hjb_residual):
+            for method, expected in ((vf.partials, per_call[0]), (vf.hjb_residual, per_call[0]),
+                                     (vf.w, per_call[1])):
                 calls.clear()
                 method(x, y)
-                assert sorted(calls) == sorted(per_call), (region, method.__name__)
+                assert sorted(calls) == sorted(expected), (region, method.__name__)
         # at capacity the classification reads no F(y): A'(y) reads it once
         calls.clear()
         vf.partials(f_y - 0.5, params.y_bar)
-        assert sorted(calls) == ["a", "f", "psi_derivs"]
+        assert sorted(calls) == ["a", "f", "log_psi_ratios", "log_psi_ratios"]
+        # a build reads each grid node once
+        calls.clear()
+        ValueFunction(params, fs, fb)
+        assert calls == ["log_psi_ratios"] * fb.ys.size
 
 
 class TestGrowth:
