@@ -136,7 +136,7 @@ class FreeBoundary:
     ``ys`` ascend from 0 to y_bar; ``f_tilde`` is the shifted boundary,
     ``f_grid`` the boundary itself.  Queries interpolate monotone cubics.
     ``region`` and ``lump_target`` share one classification, which reads
-    F(y) through ``f`` below capacity and below x_bar and not otherwise;
+    F(y) through ``f`` wherever x < x_bar, capacity included;
     ``ValueFunction`` reuses that F(y) for A'(y) instead of reading it again.
     Immutable once built, apart from the inverse's cubic, which the first
     ``f_inverse`` builds from ``f_grid`` and ``ys``; safe for concurrent reads.
@@ -155,10 +155,6 @@ class FreeBoundary:
     def f(self, y: float) -> float:
         """Boundary price F(y); installing is optimal once x >= F(y)."""
         return float(self._f_itp(check_capacity(self.params, y)))
-
-    def f_tilde_at(self, y: float) -> float:
-        """Shifted boundary Ftilde(y) = F(y) + beta*y."""
-        return self.f(y) + self.params.beta * y
 
     def f_values(self, y_arr) -> np.ndarray:
         """Vectorized boundary evaluation (clipped to the capacity range)."""
@@ -182,15 +178,15 @@ class FreeBoundary:
         return float(itp(min(max(x, self.x0), self.x_bar)))
 
     def _classify(self, x: float, y: float):
-        """(region, F(y)) at (x, y), F(y) as ``f`` reads it; None at
-        capacity and from x_bar up, where the region needs no F."""
+        """(region, F(y)) at (x, y), F(y) as ``f`` reads it below x_bar and
+        None from x_bar up; at capacity only waiting applies, also where
+        x >= F(y)."""
         check_capacity(self.params, y)
-        if at_capacity(self.params, y):
-            return Region.W, None
         if x >= self.x_bar:
-            return Region.I2, None
+            return (Region.W if at_capacity(self.params, y) else Region.I2), None
         f_y = self.f(y)
-        return (Region.I1 if x >= f_y else Region.W), f_y
+        return (Region.I1 if x >= f_y and not at_capacity(self.params, y)
+                else Region.W), f_y
 
     def region(self, x: float, y: float) -> Region:
         """Three-way state classification; at y = y_bar only waiting applies."""

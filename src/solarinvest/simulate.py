@@ -45,7 +45,9 @@ import math
 import numbers
 import os
 import queue
+import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,7 +62,12 @@ _MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 _FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
 _STATE_ARRAYS = 7  # (job, path) arrays of doubles that _run holds while it steps
-_STREAM_BYTES = 611  # traced bytes of one path's generator: Generator, Philox and its lock
+_CROSSING_ARRAYS = 7  # arrays of doubles per (job, path) of a policy block a crossing holds
+_STREAM_BYTES = 612  # traced bytes of one path's generator: Generator, Philox and its lock
+# one block of paths queued per chunk: its (buffer, block, last) task and
+# block index, its slots in the task and done queues (lists that
+# over-allocate by 1/8) and its slot in the feed's generator list
+_BLOCK_BYTES = sys.getsizeof((None, None, None)) + sys.getsizeof(1 << 60) + 2 * 9 + 8
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -588,7 +595,7 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     return int(round(ratio))
 
 
-def _check_run_memory(n_jobs: int, n_paths: int, n_steps: int) -> None:
+def _check_run_memory(jobs, n_paths: int, n_steps: int) -> None:
     """Refuse a run whose (job, path) state and noise exceed physical memory.
 
     ``_run`` holds ``_STATE_ARRAYS`` (job, path) arrays of doubles while it
@@ -596,21 +603,32 @@ def _check_run_memory(n_jobs: int, n_paths: int, n_steps: int) -> None:
     threshold, drift term and a scratch product) and two (steps, path)
     noise chunks; its callers read a job's row through a row index, and
     its end-of-run checks reduce each row to one value, so nothing copies
-    the (job, path) arrays.  A run of more than one chunk also holds every
-    path's generator from chunk to chunk, beside each drawing thread's
-    scratch rows.  Under overcommit a run beyond physical memory is
-    allocated anyway and then pages without end, so it is refused before
-    anything is allocated or drawn."""
+    the (job, path) arrays.  A crossing step holds, over the rows of the
+    most jobs that share a policy, ``_CROSSING_ARRAYS`` arrays of doubles
+    and one mask of bools: five it keeps until the next crossing, maybe
+    another policy's (the crossing indices, old and new levels, increments
+    and newly installing indices), and two that the expression in hand
+    forms (a policy's target or threshold, counted as one returned array,
+    and the kernel's result from it).  The feed queues one chunk's tasks at
+    a time, ``_BLOCK_BYTES`` per block of ``_FILL_ROWS`` paths.
+    A run of more than one chunk also holds every path's generator from
+    chunk to chunk, beside each drawing thread's scratch rows.  Under
+    overcommit a run beyond physical memory is allocated anyway and then
+    pages without end, so it is refused before anything is allocated or
+    drawn."""
     chunk = _chunk_size(n_paths, n_steps)
     item = np.dtype(float).itemsize
-    run_bytes = (_STATE_ARRAYS * n_jobs + 2 * chunk) * n_paths * item
+    block_jobs = max(Counter(id(policy) for policy, _, _ in jobs).values())
+    run_bytes = (((_STATE_ARRAYS * len(jobs) + 2 * chunk) * item
+                  + (_CROSSING_ARRAYS * item + 1) * block_jobs) * n_paths
+                 + -(-n_paths // _FILL_ROWS) * _BLOCK_BYTES)
     if chunk < n_steps:
         run_bytes += (n_paths * _STREAM_BYTES
                       + _fill_workers() * min(_FILL_ROWS, n_paths) * chunk * item)
     phys_bytes = physical_memory_bytes()
     if run_bytes > phys_bytes:
         raise ConfigurationError(
-            f"{n_jobs} job(s) on {n_paths} paths take {run_bytes} bytes of state and "
+            f"{len(jobs)} job(s) on {n_paths} paths take {run_bytes} bytes of state and "
             f"noise, more than the {phys_bytes} bytes of physical memory")
 
 
@@ -642,7 +660,7 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     n_steps = _check_mc_config(n_paths, dt, horizon, seed)
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
-    _check_run_memory(len(jobs), n_paths, n_steps)
+    _check_run_memory(jobs, n_paths, n_steps)
     out = _run(params, jobs, dt, n_steps, seed, range(n_paths))
     results = []
     for j, (_, x, _) in enumerate(jobs):

@@ -35,15 +35,14 @@ A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), all
 from one ``log_psi_ratios`` call, e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
-``partials`` and ``hjb_residual`` share one lookup of the state: y_hit, A(y_hit)
-and psi^(0..2)(x + beta y_hit) from one ``log_psi_ratios`` call, so
-``hjb_residual`` forms w from psi = psi^(0) instead of repeating the lookups
-through ``w``.  ``w`` reads psi alone, through ``psi``: where psi and w are
-finite, psi'' can overflow and psi''/psi round negative.  F(y) is read once
-too: the boundary's classification of the state reads it, and A'(y) takes
-Ftilde(y) = F(y) + beta y from that value.  The classification reads no F(y)
-at capacity (y = y_bar), so there, and only there, A'(y) reads it itself
-through ``FreeBoundary.f_tilde_at``.
+``partials`` and ``hjb_residual`` share one private read of the state,
+``_partials``: y_hit, A(y_hit) and psi^(0..2)(x + beta y_hit) from one
+``log_psi_ratios`` call, so ``hjb_residual`` forms w from its A(y_hit) psi
+instead of repeating the lookups through ``w``.  ``w`` reads psi alone,
+through ``psi``: where psi and w are finite, psi'' can overflow and
+psi''/psi round negative.  F(y) is read once too: the boundary's
+classification reads it wherever x < x_bar, at capacity as well, and A'(y)
+takes Ftilde(y) = F(y) + beta y from that value.
 A grid node below y_bar with A <= 0 contradicts A > 0 and is refused with
 :class:`NumericalError`; a grid too coarse where F is steep produces one.  The
 tests check these closed forms against other representations of the same
@@ -137,15 +136,17 @@ class ValueFunction:
                     else self.a(y_hit) * self.fs.psi(x + p.beta * y_hit))
         return psi_term + r_value(p, x, y_hit) - p.c * (y_hit - y)
 
-    def _lookup(self, x: float, y: float):
-        """(y_hit, F(y), A(y_hit), psi^(0..2)(x + beta y_hit)) at (x, y).
-        F(y) is the one the boundary's classification read, None where it
-        read none; the last two are None from x_bar up, where A(y_bar) = 0
-        drops the psi term."""
+    def _partials(self, x: float, y: float):
+        """(y_hit, A(y_hit) psi(x + beta y_hit), (w_x, w_xx, w_y)) at (x, y)
+        from one read of the state: the classification's y_hit and F(y),
+        and psi^(0..2)(x + beta y_hit) from one ``log_psi_ratios`` call.
+        From x_bar up A(y_bar) = 0 drops the psi term, which may overflow."""
+        p = self.params
         y_hit, f_y = self.fb._lump(x, y)
+        r_y, _, r_x = r_partials(p, x, y_hit)
         if x >= self.fb.x_bar:
-            return y_hit, f_y, None, None
-        xs = x + self.params.beta * y_hit
+            return y_hit, 0.0, (r_x, 0.0, p.c)
+        xs = x + p.beta * y_hit
         log_psi, r1, r2 = self.fs.log_psi_ratios(xs)
         psi = checked_exp(log_psi, "psi", xs)
         d = (psi, psi * r1, psi * r2)
@@ -153,36 +154,24 @@ class ValueFunction:
             k = d.index(math.inf)
             raise NumericalError(f"psi^({k})({xs}) overflows float64: log psi^({k}) = "
                                  f"{log_psi + math.log((r1, r2)[k - 1]):.6g}")
-        return y_hit, f_y, self.a(y_hit), d
-
-    def _partials_at(self, x, y, y_hit, f_y, a_val, d):
-        """(w_x, w_xx, w_y) from the state's ``_lookup``."""
-        p = self.params
-        r_y, _, r_x = r_partials(p, x, y_hit)
-        if d is None:
-            return r_x, 0.0, p.c
-        if y_hit > y:
-            w_y = p.c
-        else:
-            # Ftilde(y) from the classification's F(y); at capacity it read none
-            ft = self.fb.f_tilde_at(y) if f_y is None else f_y + p.beta * y
-            w_y = self._a_prime_at(y, ft) * d[0] + p.beta * a_val * d[1] + r_y
-        return a_val * d[1] + r_x, a_val * d[2], w_y
+        a_val = self.a(y_hit)
+        # Ftilde(y) from the F(y) the classification read
+        w_y = (p.c if y_hit > y else
+               self._a_prime_at(y, f_y + p.beta * y) * psi + p.beta * a_val * d[1] + r_y)
+        return y_hit, a_val * psi, (a_val * d[1] + r_x, a_val * d[2], w_y)
 
     def partials(self, x: float, y: float):
         """(w_x, w_xx, w_y) from the closed forms at the lump target."""
-        return self._partials_at(x, y, *self._lookup(x, y))
+        return self._partials(x, y)[2]
 
     def hjb_residual(self, x: float, y: float):
         """(pde_term, gradient_term) of the variational inequality at (x, y)."""
         p = self.params
         if y >= p.y_bar:
             raise DomainError("HJB residual defined for y < y_bar")
-        y_hit, f_y, a_val, d = self._lookup(x, y)
-        w_x, w_xx, w_y = self._partials_at(x, y, y_hit, f_y, a_val, d)
-        # ``w``'s value: d[0] is the psi ``w`` reads, bit for bit
-        w = ((0.0 if d is None else a_val * d[0])
-             + r_value(p, x, y_hit) - p.c * (y_hit - y))
+        y_hit, psi_term, (w_x, w_xx, w_y) = self._partials(x, y)
+        # ``w``'s value: psi_term is A(y_hit) psi as ``w`` forms it, bit for bit
+        w = psi_term + r_value(p, x, y_hit) - p.c * (y_hit - y)
         pde = (0.5 * p.sigma**2 * w_xx
                + p.kappa * ((p.mu - p.beta * y) - x) * w_x
                - p.rho * w + x * y)

@@ -3,8 +3,9 @@
 Each is a second representation of a quantity the package computes one way:
 a panel's Chebyshev series by Clenshaw, psi's derivatives straight from the
 integral and to any order, phi, the determinant combinations Q_k and Psi_k,
-the cylinder function D_a, the anchor function H, the coefficient A and its
-derivative through other closed forms and at its own read of F(y), the
+the cylinder function D_a, the anchor function H, the shifted boundary
+Ftilde(y) at its own read of F(y), the coefficient A and its derivative
+through other closed forms and at that read of F(y), the
 normalized ODE denominator three ways, the PDE term on the lump-to-capacity
 region, the growth ratio of w, the partials with a second F(y) read for
 A'(y), the HJB residual from separate partials and ``w`` calls, psi'''/psi
@@ -130,10 +131,15 @@ def h_func(params, fs, x):
 # -- value function -----------------------------------------------------------
 
 
+def f_tilde_at(fb, y):
+    """Shifted boundary Ftilde(y) = F(y) + beta*y at its own read of F(y)."""
+    return fb.f(y) + fb.params.beta * y
+
+
 def a_alt(vf, y):
     """A(y) through the Rtilde/Q0 representation."""
     p = vf.params
-    ft = vf.fb.f_tilde_at(y)
+    ft = f_tilde_at(vf.fb, y)
     d = psi_derivs(vf.fs, ft, 2)
     q0 = d[0] * d[2] - d[1] ** 2
     num = d[1] * (p.c - r_tilde(p, ft, y)) + d[0] / (p.rho + p.kappa)
@@ -143,7 +149,7 @@ def a_alt(vf, y):
 def a_prime_fit_form(vf, y):
     """A' from the smooth-fit pair directly: -beta psi''/psi' A - 1/((rho+kappa) psi')."""
     p = vf.params
-    ft = vf.fb.f_tilde_at(y)
+    ft = f_tilde_at(vf.fb, y)
     d = psi_derivs(vf.fs, ft, 2)
     return -p.beta * d[2] / d[1] * vf.a(y) - 1.0 / ((p.rho + p.kappa) * d[1])
 
@@ -157,9 +163,8 @@ def install_region_pde_closed_form(params, x, y):
 
 
 def a_prime(vf, y):
-    """Closed-form A'(y) at its own read of Ftilde(y), as ``partials``
-    forms it at capacity."""
-    return vf._a_prime_at(y, vf.fb.f_tilde_at(y))
+    """Closed-form A'(y) at its own read of Ftilde(y)."""
+    return vf._a_prime_at(y, f_tilde_at(vf.fb, y))
 
 
 def partials_two_lookup(vf, x, y):
@@ -244,7 +249,7 @@ def d_tilde_forms(vf, y):
     - kappa beta psi'(Ftilde) A).  All agree along the solved boundary.
     """
     p = vf.params
-    ft = vf.fb.f_tilde_at(y)
+    ft = f_tilde_at(vf.fb, y)
     d = psi_derivs(vf.fs, ft, 3)
     q0 = d[0] * d[2] - d[1] ** 2
     q1 = d[1] * d[3] - d[2] ** 2

@@ -10,14 +10,16 @@ import pytest
 from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
                          NumericalError, Regime, Region, ValueFunction, classify_regime,
                          integrate_boundary, ode_rhs, params_from_dict, r_tilde,
-                         solve_x_tilde, table_preset, y_star)
+                         r_value, solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
 from solarinvest.boundary import export_grid_csv
 from solarinvest.cli import sweep_boundaries
 from solarinvest.interp import MonotoneCubic
+from solarinvest.model import at_capacity
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
-from oracles import h_func, n_d_via_ratios3, psi_derivs, ratios3, rhs_via_ratios3
+from oracles import (h_func, hjb_residual_two_pass, n_d_via_ratios3, partials_two_lookup,
+                     psi_derivs, ratios3, rhs_via_ratios3)
 
 # regression baselines, self-generated at 2000 RK4 steps and cross-checked
 # against an independent bisection of H and a 400-step solve
@@ -368,6 +370,33 @@ class TestTypedFailures:
             messages.append(str(caught.value))
         assert len(set(messages)) == 1
 
+    def test_psi_derivative_overflows_in_the_value_layer(self, monkeypatch):
+        # constant panels put log psi at 709.5, where psi is finite, and
+        # psi'/psi at 2, so psi' = psi r1 overflows; right of mu the drift
+        # term keeps psi''/psi positive, so the k = 2 check passes
+        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        params = table_preset(1.4)
+        fs = FundamentalSolution(params)
+        vf = ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=200))
+        # a waiting state near capacity, where A(y) < 1 keeps w = A psi + R finite
+        y = 0.98 * params.y_bar
+        state = (params.mu - 0.2, y)
+        x = state[0] + params.beta * y
+        assert vf.fb.region(*state) is Region.W and x > params.mu and vf.a(y) < 1.0
+        fs.psi(x)  # builds x's cell
+        s0 = params.rho / params.kappa
+        table = fundamental._PANEL_TABLES[s0]
+        for j, (log_panel, ratio_panel) in table.items():
+            table[j] = (constant_panel(log_panel, 709.5 + math.lgamma(s0)),
+                        constant_panel(ratio_panel, 2.0 / fs._scale))
+        log_psi, r1, r2 = fs.log_psi_ratios(x)
+        assert abs(log_psi - 709.5) < 1e-12 and r1 > 1.5 and r2 > 0.0
+        assert math.isfinite(vf.w(*state))
+        for method in (vf.partials, vf.hjb_residual):
+            with pytest.raises(NumericalError, match=r"^psi\^\(1\)\(.*\) overflows float64: "
+                                                     r"log psi\^\(1\) = "):
+                method(*state)
+
     @pytest.mark.parametrize("offset", [1.5e308, -1.5e308, math.nan])
     def test_cell_coordinate_outside_float64(self, base, offset):
         # z = mu + offset: the cell coordinate overflows or is NaN, and the
@@ -585,10 +614,22 @@ class TestBoundaryQueries:
         codes = [order[r] for r in labels]
         assert codes == sorted(codes)
 
-    def test_region_at_capacity_is_waiting(self, base):
-        params, _, fb, _ = base
-        for x in (-1.0, fb.x_bar + 2.0):
-            assert fb.region(x, params.y_bar) is Region.W
+    def test_region_at_capacity_is_waiting(self, solved):
+        for mu, (params, fs, fb, vf) in solved.items():
+            for x in (-1.0, fb.x_bar + 2.0):
+                assert fb.region(x, params.y_bar) is Region.W
+            # inside at_capacity's band below y_bar, F(y) < x_bar, so states
+            # with F(y) <= x < x_bar exist; nothing is left to install there
+            y = params.y_bar * (1.0 - 5e-16)
+            assert y < params.y_bar and at_capacity(params, y), mu
+            assert fb.f(y) < fb.x_bar, mu
+            for x in (fb.f(y), math.nextafter(fb.x_bar, -math.inf)):
+                assert fb.region(x, y) is Region.W, (mu, x)
+                assert fb.lump_target(x, y) == y, (mu, x)
+                assert vf.partials(x, y) == partials_two_lookup(vf, x, y), (mu, x)
+                assert vf.hjb_residual(x, y) == hjb_residual_two_pass(vf, x, y), (mu, x)
+                assert vf.w(x, y) == (vf.a(y) * fs.psi(x + params.beta * y)
+                                      + r_value(params, x, y)), (mu, x)
 
     def test_region_domain_error(self, base):
         params, _, fb, _ = base

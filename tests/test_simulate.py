@@ -628,14 +628,16 @@ class TestEstimator:
 
     def test_run_beyond_physical_memory_rejected(self, setup, monkeypatch):
         # 10**13 paths of 10 steps: seven (job, path) state arrays and two
-        # 10-step noise chunks, (7 + 2 x 10) x 8 bytes per path; refused
-        # before the path indices, a state array or a draw is allocated
+        # 10-step noise chunks, (7 + 2 x 10) x 8 bytes per path, a crossing's
+        # seven arrays and a mask, 57 bytes, and 126 bytes per block of 16
+        # paths; refused before the path indices, a state array or a draw is
+        # allocated
         params, fb, _ = setup
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 2**33)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=r"take 2160000000000000 bytes"):
+            with pytest.raises(ConfigurationError, match=r"take 2808750000000000 bytes"):
                 estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10**13, dt=0.1,
                                horizon=1.0)
             peak = tracemalloc.get_traced_memory()[1]
@@ -645,11 +647,14 @@ class TestEstimator:
 
     def test_run_guard_counts_jobs_paths_and_chunks(self, setup, monkeypatch):
         # with exactly the counted bytes of physical memory the run goes
-        # ahead; with one byte less it is refused before any draw
+        # ahead; with one byte less it is refused before any draw.  Each
+        # policy runs one job, so a crossing holds 7 x 8 + 1 bytes per path,
+        # and the 40 paths are queued as three blocks
         params, fb, _ = setup
         jobs = [(NeverInstall(), 1.0, 1.0), (ImmediateFull(), 1.0, 1.0)]
         n_paths = 40
-        counted = (7 * len(jobs) + 2 * 10) * n_paths * 8
+        counted = ((7 * len(jobs) + 2 * 10) * n_paths * 8 + (7 * 8 + 1) * n_paths
+                   + 3 * simulate._BLOCK_BYTES)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
         estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
@@ -657,23 +662,34 @@ class TestEstimator:
         with pytest.raises(ConfigurationError, match=rf"take {counted} bytes"):
             estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
 
-    def test_run_peak_within_guard(self, setup):
-        # the verify jobs, three policies from each of three states, on
-        # 20,000 paths of 10 steps: the traced peak, with the end-of-run
-        # checks and each job's statistics, stays within the guard's count
+    def test_run_peak_within_guard(self, setup, monkeypatch):
+        # the verify jobs, three policies from each of three states, and a
+        # never-install job alone, on 20,000 paths: the traced peak, with the
+        # end-of-run checks and each job's statistics, stays within the
+        # guard's count.  10 steps are one noise chunk; 300 are two chunks of
+        # 256 and 44 steps, which keep each path's generator and queue every
+        # block twice
         params, fb, _ = setup
         policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
-        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        verify = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        never = [(NeverInstall(), 1.0, 1.0)]
         n_paths = 20_000
-        counted = (simulate._STATE_ARRAYS * len(jobs) + 2 * 10) * n_paths * 8
-        estimate_value_many(params, jobs, 50, dt=0.1, horizon=1.0)  # lazy imports and caches
-        tracemalloc.start()
-        try:
-            estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= counted
+        for jobs, n_steps in ((verify, 10), (never, 300), (verify, 300)):
+            settings = dict(dt=0.1, horizon=n_steps * 0.1)
+            estimate_value_many(params, jobs, 50, **settings)  # lazy imports and caches
+            # the guard's count, from its refusal with no memory
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "physical_memory_bytes", lambda: 0)
+                with pytest.raises(ConfigurationError) as refused:
+                    estimate_value_many(params, jobs, n_paths, **settings)
+            counted = int(re.search(r"take (\d+) bytes", str(refused.value))[1])
+            tracemalloc.start()
+            try:
+                estimate_value_many(params, jobs, n_paths, **settings)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted, (len(jobs), n_steps)
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the

@@ -9,8 +9,8 @@ from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, Numeric
 from solarinvest import fundamental
 
 from conftest import central_diff, fuzz_draw, rel_err
-from oracles import (a_alt, a_prime, a_prime_fit_form, d_tilde_forms, growth_ratio,
-                     hjb_residual_two_pass, install_region_pde_closed_form,
+from oracles import (a_alt, a_prime, a_prime_fit_form, d_tilde_forms, f_tilde_at,
+                     growth_ratio, hjb_residual_two_pass, install_region_pde_closed_form,
                      partials_two_lookup, psi_derivs)
 
 
@@ -33,7 +33,7 @@ class TestCoefficient:
         # smooth-fit form with explicit R-terms vs the Rtilde/Q0 form
         params, _, fb, vf = base
         for y in fb.ys[::100]:
-            a_main = vf._a_closed_form(float(y), fb.f_tilde_at(float(y)))
+            a_main = vf._a_closed_form(float(y), f_tilde_at(fb, float(y)))
             # absolute floor handles the zero at y_bar, where both forms vanish
             assert abs(a_main - a_alt(vf, float(y))) < 1e-9 * (1.0 + abs(a_main))
 
@@ -234,8 +234,8 @@ class TestOneLookup:
                 assert vf.partials(x, y) == partials_two_lookup(vf, x, y), (mu, x, y)
                 assert vf.hjb_residual(x, y) == hjb_residual_two_pass(vf, x, y), (mu, x, y)
             assert regions == {"W", "I1", "I2"}, mu
-            # the classification reads no F(y) at capacity, so A'(y) reads
-            # its own; just below y_bar the residual is defined and does too
+            # at capacity the classification reads F(y) as well, and A'(y)
+            # takes Ftilde(y) from it; just below y_bar the residual is defined
             for y in (params.y_bar, math.nextafter(params.y_bar, 0.0)):
                 for x in np.linspace(fb.x0 - 1.5, fb.x_bar + 1.0, 9).tolist():
                     assert vf.partials(x, y) == partials_two_lookup(vf, x, y), (mu, x, y)
@@ -290,7 +290,7 @@ class TestOneLookup:
                 calls.clear()
                 method(x, y)
                 assert sorted(calls) == sorted(expected), (region, method.__name__)
-        # at capacity the classification reads no F(y): A'(y) reads it once
+        # at capacity too the classification reads F(y) once, and A'(y) reuses it
         calls.clear()
         vf.partials(f_y - 0.5, params.y_bar)
         assert sorted(calls) == ["a", "f", "log_psi_ratios", "log_psi_ratios"]
