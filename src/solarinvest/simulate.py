@@ -16,13 +16,16 @@ int e^{-rho u} du; installation costs are charged at e^{-rho t} c dY, with the
 initial lump undiscounted.  Paths draw from counter-based streams keyed by
 (seed, path index), so runs are reproducible, prefix-stable under horizon
 extension, and common random numbers across policies come from reusing the
-seed.  The draws arrive time-major, one (steps, paths) chunk at a time.
-While the kernel steps a chunk, one helper thread per further usable CPU
-(none on one CPU, at most 7) draws blocks of paths of the next chunk, and
-the kernel's own thread draws the blocks still left once it has stepped its
-chunk, so no more threads than usable CPUs step or draw.  Any thread may
-draw any block, since each path owns its stream; neither that nor how the
-horizon is cut into chunks changes a value.
+seed.  A run steps its paths in batches of at most ``_PATH_BATCH``, one
+after another, so what it holds besides its results does not grow with the
+number of paths.  A batch's draws arrive time-major, one (steps, paths)
+chunk at a time.  While the kernel steps a chunk, one helper thread per
+further usable CPU (none on one CPU, at most 7) draws blocks of paths of
+the next chunk, and the kernel's own thread draws the blocks still left
+once it has stepped its chunk, so no more threads than usable CPUs step or
+draw.  Any thread may draw any block, since each path owns its stream;
+neither that nor how the paths are batched or the horizon is cut into
+chunks changes a value.
 
 One kernel steps every policy.  A policy names capacity levels: ``start``
 (the capacity right after t=0), ``target`` (the desired capacity given
@@ -34,9 +37,10 @@ jobs of a call are stacked as rows of one (job, path) array and share the
 same float operations, so a job's payoffs do not depend on what it runs
 beside.  A recorded path (:func:`simulate_path`) is one job on one path, so
 it skips the arrays and the feed: it steps on Python floats, on its thread,
-through the same path's draws in chunks of the same size, repeating each
-step's float operations in the kernel's order, and so reproduces its
-estimator path bit for bit.  Both check their jobs with the same helpers.
+through the same path's draws, drawn in chunks sized for one path (how the
+horizon is chunked changes no value), repeating each step's float
+operations in the kernel's order, and so reproduces its estimator path bit
+for bit.  Both check their jobs with the same helpers.
 """
 
 from __future__ import annotations
@@ -45,9 +49,7 @@ import math
 import numbers
 import os
 import queue
-import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,21 +59,17 @@ from .errors import ConfigurationError, SimulationError
 from .model import ModelParams, at_capacity, r_value
 from .value import ValueFunction
 
+_PATH_BATCH = 4096  # most paths per _run call: a run's working set does not grow with n_paths
 _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the kernel idle
-_MIN_CHUNK = 256  # fewest steps per chunk: each path's generator is called once per chunk
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
+# at most _PATH_BATCH paths per feed: a chunk holds the whole run or at least 976 steps
 _FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
-_STATE_ARRAYS = 7  # (job, path) arrays of doubles that _run holds while it steps
-_CROSSING_ARRAYS = 7  # arrays of doubles per (job, path) of a policy block a crossing holds
-_STREAM_BYTES = 612  # traced bytes of one path's generator: Generator, Philox and its lock
-# one block of paths queued per chunk: its (buffer, block, last) task and
-# block index, its slots in the task and done queues (lists that
-# over-allocate by 1/8) and its slot in the feed's generator list
-_BLOCK_BYTES = sys.getsizeof((None, None, None)) + sys.getsizeof(1 << 60) + 2 * 9 + 8
+_BATCH_ARRAYS = 15  # (job, path) arrays of doubles: 7 stepped, 7 and a mask a crossing forms
+_FEED_BYTES = 8 << 20  # bounds a feed's generators (612 B each), queue and 8 threads' scratch
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
-    return min(n_steps, _TIME_CHUNK, max(_MIN_CHUNK, _CHUNK_BUDGET // (2 * nb)))
+    return min(n_steps, _TIME_CHUNK, _CHUNK_BUDGET // (2 * nb))
 
 
 def _fill_workers() -> int:
@@ -238,15 +236,13 @@ class _NoiseFeed:
     chunk k+1 from the queue; once the caller has stepped chunk k it draws
     the blocks still queued itself instead of waiting, so at most one thread
     per usable CPU steps or draws.  A block's generators are built by the
-    thread that first draws it and dropped after its last chunk, so a run
-    of one chunk never holds every path's generator at once.  Each path's
-    generator writes its own draws in stream order into a thread's scratch
-    rows, which are scaled and stored transposed, so no value depends on
-    the chunking or on which thread draws a block.  Two buffers alternate,
-    and together they hold at most ``_CHUNK_BUDGET`` elements unless that
-    would cut a chunk below ``_MIN_CHUNK`` steps.  Leaving the ``with`` block empties the queue, so
-    each helper stops after the block in hand, and joins the helpers; a
-    helper's exception is raised on the caller's thread.
+    thread that first draws it.  Each path's generator writes its own
+    draws in stream order into a thread's scratch rows, which are scaled
+    and stored transposed, so no value depends on the chunking or on which
+    thread draws a block.  Two buffers alternate, and together they hold at
+    most ``_CHUNK_BUDGET`` elements.  Leaving the ``with`` block empties the
+    queue, so each helper stops after the block in hand, and joins the
+    helpers; a helper's exception is raised on the caller's thread.
     """
 
     def __init__(self, seed, indices, n_steps, scale):
@@ -256,7 +252,7 @@ class _NoiseFeed:
         self._scale = scale
         self._chunk = _chunk_size(len(indices), n_steps)
         self._gens = [None] * -(-len(indices) // _FILL_ROWS)  # per block, built lazily
-        self._tasks = queue.SimpleQueue()  # (chunk buffer, block, last?) to draw, None to stop
+        self._tasks = queue.SimpleQueue()  # (chunk buffer, block) to draw, None to stop
         self._done = queue.SimpleQueue()  # None or the exception, per block a helper drew
         self._helpers = []
 
@@ -282,16 +278,16 @@ class _NoiseFeed:
     def _scratch(self):
         return np.empty((min(_FILL_ROWS, len(self._indices)), self._chunk))
 
-    def _draw(self, out, blk, last, scratch):
+    def _draw(self, out, blk, scratch):
         lo = blk * _FILL_ROWS
         hi = min(lo + _FILL_ROWS, len(self._indices))
         gens = self._gens[blk] or _path_generators(self._seed, self._indices[lo:hi])
-        self._gens[blk] = None if last else gens
-        rows = scratch[:hi - lo, :len(out)]
+        self._gens[blk] = gens
+        # contiguous rows, also for a chunk shorter than the scratch: an
+        # in-place multiply of a strided view allocates a ufunc buffer per call
+        rows = scratch.ravel()[:(hi - lo) * len(out)].reshape(hi - lo, len(out))
         for gen, row in zip(gens, rows):
             gen.standard_normal(out=row)
-        # scaled in the contiguous rows: a multiply into the strided
-        # transposed view would allocate a ufunc buffer per call
         rows *= self._scale
         out[:, lo:hi] = rows.T
 
@@ -334,7 +330,7 @@ class _NoiseFeed:
         def submit(k, start):  # chunk k reuses the buffer of chunk k - 2
             out = bufs[k % 2][:min(chunk, n_steps - start)]
             for blk in range(len(self._gens)):
-                self._tasks.put((out, blk, start + chunk >= n_steps))
+                self._tasks.put((out, blk))
             return out
 
         pending = submit(0, 0)
@@ -489,11 +485,12 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
 
     The path is path ``path_index`` of :func:`estimate_value` run with the
     same seed and step settings, payoff included bit for bit: it steps on
-    Python floats through the same draws, in chunks of the same size, with
-    the kernel's float operations in the kernel's order, and starts no
-    thread.  ``x`` and ``y`` are recorded after any installation at each
-    step; ``max_overshoot`` is the largest pre-installation excess of the
-    price over the policy's threshold (0 when the threshold is never finite).
+    Python floats through the same draws, drawn in chunks sized for one
+    path (how the horizon is chunked changes no value), with the kernel's
+    float operations in the kernel's order, and starts no thread.  ``x``
+    and ``y`` are recorded after any installation at each step;
+    ``max_overshoot`` is the largest pre-installation excess of the price
+    over the policy's threshold (0 when the threshold is never finite).
     """
     p = params
     n_steps = _check_mc_config(1, dt, horizon, seed)
@@ -596,40 +593,25 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
 
 
 def _check_run_memory(jobs, n_paths: int, n_steps: int) -> None:
-    """Refuse a run whose (job, path) state and noise exceed physical memory.
+    """Refuse a run whose results and one path batch exceed physical memory.
 
-    ``_run`` holds ``_STATE_ARRAYS`` (job, path) arrays of doubles while it
-    steps (capacity, price, payoff, first install time,
-    threshold, drift term and a scratch product) and two (steps, path)
-    noise chunks; its callers read a job's row through a row index, and
-    its end-of-run checks reduce each row to one value, so nothing copies
-    the (job, path) arrays.  A crossing step holds, over the rows of the
-    most jobs that share a policy, ``_CROSSING_ARRAYS`` arrays of doubles
-    and one mask of bools: five it keeps until the next crossing, maybe
-    another policy's (the crossing indices, old and new levels, increments
-    and newly installing indices), and two that the expression in hand
-    forms (a policy's target or threshold, counted as one returned array,
-    and the kernel's result from it).  The feed queues one chunk's tasks at
-    a time, ``_BLOCK_BYTES`` per block of ``_FILL_ROWS`` paths.
-    A run of more than one chunk also holds every path's generator from
-    chunk to chunk, beside each drawing thread's scratch rows.  Under
+    What grows with ``n_paths`` is the three (job, path) result arrays of
+    doubles.  A batch of at most ``_PATH_BATCH`` paths holds
+    ``_BATCH_ARRAYS`` (job, path) arrays, the one or two noise chunks its
+    feed allocates, and at most ``_FEED_BYTES`` more in its feed.  Under
     overcommit a run beyond physical memory is allocated anyway and then
     pages without end, so it is refused before anything is allocated or
     drawn."""
-    chunk = _chunk_size(n_paths, n_steps)
-    item = np.dtype(float).itemsize
-    block_jobs = max(Counter(id(policy) for policy, _, _ in jobs).values())
-    run_bytes = (((_STATE_ARRAYS * len(jobs) + 2 * chunk) * item
-                  + (_CROSSING_ARRAYS * item + 1) * block_jobs) * n_paths
-                 + -(-n_paths // _FILL_ROWS) * _BLOCK_BYTES)
-    if chunk < n_steps:
-        run_bytes += (n_paths * _STREAM_BYTES
-                      + _fill_workers() * min(_FILL_ROWS, n_paths) * chunk * item)
+    nb = min(n_paths, _PATH_BATCH)
+    chunk = _chunk_size(nb, n_steps)
+    batch = (_BATCH_ARRAYS * len(jobs) + min(2, -(-n_steps // chunk)) * chunk) * nb
+    # in Python integers: a numpy n_paths would wrap around int64
+    run_bytes = (3 * len(jobs) * int(n_paths) + batch) * np.dtype(float).itemsize + _FEED_BYTES
     phys_bytes = physical_memory_bytes()
     if run_bytes > phys_bytes:
         raise ConfigurationError(
-            f"{len(jobs)} job(s) on {n_paths} paths take {run_bytes} bytes of state and "
-            f"noise, more than the {phys_bytes} bytes of physical memory")
+            f"{len(jobs)} job(s) on {n_paths} paths take {run_bytes} bytes of results, "
+            f"state and noise, more than the {phys_bytes} bytes of physical memory")
 
 
 def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
@@ -661,22 +643,24 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
     _check_run_memory(jobs, n_paths, n_steps)
-    out = _run(params, jobs, dt, n_steps, seed, range(n_paths))
+    pays, installed, firsts = (np.empty((len(jobs), n_paths)) for _ in range(3))
+    for lo in range(0, n_paths, _PATH_BATCH):
+        out = _run(params, jobs, dt, n_steps, seed, range(lo, min(lo + _PATH_BATCH, n_paths)))
+        rows, batch, lumps = out["rows"], slice(lo, lo + _PATH_BATCH), out["lumps"]
+        pays[:, batch] = out["payoffs"][rows]  # job j's payoffs are row rows[j] of the batch
+        installed[:, batch] = (out["y"] - out["y_start"])[rows]
+        firsts[:, batch] = out["first_install_time"][rows]
+        del out  # no two batches are held at once
     results = []
-    for j, (_, x, _) in enumerate(jobs):
-        row = out["rows"][j]  # job j's row: a view, not a copy of the (job, path) arrays
-        pay = out["payoffs"][row]
+    for (_, x, _), lump, pay, inst, first in zip(jobs, lumps, pays, installed, firsts):
         estimate = float(np.mean(pay))
         std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
                      if n_paths > 1 else 0.0)
-        installed = out["y"][row] - out["y_start"][row]
-        first = out["first_install_time"][row]
-        frac = float(np.mean(installed > 0.0))
+        frac = float(np.mean(inst > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,
             horizon=horizon, discount_tail_bound=discount_tail_bound(p, x, horizon),
-            initial_lump=out["lumps"][j],
-            mean_total_installed=float(np.mean(installed)),
+            initial_lump=lump, mean_total_installed=float(np.mean(inst)),
             fraction_installing=frac,
             mean_first_install_time=float(np.nanmean(first)) if frac > 0 else math.nan,
             payoffs=pay if keep_payoffs else None))

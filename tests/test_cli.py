@@ -194,7 +194,7 @@ class TestSimulateCommand:
         assert "seed" in capsys.readouterr().err
 
     def test_paths_beyond_physical_memory_usage_error(self, capsys):
-        # refused before the path indices alone (80 TB) are allocated
+        # refused before anything is allocated: the result arrays alone take 2.16 PB
         assert main(["--steps", "200", "simulate", "--paths", "10000000000000",
                      "--dt", "0.1", "--horizon", "1.0"]) == 2
         assert "physical memory" in capsys.readouterr().err

@@ -85,6 +85,25 @@ def no_streams(seed, indices):
     raise AssertionError("a generator was built")
 
 
+def guard_count(monkeypatch, params, jobs, n_paths, **settings):
+    """The bytes the run guard counts for a run, from its refusal with no memory."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "physical_memory_bytes", lambda: 0)
+        with pytest.raises(ConfigurationError) as refused:
+            estimate_value_many(params, jobs, n_paths, **settings)
+    return int(re.search(r"take (\d+) bytes", str(refused.value))[1])
+
+
+def traced_peak(params, jobs, n_paths, **settings):
+    """The traced peak of a run, in bytes."""
+    tracemalloc.start()
+    try:
+        estimate_value_many(params, jobs, n_paths, **settings)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class StartBeyond(ImmediateFull):
     """Asks for far more than y_bar at t = 0; the kernel installs up to y_bar."""
 
@@ -290,6 +309,37 @@ class TestPaths:
             alone = estimate_value(params, pol, x, y, **settings)
             assert np.array_equal(res.payoffs, alone.payoffs)
             assert res.mean_total_installed == alone.mean_total_installed
+
+    def test_path_batches_change_no_value(self, setup, monkeypatch):
+        # 20 paths in batches of 7: 7 + 7 + 6, against one batch of 20.
+        # Paths 6 and 7 lie on either side of the first batch edge
+        params, fb, _ = setup
+        policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
+        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        settings = dict(dt=0.01, horizon=20.0, seed=2024)
+        run, batches = simulate._run, []
+
+        def recorded(*args):  # each job's first install times, batch by batch
+            out = run(*args)
+            batches.append(out["first_install_time"][out["rows"]])
+            return out
+
+        monkeypatch.setattr(simulate, "_run", recorded)
+        runs = []
+        for batch in (simulate._PATH_BATCH, 7):
+            monkeypatch.setattr(simulate, "_PATH_BATCH", batch)
+            batches.clear()
+            many = estimate_value_many(params, jobs, 20, keep_payoffs=True, **settings)
+            firsts = np.hstack(batches)
+            runs.append((np.stack([r.payoffs for r in many]).tobytes(),
+                         repr([r.summary_dict() for r in many]), firsts.tobytes()))
+        assert len(batches) == 3 and runs[1] == runs[0]
+        assert (firsts > 0.0).any() and np.isnan(firsts).any()
+        for i in (6, 7):
+            for j, ((pol, x, y), res) in enumerate(zip(jobs, many)):
+                rec = simulate_path(params, pol, x, y, path_index=i, **settings)
+                assert np.float64(rec.payoff).tobytes() == res.payoffs[i].tobytes()
+                assert np.float64(rec.first_install_time).tobytes() == firsts[j, i].tobytes()
 
     def test_monotone_coupling_under_common_noise(self, setup):
         # with shared noise, the higher-capacity path has the lower price
@@ -627,19 +677,22 @@ class TestEstimator:
             simulate_path(params, pol, x, y, **settings)
 
     def test_run_beyond_physical_memory_rejected(self, setup, monkeypatch):
-        # 10**13 paths of 10 steps: seven (job, path) state arrays and two
-        # 10-step noise chunks, (7 + 2 x 10) x 8 bytes per path, a crossing's
-        # seven arrays and a mask, 57 bytes, and 126 bytes per block of 16
-        # paths; refused before the path indices, a state array or a draw is
-        # allocated
+        # 10**13 paths of 10 steps: three result doubles per path, and one
+        # batch of 4096 paths with 15 (job, path) arrays and one 10-step
+        # noise chunk, (15 + 10) x 8 bytes per path, and the feed's 8 MiB;
+        # refused before a result array, a batch or a draw is allocated.  A
+        # numpy count of 2**60 paths is counted without wrapping around int64
         params, fb, _ = setup
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 2**33)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=r"take 2808750000000000 bytes"):
+            with pytest.raises(ConfigurationError, match=r"take 240000009207808 bytes"):
                 estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10**13, dt=0.1,
                                horizon=1.0)
+            with pytest.raises(ConfigurationError, match=r"take 27670116110573535232 bytes"):
+                estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=np.int64(2**60),
+                               dt=0.1, horizon=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,49 +700,61 @@ class TestEstimator:
 
     def test_run_guard_counts_jobs_paths_and_chunks(self, setup, monkeypatch):
         # with exactly the counted bytes of physical memory the run goes
-        # ahead; with one byte less it is refused before any draw.  Each
-        # policy runs one job, so a crossing holds 7 x 8 + 1 bytes per path,
-        # and the 40 paths are queued as three blocks
+        # ahead; with one byte less it is refused before any draw.  A run
+        # counts three result doubles per (job, path) and one batch: 15
+        # (job, path) arrays and one 10-step noise chunk per path, and the
+        # feed's fixed bound.  In batches of 16 paths, 40 and 80 paths count
+        # the same batch, so only the results grow
         params, fb, _ = setup
         jobs = [(NeverInstall(), 1.0, 1.0), (ImmediateFull(), 1.0, 1.0)]
-        n_paths = 40
-        counted = ((7 * len(jobs) + 2 * 10) * n_paths * 8 + (7 * 8 + 1) * n_paths
-                   + 3 * simulate._BLOCK_BYTES)
-        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
-        estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
-        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
-        monkeypatch.setattr(simulate, "_path_generators", no_streams)
-        with pytest.raises(ConfigurationError, match=rf"take {counted} bytes"):
+        for batch, n_paths in ((simulate._PATH_BATCH, 40), (16, 40), (16, 80)):
+            monkeypatch.setattr(simulate, "_PATH_BATCH", batch)
+            nb = min(batch, n_paths)
+            counted = ((3 * len(jobs) * n_paths + (15 * len(jobs) + 10) * nb) * 8
+                       + simulate._FEED_BYTES)
+            monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted)
             estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
+            monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: counted - 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_path_generators", no_streams)
+                with pytest.raises(ConfigurationError, match=rf"take {counted} bytes"):
+                    estimate_value_many(params, jobs, n_paths, dt=0.1, horizon=1.0)
 
     def test_run_peak_within_guard(self, setup, monkeypatch):
         # the verify jobs, three policies from each of three states, and a
-        # never-install job alone, on 20,000 paths: the traced peak, with the
-        # end-of-run checks and each job's statistics, stays within the
-        # guard's count.  10 steps are one noise chunk; 300 are two chunks of
-        # 256 and 44 steps, which keep each path's generator and queue every
-        # block twice
+        # never-install job alone, on 20,000 paths: five batches, whose
+        # traced peak, with the end-of-run checks and each job's statistics,
+        # stays within the guard's count.  10 and 300 steps are one noise
+        # chunk per batch; the verify jobs on 4,000 paths x 3,000 steps run
+        # one batch in three chunks of 1,000 steps
         params, fb, _ = setup
         policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
         verify = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
         never = [(NeverInstall(), 1.0, 1.0)]
-        n_paths = 20_000
-        for jobs, n_steps in ((verify, 10), (never, 300), (verify, 300)):
+        cases = ((verify, 20_000, 10), (never, 20_000, 300), (verify, 20_000, 300),
+                 (verify, 4_000, 3_000))
+        for jobs, n_paths, n_steps in cases:
             settings = dict(dt=0.1, horizon=n_steps * 0.1)
             estimate_value_many(params, jobs, 50, **settings)  # lazy imports and caches
-            # the guard's count, from its refusal with no memory
-            with monkeypatch.context() as patch:
-                patch.setattr(simulate, "physical_memory_bytes", lambda: 0)
-                with pytest.raises(ConfigurationError) as refused:
-                    estimate_value_many(params, jobs, n_paths, **settings)
-            counted = int(re.search(r"take (\d+) bytes", str(refused.value))[1])
-            tracemalloc.start()
-            try:
-                estimate_value_many(params, jobs, n_paths, **settings)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= counted, (len(jobs), n_steps)
+            counted = guard_count(monkeypatch, params, jobs, n_paths, **settings)
+            peak = traced_peak(params, jobs, n_paths, **settings)
+            assert peak <= counted, (len(jobs), n_paths, n_steps)
+
+    def test_run_memory_flat_in_path_count(self, setup, monkeypatch):
+        # the verify jobs at 10 steps on 20,000 and 80,000 paths, five and
+        # 20 batches: the traced peak grows by the three result arrays of
+        # the 60,000 more paths (12.96 MB) and at most 256 kB besides, and
+        # stays within the guard's count
+        params, fb, _ = setup
+        policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
+        jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
+        settings = dict(dt=0.1, horizon=1.0)
+        estimate_value_many(params, jobs, 50, **settings)  # lazy imports and caches
+        peaks = []
+        for n_paths in (20_000, 80_000):
+            peaks.append(traced_peak(params, jobs, n_paths, **settings))
+            assert peaks[-1] <= guard_count(monkeypatch, params, jobs, n_paths, **settings)
+        assert peaks[1] - peaks[0] <= 3 * len(jobs) * 60_000 * 8 + 256 * 1024
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
@@ -777,7 +842,6 @@ class TestNoiseFeed:
                 if chunk == n_steps:
                     monkeypatch.setattr(simulate, "_TIME_CHUNK", n_steps)
                 if chunk in (1, 7):
-                    monkeypatch.setattr(simulate, "_MIN_CHUNK", 1)
                     monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * nb * chunk)
                 assert simulate._chunk_size(nb, n_steps) == (chunk or simulate._TIME_CHUNK)
                 if nb == n_paths:
@@ -792,23 +856,26 @@ class TestNoiseFeed:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_block_draw_allocates_no_buffer(self):
-        # a block's second chunk, drawn into its own scratch rows: scaling
-        # the rows in place and copying them transposed allocates nothing
-        # that grows with the block (a multiply into the strided transposed
-        # view took a 132 kB ufunc buffer per call at 2000 paths)
-        feed = simulate._NoiseFeed(5, range(2000), 4000, 0.1)
+        # a block's second chunk and its shorter last chunk, drawn into its
+        # own scratch rows: scaling the rows in place and copying them
+        # transposed allocates nothing that grows with the block (a multiply
+        # into a strided view took a 132 kB ufunc buffer per call at 2000
+        # paths, and one of the last chunk's rows inside the scratch 130 kB)
+        feed = simulate._NoiseFeed(5, range(2000), 5000, 0.1)
         out = np.empty((feed._chunk, 2000))
         scratch = feed._scratch()
-        feed._draw(out, 0, False, scratch)
-        first = out[:, :simulate._FILL_ROWS].copy()
-        tracemalloc.start()
-        try:
-            feed._draw(out, 0, True, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert feed._chunk == 2000 and peak < 4096
-        assert not np.array_equal(out[:, :simulate._FILL_ROWS], first)
+        feed._draw(out, 0, scratch)
+        assert feed._chunk == 2000
+        for steps in (2000, 1000):
+            first = out[:steps, :simulate._FILL_ROWS].copy()
+            tracemalloc.start()
+            try:
+                feed._draw(out[:steps], 0, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, steps
+            assert not np.array_equal(out[:steps, :simulate._FILL_ROWS], first)
 
     def test_fill_threads_change_no_value(self, setup, monkeypatch):
         # the stepping thread drawing alone against 1 and 7 helpers on fewer
@@ -817,7 +884,6 @@ class TestNoiseFeed:
         params, fb, _ = setup
         pol = OptimalReflection(params, fb)
         settings = dict(n_paths=300, dt=0.01, horizon=30.0, seed=17, keep_payoffs=True)
-        monkeypatch.setattr(simulate, "_MIN_CHUNK", 1)
         monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 300 * 97)
         monkeypatch.setattr(simulate, "_fill_workers", lambda: 1)
         alone = estimate_value(params, pol, 1.2, 1.0, **settings)
