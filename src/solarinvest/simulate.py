@@ -19,13 +19,14 @@ extension, and common random numbers across policies come from reusing the
 seed.  A run steps its paths in batches of at most ``_PATH_BATCH``, one
 after another, so what it holds besides its results does not grow with the
 number of paths.  A batch's draws arrive time-major, one (steps, paths)
-chunk at a time.  While the kernel steps a chunk, one helper thread per
-further usable CPU (none on one CPU, at most 7) draws blocks of paths of
-the next chunk, and the kernel's own thread draws the blocks still left
-once it has stepped its chunk, so no more threads than usable CPUs step or
-draw.  Any thread may draw any block, since each path owns its stream;
-neither that nor how the paths are batched or the horizon is cut into
-chunks changes a value.
+chunk at a time.  Each block of paths of a chunk is a future on a pool of
+one helper thread per further usable CPU (no pool on one CPU, at most 7).
+While the kernel steps a chunk, the helpers draw blocks of the next one;
+once it has stepped its chunk, the kernel's own thread cancels the blocks
+no helper has started and draws them, so no more threads than usable CPUs
+step or draw.  Any thread may draw any block, since each path owns its
+stream; neither that nor how the paths are batched or the horizon is cut
+into chunks changes a value.
 
 One kernel steps every policy.  A policy names capacity levels: ``start``
 (the capacity right after t=0), ``target`` (the desired capacity given
@@ -48,8 +49,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import queue
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -65,7 +66,7 @@ _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 # at most _PATH_BATCH paths per feed: a chunk holds the whole run or at least 976 steps
 _FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
 _BATCH_ARRAYS = 15  # (job, path) arrays of doubles: 7 stepped, 7 and a mask a crossing forms
-_FEED_BYTES = 8 << 20  # bounds a feed's generators (612 B each), queue and 8 threads' scratch
+_FEED_BYTES = 8 << 20  # bounds a feed's generators (612 B each), futures and 8 threads' scratch
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -231,18 +232,20 @@ class _NoiseFeed:
     A chunk has shape (steps, paths): row ``k`` holds every path's draw for
     one step, so the kernel adds a contiguous row per step.  Iterating the
     feed yields these rows in time order.  Each chunk is cut into blocks of
-    ``_FILL_ROWS`` paths on a shared queue.  While the caller steps chunk k,
-    ``_fill_workers() - 1`` helper threads (none on one CPU) take blocks of
-    chunk k+1 from the queue; once the caller has stepped chunk k it draws
-    the blocks still queued itself instead of waiting, so at most one thread
-    per usable CPU steps or draws.  A block's generators are built by the
-    thread that first draws it.  Each path's generator writes its own
-    draws in stream order into a thread's scratch rows, which are scaled
-    and stored transposed, so no value depends on the chunking or on which
-    thread draws a block.  Two buffers alternate, and together they hold at
-    most ``_CHUNK_BUDGET`` elements.  Leaving the ``with`` block empties the
-    queue, so each helper stops after the block in hand, and joins the
-    helpers; a helper's exception is raised on the caller's thread.
+    ``_FILL_ROWS`` paths, and each block is a future on a pool of
+    ``_fill_workers() - 1`` helper threads (no pool on one CPU).  While the
+    caller steps chunk k, the helpers draw blocks of chunk k+1; once the
+    caller has stepped chunk k it cancels the blocks no helper has started
+    and draws them itself, then waits for the rest, whose ``result`` raises
+    a helper's exception on the caller's thread.  So at most one thread per
+    usable CPU steps or draws, and each block is drawn once.  A block's
+    generators are built by the thread that first draws it.  Each path's
+    generator writes its own draws in stream order into the drawing
+    thread's scratch rows, which are scaled and stored transposed, so no
+    value depends on the chunking or on which thread draws a block.  Two
+    buffers alternate, and together they hold at most ``_CHUNK_BUDGET``
+    elements.  Leaving the ``with`` block cancels the blocks no helper has
+    started and joins the helpers.
     """
 
     def __init__(self, seed, indices, n_steps, scale):
@@ -252,93 +255,64 @@ class _NoiseFeed:
         self._scale = scale
         self._chunk = _chunk_size(len(indices), n_steps)
         self._gens = [None] * -(-len(indices) // _FILL_ROWS)  # per block, built lazily
-        self._tasks = queue.SimpleQueue()  # (chunk buffer, block) to draw, None to stop
-        self._done = queue.SimpleQueue()  # None or the exception, per block a helper drew
-        self._helpers = []
+        self._local = threading.local()  # each drawing thread's scratch rows
+        self._pool = None
 
     def __enter__(self):
-        try:
-            for _ in range(min(_fill_workers() - 1, len(self._gens))):
-                thread = threading.Thread(target=self._help, daemon=True)
-                thread.start()
-                self._helpers.append(thread)
-        except BaseException:  # a thread could not start: stop those that did
-            self.__exit__()
-            raise
+        helpers = min(_fill_workers() - 1, len(self._gens))
+        if helpers > 0:
+            self._pool = ThreadPoolExecutor(helpers)
         return self
 
     def __exit__(self, *exc):
-        while self._queued() is not None:  # each helper stops after its block in hand
-            pass
-        for _ in self._helpers:
-            self._tasks.put(None)
-        for thread in self._helpers:
-            thread.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
-    def _scratch(self):
-        return np.empty((min(_FILL_ROWS, len(self._indices)), self._chunk))
-
-    def _draw(self, out, blk, scratch):
+    def _draw(self, out, blk):
         lo = blk * _FILL_ROWS
         hi = min(lo + _FILL_ROWS, len(self._indices))
         gens = self._gens[blk] or _path_generators(self._seed, self._indices[lo:hi])
         self._gens[blk] = gens
+        scratch = getattr(self._local, "rows", None)
+        if scratch is None:  # this thread's first block
+            scratch = np.empty(min(_FILL_ROWS, len(self._indices)) * self._chunk)
+            self._local.rows = scratch
         # contiguous rows, also for a chunk shorter than the scratch: an
         # in-place multiply of a strided view allocates a ufunc buffer per call
-        rows = scratch.ravel()[:(hi - lo) * len(out)].reshape(hi - lo, len(out))
+        rows = scratch[:(hi - lo) * len(out)].reshape(hi - lo, len(out))
         for gen, row in zip(gens, rows):
             gen.standard_normal(out=row)
         rows *= self._scale
         out[:, lo:hi] = rows.T
 
-    def _help(self):
-        scratch = self._scratch()
-        for task in iter(self._tasks.get, None):
-            try:
-                self._draw(*task, scratch)
-            except BaseException as exc:  # raised again on the caller's thread
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def _queued(self):
-        """The next queued task, or None when the queue is empty."""
-        try:
-            return self._tasks.get_nowait()
-        except queue.Empty:
-            return None
-
-    def _ready(self, out, scratch):
-        """Draw the blocks of ``out`` no helper has taken, then wait for the rest."""
-        left = len(self._gens)
-        for task in iter(self._queued, None):  # one at a time: helpers take the others
-            self._draw(*task, scratch)
-            left -= 1
-        for _ in range(left):
-            exc = self._done.get()
-            if exc is not None:
-                raise exc
+    def _ready(self, out, futures):
+        """Draw the blocks of ``out`` no helper has started, then wait for the rest."""
+        for blk, future in enumerate(futures):
+            if future.cancel():
+                self._draw(out, blk)
+        for future in futures:
+            if not future.cancelled():
+                future.result()
         return out
 
     def __iter__(self):
         nb, n_steps, chunk = len(self._indices), self._n_steps, self._chunk
-        scratch = self._scratch()
         # both buffers in one allocation: at full size it is mapped fresh and
         # unmapped whole, so no pair of chunks is carved from a fragmented heap
         bufs = np.empty((min(2, -(-n_steps // chunk)), chunk, nb))
 
         def submit(k, start):  # chunk k reuses the buffer of chunk k - 2
             out = bufs[k % 2][:min(chunk, n_steps - start)]
-            for blk in range(len(self._gens)):
-                self._tasks.put((out, blk))
-            return out
+            # without a pool each block is a bare future, which no helper starts
+            return out, [self._pool.submit(self._draw, out, blk) if self._pool else Future()
+                         for blk in range(len(self._gens))]
 
         pending = submit(0, 0)
         for k, start in enumerate(range(chunk, n_steps, chunk), 1):
-            ready = self._ready(pending, scratch)
+            ready = self._ready(*pending)
             pending = submit(k, start)  # the caller is done with chunk k - 2
             yield from ready
-        yield from self._ready(pending, scratch)
+        yield from self._ready(*pending)
 
 
 def _threshold(params, policy, lvl):
@@ -355,7 +329,12 @@ def _check_jobs(params, jobs):
     """
     p = params
     lumps = []
-    for j, (policy, x0, y0) in enumerate(jobs):
+    for j, job in enumerate(jobs):
+        if not (isinstance(job, tuple) and len(job) == 3):
+            raise ConfigurationError(f"job {j}: {job!r} is not a (policy, x, y) tuple")
+        policy, x0, y0 = job
+        _check_real(f"job {j} ({policy.name}): x", x0)
+        _check_real(f"job {j} ({policy.name}): y", y0)
         if not math.isfinite(x0):
             raise ConfigurationError(f"job {j} ({policy.name}): x must be finite, got {x0}")
         if not 0.0 <= y0 <= p.y_bar:
@@ -566,14 +545,18 @@ def _check_integer(name: str, value) -> None:
         raise ConfigurationError(f"{name}={value!r} must be an integer")
 
 
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name}={value!r} must be a real number")
+
+
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     """Validate Monte Carlo settings; return the number of time steps."""
     _check_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    for name, value in (("dt", dt), ("horizon", horizon)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigurationError(f"{name}={value!r} must be a real number")
+    _check_real("dt", dt)
+    _check_real("horizon", horizon)
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if not math.isfinite(horizon):
@@ -619,8 +602,10 @@ def estimate_value(params: ModelParams, policy: Policy, x: float, y: float,
                    seed: int = 0, keep_payoffs: bool = False) -> SimulationResult:
     """Mean discounted payoff of ``policy`` from (x, y), with standard error.
 
-    ``horizon`` defaults to 10/rho (discount e^-10 beyond the cutoff); the
-    analytic truncation bound is reported.  Deterministic for a fixed seed.
+    ``horizon`` defaults to 10/rho (discount e^-10 beyond the cutoff).  The
+    run takes ``round(horizon / dt)`` steps; the horizon reported, and the
+    analytic truncation bound beyond it, are those of the steps taken.
+    Deterministic for a fixed seed.
     """
     return estimate_value_many(params, [(policy, x, y)], n_paths, dt, horizon,
                                seed=seed, keep_payoffs=keep_payoffs)[0]
@@ -640,6 +625,12 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     if horizon is None:
         horizon = 10.0 / p.rho
     n_steps = _check_mc_config(n_paths, dt, horizon, seed)
+    horizon = n_steps * dt  # the horizon simulated
+    try:
+        jobs = list(jobs)
+    except TypeError:
+        raise ConfigurationError(
+            f"jobs={jobs!r} must be an iterable of (policy, x, y) tuples") from None
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
     _check_run_memory(jobs, n_paths, n_steps)

@@ -741,20 +741,21 @@ class TestEstimator:
             assert peak <= counted, (len(jobs), n_paths, n_steps)
 
     def test_run_memory_flat_in_path_count(self, setup, monkeypatch):
-        # the verify jobs at 10 steps on 20,000 and 80,000 paths, five and
-        # 20 batches: the traced peak grows by the three result arrays of
-        # the 60,000 more paths (12.96 MB) and at most 256 kB besides, and
-        # stays within the guard's count
+        # the verify jobs at 10 steps on 2,560 and 10,240 paths in batches of
+        # 512, five and 20 batches: the traced peak grows by the three result
+        # arrays of the 7,680 more paths (1.66 MB) and at most 256 kB
+        # besides, and stays within the guard's count
         params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_PATH_BATCH", 512)
         policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
         jobs = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
         settings = dict(dt=0.1, horizon=1.0)
         estimate_value_many(params, jobs, 50, **settings)  # lazy imports and caches
         peaks = []
-        for n_paths in (20_000, 80_000):
+        for n_paths in (2_560, 10_240):
             peaks.append(traced_peak(params, jobs, n_paths, **settings))
             assert peaks[-1] <= guard_count(monkeypatch, params, jobs, n_paths, **settings)
-        assert peaks[1] - peaks[0] <= 3 * len(jobs) * 60_000 * 8 + 256 * 1024
+        assert peaks[1] - peaks[0] <= 3 * len(jobs) * 7_680 * 8 + 256 * 1024
 
     def test_step_count_bounded_by_stream(self, setup):
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
@@ -795,6 +796,39 @@ class TestEstimator:
         params, fb, _ = setup
         with pytest.raises(ConfigurationError, match="jobs"):
             estimate_value_many(params, [], n_paths=4, dt=0.1, horizon=1.0)
+
+    @pytest.mark.parametrize("job", [
+        (NeverInstall(), 1.0), (NeverInstall(), 1.0, 1.0, 0.0), [NeverInstall(), 1.0, 1.0],
+        NeverInstall(), (NeverInstall(), "1.0", 1.0), (NeverInstall(), 1.0, True),
+        (NeverInstall(), None, 1.0), (NeverInstall(), 1.0, np.array([1.0]))])
+    def test_malformed_job_rejected_by_index(self, setup, monkeypatch, job):
+        # jobs may come as any iterable, listed once; a job that is not a
+        # (policy, x, y) tuple with real x and y is named by its index
+        # before any draw
+        params, fb, _ = setup
+        good = (NeverInstall(), 1.0, 1.0)
+        settings = dict(n_paths=4, dt=0.1, horizon=1.0)
+        [alone] = estimate_value_many(params, iter([good]), keep_payoffs=True, **settings)
+        assert np.array_equal(alone.payoffs, estimate_value(params, *good, keep_payoffs=True,
+                                                            **settings).payoffs)
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        with pytest.raises(ConfigurationError, match=r"^job 1\b"):
+            estimate_value_many(params, iter([good, job]), **settings)
+
+    def test_reported_horizon_is_the_one_simulated(self, setup):
+        # horizon 1.0 at dt 0.4 rounds to 2 steps: the run and a traced path
+        # end at 0.8, and the tail bound covers the payoff beyond 0.8, which
+        # is larger than the payoff beyond 1.0
+        params, fb, vf = setup
+        settings = dict(dt=0.4, horizon=1.0)
+        res = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=50, **settings)
+        rec = simulate_path(params, NeverInstall(), 1.0, 1.0, seed=0, **settings)
+        assert res.horizon == rec.t[-1] == 0.8
+        assert res.discount_tail_bound == discount_tail_bound(params, 1.0, 0.8)
+        assert res.discount_tail_bound > discount_tail_bound(params, 1.0, 1.0)
+        report = dominance_report(params, fb, vf, verification_states(fb), n_paths=4,
+                                  **settings)
+        assert report["settings"]["horizon"] == 0.8
 
     def test_fixed_threshold_policy(self, setup):
         params, fb, _ = setup
@@ -856,21 +890,20 @@ class TestNoiseFeed:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_block_draw_allocates_no_buffer(self):
-        # a block's second chunk and its shorter last chunk, drawn into its
-        # own scratch rows: scaling the rows in place and copying them
+        # a block's second chunk and its shorter last chunk, drawn into the
+        # thread's scratch rows: scaling the rows in place and copying them
         # transposed allocates nothing that grows with the block (a multiply
         # into a strided view took a 132 kB ufunc buffer per call at 2000
         # paths, and one of the last chunk's rows inside the scratch 130 kB)
         feed = simulate._NoiseFeed(5, range(2000), 5000, 0.1)
         out = np.empty((feed._chunk, 2000))
-        scratch = feed._scratch()
-        feed._draw(out, 0, scratch)
+        feed._draw(out, 0)  # builds the block's generators and the thread's scratch
         assert feed._chunk == 2000
         for steps in (2000, 1000):
             first = out[:steps, :simulate._FILL_ROWS].copy()
             tracemalloc.start()
             try:
-                feed._draw(out[:steps], 0, scratch)
+                feed._draw(out[:steps], 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -896,6 +929,40 @@ class TestNoiseFeed:
             finally:
                 sys.setswitchinterval(interval)
             assert np.array_equal(alone.payoffs, shared.payoffs), workers
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_each_stream_drawn_once_per_chunk(self, setup, monkeypatch, workers):
+        # helpers and the stepping thread share every chunk's blocks, with
+        # the interpreter switching threads as often as it can: each path's
+        # stream fills one row per chunk, whichever thread draws it, since a
+        # block drawn twice would shift that path's stream by a chunk
+        params, fb, _ = setup
+        n_paths, chunk, n_chunks = 300, 97, 31
+        monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * n_paths * chunk)
+        monkeypatch.setattr(simulate, "_fill_workers", lambda: workers)
+        streams = simulate._path_generators
+        draws = []  # path index per call: list.append loses no update between threads
+
+        class Counted:
+            def __init__(self, index, gen):
+                self.index, self.gen = index, gen
+
+            def standard_normal(self, out):
+                draws.append(self.index)
+                self.gen.standard_normal(out=out)
+
+        def counted_streams(seed, indices):
+            return [Counted(int(i), gen) for i, gen in zip(indices, streams(seed, indices))]
+
+        monkeypatch.setattr(simulate, "_path_generators", counted_streams)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate_value(params, OptimalReflection(params, fb), 1.2, 1.0, n_paths=n_paths,
+                           dt=0.01, horizon=n_chunks * chunk * 0.01, seed=17)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.bincount(draws).tolist() == [n_chunks] * n_paths
 
     def test_threads_stay_within_cpu_budget(self, setup, monkeypatch):
         # three usable CPUs: the stepping thread and two helpers, counted
@@ -960,17 +1027,19 @@ class TestNoiseFeed:
         assert first.shape == (1,) and np.isfinite(first).all()
 
     def test_fill_threads_follow_cpu_affinity(self, monkeypatch):
-        # threads that draw, the stepping one included: helpers are one fewer
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 5, 6},
-                            raising=False)
+        # threads that draw, the stepping one included: helpers are one
+        # fewer, counted live at every row while a feed is iterated
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
-        assert simulate._fill_workers() == 3
-        with simulate._NoiseFeed(0, np.arange(100), 10, 1.0) as feed:
-            assert len(feed._helpers) == 2
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {4},
-                            raising=False)
-        with simulate._NoiseFeed(0, np.arange(100), 10, 1.0) as feed:
-            assert feed._helpers == [] and len(list(feed)) == 10
+        before = threading.active_count()
+        for cpus, helpers in (({0, 5, 6}, 2), ({4}, 0)):
+            monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            assert simulate._fill_workers() == helpers + 1
+            with simulate._NoiseFeed(0, np.arange(100), 3000, 1.0) as feed:
+                counts = [threading.active_count() for _ in feed]
+            assert len(counts) == 3000
+            assert max(counts) - before == helpers
+            assert threading.active_count() == before
         monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
         assert simulate._fill_workers() == 8
 
