@@ -19,14 +19,16 @@ extension, and common random numbers across policies come from reusing the
 seed.  A run steps its paths in batches of at most ``_PATH_BATCH``, one
 after another, so what it holds besides its results does not grow with the
 number of paths.  A batch's draws arrive time-major, one (steps, paths)
-chunk at a time.  Each block of paths of a chunk is a future on a pool of
-one helper thread per further usable CPU (no pool on one CPU, at most 7).
-While the kernel steps a chunk, the helpers draw blocks of the next one;
-once it has stepped its chunk, the kernel's own thread cancels the blocks
-no helper has started and draws them, so no more threads than usable CPUs
-step or draw.  Any thread may draw any block, since each path owns its
-stream; neither that nor how the paths are batched or the horizon is cut
-into chunks changes a value.
+chunk at a time.  A chunk is cut into blocks of 128 paths, fewer when the
+batch is too small to give each drawing thread a block, and each block is
+a future on a pool of one helper thread per further usable CPU (no pool on
+one CPU, at most 7).  While the kernel steps a chunk, the helpers draw
+blocks of the next one; once it has stepped its chunk, the kernel's own
+thread cancels the blocks no helper has started and draws them, so no more
+threads than usable CPUs step or draw.  Any thread may draw any block,
+since each path owns its stream; neither that, nor how wide the blocks
+are, nor how the paths are batched or the horizon is cut into chunks
+changes a value.
 
 One kernel steps every policy.  A policy names capacity levels: ``start``
 (the capacity right after t=0), ``target`` (the desired capacity given
@@ -64,9 +66,11 @@ _PATH_BATCH = 4096  # most paths per _run call: a run's working set does not gro
 _TIME_CHUNK = 4096  # most steps per chunk: the first chunk is drawn with the kernel idle
 _CHUNK_BUDGET = 8_000_000  # noise elements buffered across the two live chunks
 # at most _PATH_BATCH paths per feed: a chunk holds the whole run or at least 976 steps
-_FILL_ROWS = 16  # paths per block: drawn and scaled by one thread, stored by one transposed copy
+_FILL_ROWS = 128  # most paths per block: drawn and scaled by one thread, one transposed copy
 _BATCH_ARRAYS = 15  # (job, path) arrays of doubles: 7 stepped, 7 and a mask a crossing forms
-_FEED_BYTES = 8 << 20  # bounds a feed's generators (612 B each), futures and 8 threads' scratch
+# 8 threads' scratch rows, a full block at the largest chunk (32 MiB), and
+# 4 MiB for a feed's generators (at most 4096 of 612 B) and futures
+_FEED_BYTES = 8 * _FILL_ROWS * _TIME_CHUNK * 8 + (4 << 20)
 
 
 def _chunk_size(nb: int, n_steps: int) -> int:
@@ -79,6 +83,12 @@ def _fill_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
+
+
+def _block_width(nb: int, workers: int) -> int:
+    """Paths per noise block: ``_FILL_ROWS``, or fewer so that each of the
+    ``workers`` drawing threads has a block of ``nb`` paths."""
+    return min(_FILL_ROWS, -(-nb // workers))
 
 
 # -- policies ------------------------------------------------------------------
@@ -232,9 +242,12 @@ class _NoiseFeed:
     A chunk has shape (steps, paths): row ``k`` holds every path's draw for
     one step, so the kernel adds a contiguous row per step.  Iterating the
     feed yields these rows in time order.  Each chunk is cut into blocks of
-    ``_FILL_ROWS`` paths, and each block is a future on a pool of
-    ``_fill_workers() - 1`` helper threads (no pool on one CPU).  While the
-    caller steps chunk k, the helpers draw blocks of chunk k+1; once the
+    ``_FILL_ROWS`` paths, or of fewer when the feed has too few paths to give
+    each of the ``_fill_workers()`` drawing threads a block, and each block
+    is a future on a pool of ``_fill_workers() - 1`` helper threads (no pool
+    on one CPU).  Wide blocks keep the futures per chunk few, 16 at 2000
+    paths, and the transposed copy of a full block writes 1 KB runs.  While
+    the caller steps chunk k, the helpers draw blocks of chunk k+1; once the
     caller has stepped chunk k it cancels the blocks no helper has started
     and draws them itself, then waits for the rest, whose ``result`` raises
     a helper's exception on the caller's thread.  So at most one thread per
@@ -242,10 +255,10 @@ class _NoiseFeed:
     generators are built by the thread that first draws it.  Each path's
     generator writes its own draws in stream order into the drawing
     thread's scratch rows, which are scaled and stored transposed, so no
-    value depends on the chunking or on which thread draws a block.  Two
-    buffers alternate, and together they hold at most ``_CHUNK_BUDGET``
-    elements.  Leaving the ``with`` block cancels the blocks no helper has
-    started and joins the helpers.
+    value depends on the chunking, on the block width or on which thread
+    draws a block.  Two buffers alternate, and together they hold at most
+    ``_CHUNK_BUDGET`` elements.  Leaving the ``with`` block cancels the
+    blocks no helper has started and joins the helpers.
     """
 
     def __init__(self, seed, indices, n_steps, scale):
@@ -254,14 +267,16 @@ class _NoiseFeed:
         self._n_steps = n_steps
         self._scale = scale
         self._chunk = _chunk_size(len(indices), n_steps)
-        self._gens = [None] * -(-len(indices) // _FILL_ROWS)  # per block, built lazily
+        workers = _fill_workers()
+        self._width = _block_width(len(indices), workers)
+        self._gens = [None] * -(-len(indices) // self._width)  # per block, built lazily
+        self._helpers = min(workers - 1, len(self._gens))
         self._local = threading.local()  # each drawing thread's scratch rows
         self._pool = None
 
     def __enter__(self):
-        helpers = min(_fill_workers() - 1, len(self._gens))
-        if helpers > 0:
-            self._pool = ThreadPoolExecutor(helpers)
+        if self._helpers > 0:
+            self._pool = ThreadPoolExecutor(self._helpers)
         return self
 
     def __exit__(self, *exc):
@@ -269,13 +284,13 @@ class _NoiseFeed:
             self._pool.shutdown(cancel_futures=True)
 
     def _draw(self, out, blk):
-        lo = blk * _FILL_ROWS
-        hi = min(lo + _FILL_ROWS, len(self._indices))
+        lo = blk * self._width
+        hi = min(lo + self._width, len(self._indices))
         gens = self._gens[blk] or _path_generators(self._seed, self._indices[lo:hi])
         self._gens[blk] = gens
         scratch = getattr(self._local, "rows", None)
         if scratch is None:  # this thread's first block
-            scratch = np.empty(min(_FILL_ROWS, len(self._indices)) * self._chunk)
+            scratch = np.empty(self._width * self._chunk)
             self._local.rows = scratch
         # contiguous rows, also for a chunk shorter than the scratch: an
         # in-place multiply of a strided view allocates a ufunc buffer per call
@@ -333,6 +348,8 @@ def _check_jobs(params, jobs):
         if not (isinstance(job, tuple) and len(job) == 3):
             raise ConfigurationError(f"job {j}: {job!r} is not a (policy, x, y) tuple")
         policy, x0, y0 = job
+        if not isinstance(policy, Policy):
+            raise ConfigurationError(f"job {j}: policy {policy!r} is not a Policy")
         _check_real(f"job {j} ({policy.name}): x", x0)
         _check_real(f"job {j} ({policy.name}): y", y0)
         if not math.isfinite(x0):

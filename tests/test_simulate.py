@@ -679,7 +679,7 @@ class TestEstimator:
     def test_run_beyond_physical_memory_rejected(self, setup, monkeypatch):
         # 10**13 paths of 10 steps: three result doubles per path, and one
         # batch of 4096 paths with 15 (job, path) arrays and one 10-step
-        # noise chunk, (15 + 10) x 8 bytes per path, and the feed's 8 MiB;
+        # noise chunk, (15 + 10) x 8 bytes per path, and the feed's 36 MiB;
         # refused before a result array, a batch or a draw is allocated.  A
         # numpy count of 2**60 paths is counted without wrapping around int64
         params, fb, _ = setup
@@ -687,10 +687,10 @@ class TestEstimator:
         monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 2**33)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigurationError, match=r"take 240000009207808 bytes"):
+            with pytest.raises(ConfigurationError, match=r"take 240000038567936 bytes"):
                 estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=10**13, dt=0.1,
                                horizon=1.0)
-            with pytest.raises(ConfigurationError, match=r"take 27670116110573535232 bytes"):
+            with pytest.raises(ConfigurationError, match=r"take 27670116110602895360 bytes"):
                 estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=np.int64(2**60),
                                dt=0.1, horizon=1.0)
             peak = tracemalloc.get_traced_memory()[1]
@@ -726,19 +726,25 @@ class TestEstimator:
         # traced peak, with the end-of-run checks and each job's statistics,
         # stays within the guard's count.  10 and 300 steps are one noise
         # chunk per batch; the verify jobs on 4,000 paths x 3,000 steps run
-        # one batch in three chunks of 1,000 steps
+        # one batch in three chunks of 1,000 steps.  The largest chunk, 4096
+        # steps at 976 paths, with eight drawing threads, each holding
+        # scratch rows for a 122-path block of it
         params, fb, _ = setup
         policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
         verify = [(pol, x, y) for x, y in verification_states(fb) for pol in policies]
         never = [(NeverInstall(), 1.0, 1.0)]
-        cases = ((verify, 20_000, 10), (never, 20_000, 300), (verify, 20_000, 300),
-                 (verify, 4_000, 3_000))
-        for jobs, n_paths, n_steps in cases:
+        cases = ((verify, 20_000, 10, None), (never, 20_000, 300, None),
+                 (verify, 20_000, 300, None), (verify, 4_000, 3_000, None),
+                 (never, 976, 4_100, 8))
+        for jobs, n_paths, n_steps, workers in cases:
+            if workers:
+                monkeypatch.setattr(simulate, "_fill_workers", lambda: workers)
+                assert simulate._chunk_size(n_paths, n_steps) == simulate._TIME_CHUNK
             settings = dict(dt=0.1, horizon=n_steps * 0.1)
             estimate_value_many(params, jobs, 50, **settings)  # lazy imports and caches
             counted = guard_count(monkeypatch, params, jobs, n_paths, **settings)
             peak = traced_peak(params, jobs, n_paths, **settings)
-            assert peak <= counted, (len(jobs), n_paths, n_steps)
+            assert peak <= counted, (len(jobs), n_paths, n_steps, workers)
 
     def test_run_memory_flat_in_path_count(self, setup, monkeypatch):
         # the verify jobs at 10 steps on 2,560 and 10,240 paths in batches of
@@ -814,6 +820,19 @@ class TestEstimator:
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         with pytest.raises(ConfigurationError, match=r"^job 1\b"):
             estimate_value_many(params, iter([good, job]), **settings)
+
+    @pytest.mark.parametrize("policy", [object(), "optimal", None])
+    def test_non_policy_job_rejected(self, setup, monkeypatch, policy):
+        # a job whose policy is not a Policy is named by its index before
+        # any draw, by the estimator and by a traced path
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        for jobs, index in (([(policy, 1.0, 1.0)], 0),
+                            ([(NeverInstall(), 1.0, 1.0), (policy, 1.0, 1.0)], 1)):
+            with pytest.raises(ConfigurationError, match=rf"^job {index}: .* is not a Policy"):
+                estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=r"^job 0: .* is not a Policy"):
+            simulate_path(params, policy, 1.0, 1.0, dt=0.1, horizon=1.0, seed=0)
 
     def test_reported_horizon_is_the_one_simulated(self, setup):
         # horizon 1.0 at dt 0.4 rounds to 2 steps: the run and a traced path
@@ -929,6 +948,34 @@ class TestNoiseFeed:
             finally:
                 sys.setswitchinterval(interval)
             assert np.array_equal(alone.payoffs, shared.payoffs), workers
+
+    def test_block_width_changes_no_value(self, setup, monkeypatch):
+        # blocks of 1, 16 and 128 paths and of the whole batch, drawn by the
+        # stepping thread alone and with 1 and 7 helpers, with the
+        # interpreter switching threads as often as it can, over 21 chunks
+        # of 97 steps: each path's generator fills its own row whatever the
+        # block, so the payoffs and a traced path are the same bit for bit
+        params, fb, _ = setup
+        n_paths, path_index = 200, 130
+        pol = OptimalReflection(params, fb)
+        settings = dict(dt=0.01, horizon=21 * 97 * 0.01, seed=23)
+        rec = simulate_path(params, pol, 1.2, 1.0, path_index=path_index, **settings)
+        monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * n_paths * 97)
+        runs = []
+        for width in (1, 16, 128, n_paths):
+            monkeypatch.setattr(simulate, "_block_width", lambda nb, workers: width)
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(simulate, "_fill_workers", lambda: workers)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    res = estimate_value(params, pol, 1.2, 1.0, n_paths=n_paths,
+                                         keep_payoffs=True, **settings)
+                finally:
+                    sys.setswitchinterval(interval)
+                runs.append(res.payoffs.tobytes())
+                assert res.payoffs[path_index] == rec.payoff, (width, workers)
+        assert runs == [runs[0]] * len(runs)
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_each_stream_drawn_once_per_chunk(self, setup, monkeypatch, workers):
