@@ -23,9 +23,11 @@ psi^(k)/psi: the quotient and the signs are unchanged, and neither can
 overflow where psi does.  Along the exact solution Ftilde' >= beta and
 D > 0, so both are monitored per step; the (N, D) pair of the D check at
 the new node is reused as the next step's k1, so a step evaluates (N, D)
-four times.  F is recovered as F(y) = Ftilde(y) - beta*y; its inverse is
-interpolated from the swapped grid on the first ``f_inverse``, monotone
-piecewise-cubic throughout.
+four times.  The solve keeps the slope k = beta N/D it evaluates at each
+node: the node's stage-4 pair, which is the next step's k1.  F is recovered
+as F(y) = Ftilde(y) - beta*y and interpolated by cubic Hermite on the exact
+slopes F' = k - beta; its inverse on the swapped grid, on 1/(k - beta).
+Both are built with the solve.
 
 A solve runs in one frame: ``fs.rk4_solver(params)`` builds one closure
 that runs every RK4 stage.  It forms the constants mu kappa,
@@ -35,8 +37,8 @@ evaluate, so an evaluation rounds exactly as they do.  Each evaluation reads
 psi'/psi and psi''/psi as ``fs.log_psi_ratios`` does, takes psi'''/psi one
 recurrence step further and forms N and D inline, with every check above,
 so the panel layout stays inside ``fundamental``.  ``ode_rhs`` runs the
-same closure on a one-node grid, which is one evaluation, so the N/D
-formula exists once; the anchor root and ``y_star`` read
+same closure on a one-node grid, which is one evaluation and that node's
+slope, so the N/D formula exists once; the anchor root and ``y_star`` read
 ``fs.log_psi_ratios``.
 """
 
@@ -52,14 +54,14 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .fundamental import FundamentalSolution
-from .interp import MonotoneCubic
+from .interp import CubicHermite
 from .model import ModelParams, at_capacity, check_capacity
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _MAX_ROOT_ITER = 100
 _ROOT_XTOL = 1e-13        # absolute tolerance of the anchor root
 _ROOT_RTOL = 4.0 * np.finfo(float).eps  # relative tolerance of the anchor root
-_NODE_BYTES = 256         # peak bytes a solve holds per grid node (129 traced)
+_NODE_BYTES = 256         # peak bytes a solve holds per grid node (176 traced)
 
 
 class Regime(enum.Enum):
@@ -125,21 +127,24 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
 # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates:
-    the solve on the one-node grid (y, z), which is one evaluation."""
-    return fs.rk4_solver(params)([y], [z], 0.0)
+    the slope the solve records on the one-node grid (y, z), which is one
+    evaluation."""
+    ks = [math.nan]
+    fs.rk4_solver(params)([y], [z], ks, 0.0)
+    return ks[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeBoundary:
     """Grid representation of the installation threshold on [0, y_bar].
 
     ``ys`` ascend from 0 to y_bar; ``f_tilde`` is the shifted boundary,
-    ``f_grid`` the boundary itself.  Queries interpolate monotone cubics.
-    ``region`` and ``lump_target`` share one classification, which reads
-    F(y) through ``f`` wherever x < x_bar, capacity included;
-    ``ValueFunction`` reuses that F(y) for A'(y) instead of reading it again.
-    Immutable once built, apart from the inverse's cubic, which the first
-    ``f_inverse`` builds from ``f_grid`` and ``ys``; safe for concurrent reads.
+    ``f_grid`` the boundary itself.  ``f`` and ``f_inverse`` read cubic
+    Hermites on the solve's exact slopes.  ``region`` and ``lump_target``
+    share one classification, which reads F(y) through ``f`` wherever
+    x < x_bar, capacity included; ``ValueFunction`` reuses that F(y) for
+    A'(y) instead of reading it again.  Equality and hashing are by
+    identity: the fields hold arrays.  Immutable; safe for concurrent reads.
     """
 
     params: ModelParams
@@ -149,8 +154,8 @@ class FreeBoundary:
     x0: float
     x_bar: float
     f_grid: np.ndarray = field(repr=False)
-    _f_itp: MonotoneCubic = field(repr=False)
-    _finv_itp: MonotoneCubic | None = field(default=None, repr=False, compare=False)
+    _f_itp: CubicHermite = field(repr=False)
+    _finv_itp: CubicHermite = field(repr=False)
 
     def f(self, y: float) -> float:
         """Boundary price F(y); installing is optimal once x >= F(y)."""
@@ -166,16 +171,7 @@ class FreeBoundary:
         if not self.x0 - eps <= x <= self.x_bar + eps:
             raise DomainError(
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
-        itp = self._finv_itp
-        if itp is None:
-            # built on first use, as a solve alone never reads it, and stored
-            # in the field: a functools.cached_property would materialise the
-            # instance __dict__, which makes every later attribute read on the
-            # instance about 3x slower on CPython 3.11.  The build is pure, so
-            # threads that race here store equal cubics.
-            itp = MonotoneCubic(self.f_grid, self.ys)
-            object.__setattr__(self, "_finv_itp", itp)
-        return float(itp(min(max(x, self.x0), self.x_bar)))
+        return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
 
     def _classify(self, x: float, y: float):
         """(region, F(y)) at (x, y), F(y) as ``f`` reads it below x_bar and
@@ -216,7 +212,9 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     and D > 0 at the new point; a violation indicates a tolerance or
     special-function failure (the exact solution satisfies both) and raises
     :class:`IntegrationError` naming the offending y.  The (N, D) pair of
-    that D check is the next step's k1, so a step costs four evaluations.
+    that D check is the node's slope and the next step's k1, so a step
+    costs four evaluations.  F and its inverse are built here, on those
+    slopes.
     Raises :class:`DomainError`, before allocating anything, unless
     ``n_steps`` is an integer (not a bool) from ``MIN_STEPS`` to
     :func:`max_steps`.
@@ -233,13 +231,16 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     x_tilde = solve_x_tilde(params, fs)
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
     zs = [math.nan] * n_steps + [x_tilde]
-    fs.rk4_solver(params)(ys.tolist(), zs, params.y_bar / n_steps)
+    ks = [math.nan] * (n_steps + 1)
+    fs.rk4_solver(params)(ys.tolist(), zs, ks, params.y_bar / n_steps)
     zs = np.array(zs)
     f_grid = zs - params.beta * ys
+    f_slopes = np.array(ks) - params.beta
     return FreeBoundary(
         params=params, ys=ys, f_tilde=zs, x_tilde=x_tilde,
         x0=float(f_grid[0]), x_bar=float(f_grid[-1]), f_grid=f_grid,
-        _f_itp=MonotoneCubic(ys, f_grid))
+        _f_itp=CubicHermite(ys, f_grid, f_slopes),
+        _finv_itp=CubicHermite(f_grid, ys, 1.0 / f_slopes))
 
 
 def y_star(params: ModelParams, fs: FundamentalSolution) -> float:

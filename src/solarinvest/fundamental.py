@@ -420,11 +420,13 @@ class FundamentalSolution:
         get, floor = cells.get, math.floor
         slope_floor = beta * (1.0 - 1e-9)
 
-        def rk4(ys: list, zs: list, h: float):
+        def rk4(ys: list, zs: list, ks: list, h: float):
             """Fill ``zs[:-1]`` by RK4 steps of ``h`` backward from (ys[-1],
-            zs[-1]); on a one-node grid return beta N/D there instead.  Stages
-            0 to 3 evaluate k1 to k4; stage 4 checks D > 0 at the new node, and
-            its pair is the next step's k1.  Raises as ``integrate_boundary``."""
+            zs[-1]), and ``ks`` with the slope beta N/D at every node; a
+            one-node grid is one evaluation.  Stages 0 to 3 evaluate k1 to
+            k4; stage 4 checks D > 0 at the new node, and its pair is that
+            node's slope and the next step's k1.  Raises as
+            ``integrate_boundary``."""
             i = len(ys) - 1
             y, z = y_e, z_e = ys[i], zs[i]
             half_h, sixth_h = 0.5 * h, h / 6.0
@@ -460,8 +462,6 @@ class FundamentalSolution:
                         raise IntegrationError(f"D <= 0 ({d_val:.3e}) at y = {y_e:.6g}")
                     i -= 1
                     zs[i] = z = z_e
-                    if not i:
-                        return None
                     y = y_e
                     stage = 0
                 if abs(d_val) < _SINGULAR_RATIO * abs(n_val):
@@ -469,8 +469,9 @@ class FundamentalSolution:
                                            f"{d_val:.3e} with N/psi^3 = {n_val:.3e}")
                 k = beta * n_val / d_val
                 if stage == 0:
+                    ks[i] = k
                     if not i:
-                        return k
+                        return
                     k1, y_e, z_e = k, y - half_h, z - half_h * k
                 elif stage == 1:
                     k2, z_e = k, z - half_h * k

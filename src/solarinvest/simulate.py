@@ -200,9 +200,10 @@ class SimulationResult:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "payoffs"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathRecord:
-    """Single simulated path with the running state and cost trace."""
+    """Single simulated path with the running state and cost trace; equality
+    and hashing are by identity, as the fields hold arrays."""
 
     t: np.ndarray
     x: np.ndarray

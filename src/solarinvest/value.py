@@ -25,14 +25,15 @@ with y_hit = ``FreeBoundary.lump_target(x, y)`` (y when waiting), is C^{2,1},
 solves the variational inequality
 max{generator(w) - rho w + x y, w_y - c} = 0, and grows at most linearly.
 
-A is sampled on the boundary grid from the closed form and interpolated with
-the same monotone cubic family as F; the derivative formula
+A is sampled on the boundary grid from the closed form, with its derivative
 
-    A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft)
+    A'(y) = [ psi''(Ft) (c - Rtilde(Ft, y)) + psi'(Ft)/(rho+kappa) ] / Q0(Ft),
 
-is kept closed-form (not re-integrated); ``partials`` reads it.  Both A and
-A' are evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), all
-from one ``log_psi_ratios`` call, e.g.
+and interpolated by cubic Hermite on those exact slopes, as F is on the
+ODE's; ``partials`` reads A' in closed form (not re-integrated), so the
+interpolated A and the A' it reads agree at the nodes.  Both A and A' are
+evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), all from
+one ``log_psi_ratios`` call, which a grid node shares between the two, e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
 ``partials`` and ``hjb_residual`` share one private read of the state,
@@ -62,7 +63,7 @@ import numpy as np
 from .boundary import FreeBoundary, r_tilde, y_star
 from .errors import DomainError, NumericalError
 from .fundamental import FundamentalSolution, checked_exp
-from .interp import MonotoneCubic
+from .interp import CubicHermite
 from .model import ModelParams, check_capacity, r_partials, r_value
 
 
@@ -78,10 +79,12 @@ class ValueFunction:
         self.fb = fb
         # on Python floats, where a zero divisor or an overflow raises instead
         # of passing on as inf or NaN
-        a_list = []
+        a_list, slopes = [], []
         for y, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist()):
             try:
-                a_list.append(self._a_closed_form(y, ft))
+                read = self.fs.log_psi_ratios(ft)
+                a_list.append(self._a_closed_form(y, ft, read))
+                slopes.append(self._a_prime_at(y, ft, read))
             except (ZeroDivisionError, OverflowError) as exc:
                 raise NumericalError(
                     f"coefficient A(y) is not finite at y={y:.6g} (y_bar={params.y_bar}) "
@@ -96,17 +99,18 @@ class ValueFunction:
                 f"y={fb.ys[flipped[0]]:.6g} (y_bar={params.y_bar}) on the "
                 f"{fb.ys.size - 1}-step grid; a finer --steps may help")
         # the last node is A(y_bar) = 0 up to the anchor-root residual
-        self._a_itp = MonotoneCubic(fb.ys, self.a_grid)
+        self._a_itp = CubicHermite(fb.ys, self.a_grid, slopes)
 
     # -- coefficient function -------------------------------------------------
 
-    def _a_closed_form(self, y: float, f_tilde: float) -> float:
+    def _a_closed_form(self, y: float, f_tilde: float, read=None) -> float:
         # smooth-fit representation with the explicit R-terms, numerator and
         # denominator divided by psi(Ft) and psi(Ft)^2: the ratios stay finite
-        # where the psi-derivatives themselves would overflow to inf/inf
+        # where the psi-derivatives themselves would overflow to inf/inf;
+        # ``read`` is log_psi_ratios(f_tilde) if the caller has it
         p = self.params
         f_val = f_tilde - p.beta * y
-        log_psi, r1, r2 = self.fs.log_psi_ratios(f_tilde)
+        log_psi, r1, r2 = read or self.fs.log_psi_ratios(f_tilde)
         rk = p.rho + p.kappa
         num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * r1
                + 0.5 * p.sigma**2 * r2)
@@ -117,11 +121,12 @@ class ValueFunction:
         """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
         return float(self._a_itp(check_capacity(self.params, y)))
 
-    def _a_prime_at(self, y: float, ft: float) -> float:
+    def _a_prime_at(self, y: float, ft: float, read=None) -> float:
         """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module
-        docstring), given ft = Ftilde(y)."""
+        docstring), given ft = Ftilde(y) and, if the caller has it, its
+        ``read`` = log_psi_ratios(ft)."""
         p = self.params
-        log_psi, r1, r2 = self.fs.log_psi_ratios(ft)
+        log_psi, r1, r2 = read or self.fs.log_psi_ratios(ft)
         return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
                 / (checked_exp(log_psi, "psi", ft) * (r2 - r1 ** 2)))
 

@@ -14,7 +14,7 @@ from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
 from solarinvest import boundary, fundamental
 from solarinvest.boundary import export_grid_csv
 from solarinvest.cli import sweep_boundaries
-from solarinvest.interp import MonotoneCubic
+from solarinvest.interp import CubicHermite
 from solarinvest.model import at_capacity
 
 from conftest import CRITERION_7_SWEEPS, fuzz_draw, rel_err
@@ -244,6 +244,19 @@ class TestIntegration:
         n_steps = 150
         integrate_boundary(params, fs, n_steps=n_steps)
         assert len(floors) == 4 * n_steps + 1
+
+    def test_solve_peak_within_node_bytes(self, base):
+        # the per-node budget that sets max_steps(), and so the CLI's
+        # --steps ceiling: grid lists, slopes, arrays and both cubics
+        params, fs, _, _ = base
+        n_steps = 20_000
+        tracemalloc.start()
+        try:
+            integrate_boundary(params, fs, n_steps=n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= boundary._NODE_BYTES * (n_steps + 1)
 
     def test_too_coarse_rejected(self, base):
         params, fs, _, _ = base
@@ -556,31 +569,47 @@ class TestBoundaryQueries:
         for x in np.linspace(fb.x0, fb.x_bar, 37):
             assert abs(fb.f(fb.f_inverse(float(x))) - x) < 1e-7
 
-    def test_solve_builds_one_cubic(self, monkeypatch):
-        # the inverse interpolant is built on the first f_inverse, not by the solve
+    def test_cubics_read_the_odes_slopes(self, monkeypatch):
+        # F is built on Ftilde' - beta = beta N/D - beta at each node, as the
+        # solve evaluated it, and its inverse on the reciprocal, bit for bit
         built = []
 
-        class Counted(MonotoneCubic):
-            def __init__(self, x, y):
-                built.append((x, y))
-                super().__init__(x, y)
+        class Recorded(CubicHermite):
+            def __init__(self, x, y, dydx):
+                built.append((x, y, dydx))
+                super().__init__(x, y, dydx)
 
-        monkeypatch.setattr(boundary, "MonotoneCubic", Counted)
-        params = table_preset(1.4)
-        fb = integrate_boundary(params, FundamentalSolution(params), n_steps=200)
-        assert len(built) == 1 and built[0][0] is fb.ys
-        for x in (fb.x0, 0.5 * (fb.x0 + fb.x_bar), fb.x_bar):
-            fb.f_inverse(x)
-        assert len(built) == 2 and built[1][0] is fb.f_grid and built[1][1] is fb.ys
-
-    def test_inverse_equals_eager_build(self):
+        monkeypatch.setattr(boundary, "CubicHermite", Recorded)
         for mu in (0.2, 1.4, 2.25):
             params = table_preset(mu)
-            fb = integrate_boundary(params, FundamentalSolution(params), n_steps=400)
-            eager = MonotoneCubic(fb.f_grid, fb.ys)
-            xs = np.linspace(fb.x0, fb.x_bar, 1001).tolist()
-            got = np.array([fb.f_inverse(x) for x in xs])
-            assert got.tobytes() == np.array([float(eager(x)) for x in xs]).tobytes(), mu
+            fs = FundamentalSolution(params)
+            fb = integrate_boundary(params, fs, n_steps=400)
+            (x, y, f_slopes), (x_inv, y_inv, inv_slopes) = built
+            built.clear()
+            want = np.array([ode_rhs(params, fs, yi, zi)
+                             for yi, zi in zip(fb.ys.tolist(), fb.f_tilde.tolist())]) - params.beta
+            assert x is fb.ys and y is fb.f_grid, mu
+            assert x_inv is fb.f_grid and y_inv is fb.ys, mu
+            assert f_slopes.tobytes() == want.tobytes(), mu
+            assert inv_slopes.tobytes() == (1.0 / want).tobytes(), mu
+
+    def test_midpoints_match_a_finer_solve(self, solved):
+        # between the 2000-step nodes, F and its inverse against the odd
+        # nodes of a 4000-step solve: the nodes alone agree to about 1e-14
+        for mu, (params, fs, fb, _) in solved.items():
+            fine = integrate_boundary(params, fs, n_steps=4000)
+            ys, f_mid = fine.ys[1::2], fine.f_grid[1::2]
+            assert np.max(np.abs(fb.f_values(ys) - f_mid) / f_mid) < 1e-13, mu
+            inv = np.array([fb.f_inverse(x) for x in f_mid.tolist()])
+            assert np.max(np.abs(inv - ys)) < 1e-13 * params.y_bar, mu
+
+    def test_equality_is_identity(self):
+        # the fields hold arrays, whose == is elementwise
+        params = table_preset(1.4)
+        fb1, fb2 = (integrate_boundary(params, FundamentalSolution(params), n_steps=200)
+                    for _ in range(2))
+        assert fb1 == fb1 and fb1 != fb2
+        assert len({fb1, fb2, fb1}) == 2
 
     def test_inverse_domain_error(self, base):
         _, _, fb, _ = base

@@ -353,6 +353,15 @@ class TestPaths:
         assert np.all(rec_opt.y >= rec_never.y)
 
 
+def test_path_record_equality_is_identity(setup):
+    # the fields hold arrays, whose == is elementwise
+    params, _, _ = setup
+    rec1, rec2 = (simulate_path(params, NeverInstall(), 1.0, 1.0, dt=0.1, horizon=1.0, seed=5)
+                  for _ in range(2))
+    assert rec1 == rec1 and rec1 != rec2
+    assert len({rec1, rec2, rec1}) == 2
+
+
 class TestEstimator:
     def test_never_install_matches_closed_form(self, setup):
         params, fb, _ = setup

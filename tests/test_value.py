@@ -6,7 +6,8 @@ import pytest
 from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, NumericalError,
                          ValueFunction, integrate_boundary, params_from_dict, r_partials,
                          r_value)
-from solarinvest import fundamental
+from solarinvest import fundamental, value
+from solarinvest.interp import CubicHermite
 
 from conftest import central_diff, fuzz_draw, rel_err
 from oracles import (a_alt, a_prime, a_prime_fit_form, d_tilde_forms, f_tilde_at,
@@ -52,6 +53,33 @@ class TestCoefficient:
         params, _, _, vf = base
         for y in interior_ys(params):
             assert a_prime(vf, float(y)) < 0.0
+
+    def test_interpolant_slopes_are_the_closed_form(self, base, monkeypatch):
+        # A is built on the closed-form A'(y_i) at the nodes, bit for bit
+        params, fs, fb, vf = base
+        built = []
+
+        class Recorded(CubicHermite):
+            def __init__(self, x, y, dydx):
+                built.append((x, y, dydx))
+                super().__init__(x, y, dydx)
+
+        monkeypatch.setattr(value, "CubicHermite", Recorded)
+        rebuilt = ValueFunction(params, fs, fb)
+        [(x, y, slopes)] = built
+        assert x is fb.ys and y is rebuilt.a_grid
+        want = [vf._a_prime_at(yi, ft) for yi, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist())]
+        assert np.array(slopes).tobytes() == np.array(want).tobytes()
+
+    def test_midpoints_match_a_finer_solve(self, solved):
+        # A between the 2000-step nodes against the odd nodes of a
+        # 4000-step build, below the top 5% of [0, y_bar] where A -> 0
+        for mu, (params, fs, fb, vf) in solved.items():
+            fine = ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=4000))
+            ys, a_mid = fine.fb.ys[1::2], fine.a_grid[1::2]
+            keep = ys <= 0.95 * params.y_bar
+            got = np.array([vf.a(y) for y in ys[keep].tolist()])
+            assert np.max(np.abs(got - a_mid[keep]) / a_mid[keep]) < 4e-12, mu
 
 
 class TestValue:
