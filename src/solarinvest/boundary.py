@@ -29,17 +29,19 @@ as F(y) = Ftilde(y) - beta*y and interpolated by cubic Hermite on the exact
 slopes F' = k - beta; its inverse on the swapped grid, on 1/(k - beta).
 Both are built with the solve.
 
-A solve runs in one frame: ``fs.rk4_solver(params)`` builds one closure
-that runs every RK4 stage.  It forms the constants mu kappa,
-beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and (rho + 2 kappa)/rho
-once, each from the same parenthesised subexpression the formulas above
-evaluate, so an evaluation rounds exactly as they do.  Each evaluation reads
-psi'/psi and psi''/psi as ``fs.log_psi_ratios`` does, takes psi'''/psi one
-recurrence step further and forms N and D inline, with every check above,
-so the panel layout stays inside ``fundamental``.  ``ode_rhs`` runs the
+A solve runs in one frame: ``fs.rk4_solver()`` builds one closure, for the
+parameters ``fs`` was built with, that runs every RK4 stage.  It forms the
+constants mu kappa, beta (rho + 2 kappa), rho (rho + kappa), rho + kappa and
+(rho + 2 kappa)/rho once, each from the same parenthesised subexpression
+the formulas above evaluate, so an evaluation rounds exactly as they do.
+Each evaluation reads psi'/psi and psi''/psi as ``fs.log_psi_ratios`` does,
+takes psi'''/psi one recurrence step further and forms N and D inline, with
+every check above, so the panel layout stays inside ``fundamental``.  ``ode_rhs`` runs the
 same closure on a one-node grid, which is one evaluation and that node's
 slope, so the N/D formula exists once; the anchor root and ``y_star`` read
-``fs.log_psi_ratios``.
+``fs.log_psi_ratios``.  Each function here that takes ``params`` beside a
+built ``fs`` or ``fb`` refuses one built for other parameters with
+:class:`ConfigurationError` (``model.check_same_params``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import CubicHermite
-from .model import ModelParams, at_capacity, check_capacity
+from .model import ModelParams, at_capacity, check_capacity, check_same_params
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _MAX_ROOT_ITER = 100
@@ -109,6 +111,7 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
     and from there the iterates rise to it monotonically.  A step reads
     psi'/psi and psi''/psi from one cell read.
     """
+    check_same_params(params, fs)
     rk = params.rho + params.kappa
     x = params.mu
     for _ in range(_MAX_ROOT_ITER):
@@ -129,8 +132,9 @@ def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) ->
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates:
     the slope the solve records on the one-node grid (y, z), which is one
     evaluation."""
+    check_same_params(params, fs)
     ks = [math.nan]
-    fs.rk4_solver(params)([y], [z], ks, 0.0)
+    fs.rk4_solver()([y], [z], ks, 0.0)
     return ks[0]
 
 
@@ -232,7 +236,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     ys = np.linspace(0.0, params.y_bar, n_steps + 1)
     zs = [math.nan] * n_steps + [x_tilde]
     ks = [math.nan] * (n_steps + 1)
-    fs.rk4_solver(params)(ys.tolist(), zs, ks, params.y_bar / n_steps)
+    fs.rk4_solver()(ys.tolist(), zs, ks, params.y_bar / n_steps)
     zs = np.array(zs)
     f_grid = zs - params.beta * ys
     f_slopes = np.array(ks) - params.beta
@@ -245,6 +249,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
 
 def y_star(params: ModelParams, fs: FundamentalSolution) -> float:
     """Critical capacity bound: line of means through the install-region corner."""
+    check_same_params(params, fs)
     return (((params.mu - params.rho * params.c) * (params.rho + params.kappa)
              - params.rho * (1.0 / fs.log_psi_ratios(params.mu)[1]))
             / (params.beta * (params.rho + 2.0 * params.kappa)))
@@ -253,6 +258,7 @@ def y_star(params: ModelParams, fs: FundamentalSolution) -> float:
 def classify_regime(params: ModelParams, fb: FreeBoundary,
                     fs: FundamentalSolution) -> Regime:
     """Match the line of means against the installation region (ties -> case 2)."""
+    check_same_params(params, fb, fs)
     if fb.x0 > params.mu:
         return Regime.NO_INTERSECTION
     if params.y_bar >= y_star(params, fs):

@@ -146,8 +146,9 @@ def cmd_value(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
-    if args.trace_paths < 0:
-        raise ConfigurationError(f"--trace-paths must be >= 0, got {args.trace_paths}")
+    if not 0 <= args.trace_paths <= args.paths:
+        raise ConfigurationError(
+            f"--trace-paths must be in [0, --paths={args.paths}], got {args.trace_paths}")
     fs, fb = _solve(params, args.steps)
     vf = ValueFunction(params, fs, fb)
     states = verification_states(fb)

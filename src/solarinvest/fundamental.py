@@ -51,11 +51,12 @@ closure ``FundamentalSolution.rk4_solver`` builds: the ratio read, its
 recurrence and raises, one more recurrence step for psi'''/psi, then the
 N/D arithmetic and the solve's checks inline.  So only this module knows
 the panel layout.
-A cell's pair depends on s0 and the cell index alone (z absorbs mu, sigma
-and the kappa scale), so the pairs live in one module-level table per s0,
-shared by every instance with that s0: a sensitivity sweep over sigma, mu,
+A cell's pair depends on s0 and the cell index j alone (z absorbs mu,
+sigma and the kappa scale), so the pairs live in one process-wide
+``functools.lru_cache`` keyed by (s0, j), ``_cell``, which holds the
+``_CELL_CAP`` most recently read cells: a sensitivity sweep over sigma, mu,
 beta, c or y_bar, or any process that solves repeatedly, builds each pair
-once.  The 32 most recently bound s0 tables are kept.  ``log_psi_deriv``
+once.  ``log_psi_deriv``
 is one quadrature call with no panel; the other reference routes the tests
 compare against (phi, psi'''/psi and higher orders by the recurrence,
 direct derivatives of any order, Q_k and Psi_k, D_a itself) are plain
@@ -72,8 +73,8 @@ Psi_k = (psi^(k+1))^2 / (psi^(k) psi^(k+2)).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 
 import numpy as np
 
@@ -92,14 +93,8 @@ _PANEL_NODES = 10    # nodes per panel, and the coefficients the Horner reads un
                      # 9 nodes leave 1.9e-12, and 8 on eighth-width cells 1.7e-13
 _Z_MAX = 1e150       # beyond this |z|, t^2/2 at t ~ |z| nears the float64 limit
 _SINGULAR_RATIO = 1e-12  # |D| below this times |N| counts as hitting D = 0 in a solve
-_PANEL_TABLE_CAP = 32  # s0 tables kept: 2000-step solves over the fuzz box fill 7 cells
-                       # at the median (14 on admitted sets) and 325 at most, of about
-                       # 0.8 kB each
-
-# s0 -> {j: cell pair}, least recently bound first; shared by every instance
-# with that s0, since a cell's pair depends on (s0, j) alone
-_PANEL_TABLES = {}
-_PANEL_LOCK = threading.Lock()
+_CELL_CAP = 1024     # (s0, j) cells kept, 0.9 kB each; distinct cells: 152 per sweep cycle,
+                     # 24 per query run, 7 / 130 / 325 per 2000-step fuzz set (median/p90/max)
 
 
 def _logcosh(a):
@@ -276,14 +271,16 @@ def _coefficients(values) -> tuple:
     return tuple((_POWER_FROM_CHEB @ (_CHEB_INV @ values)).tolist())
 
 
-def _cell_pair(s0: float, cells: dict, j: int) -> tuple:
+@functools.lru_cache(maxsize=_CELL_CAP)
+def _cell(s0: float, j: int) -> tuple:
     """Panel coefficients of log I_{s0} and of I_{s0+1}/I_{s0} on
-    [jW, (j+1)W], stored in ``cells`` (the table of s0) under j."""
+    [jW, (j+1)W], built once per process while cached.  It calls
+    ``log_weighted_integral`` through the module global, which
+    perfbench/tracing.py and the tests patch."""
     nodes = _PANEL_WIDTH * (j + 0.5 * (1.0 + _CHEB_NODES))
     values = log_weighted_integral(s0, nodes)[0]
     ratio = np.exp(log_weighted_integral(s0 + 1, nodes)[0] - values)
-    pair = cells[j] = (_coefficients(values), _coefficients(ratio))
-    return pair
+    return _coefficients(values), _coefficients(ratio)
 
 
 # _read and the solve's RK4 closure are the two places that find z's cell j
@@ -314,18 +311,17 @@ class FundamentalSolution:
     coordinate, of log I_{s0} and of the ratio I_{s0+1}/I_{s0}, each read
     by one Horner expression, and one ``_read`` of a point reads both.  A
     cell's pair is built on first use from one quadrature call per order
-    over its 10 nodes and kept in the module's table for s0 = rho/kappa,
-    which every instance with that s0 shares, so a boundary solve, which
-    stays inside a few cells, builds at most a few pairs, and none once
-    another solve with the same s0 has visited its cells.  ``rk4_solver``
-    builds a solve's one-frame RK4 closure over the instance's constants,
-    its s0 table and the ODE constants, and keeps no reference to the
-    instance.  ``log_psi_deriv`` calls the quadrature directly and builds
-    no panel, so it checks the interpolant against the function it
-    interpolates.  Pairs are only ever added, and a pair's coefficients
+    over its 10 nodes and kept in the module's cache under (s0, j), with
+    s0 = rho/kappa, so a boundary solve, which stays inside a few cells,
+    builds at most a few pairs, and none once another solve with the same
+    s0 has visited its cells.  An instance holds no pairs.  ``rk4_solver``
+    builds the one-frame RK4 closure of the solve for ``params`` over the
+    instance's constants and the ODE constants, and keeps no reference to
+    the instance.  ``log_psi_deriv`` calls the quadrature directly and
+    builds no panel, so it checks the interpolant against the function it
+    interpolates.  The cache is thread-safe, and a pair's coefficients
     depend on (s0, j) alone, so concurrent reads are safe: two threads that
-    build the same pair store identical values.  Only binding an instance
-    to its table, which may evict the least recently bound one, takes a lock.
+    build the same pair at once build identical values.
     """
 
     def __init__(self, params: ModelParams):
@@ -353,13 +349,6 @@ class FundamentalSolution:
         self._log_scale = math.log(scale)
         self._cell_scale = scale / _PANEL_WIDTH
         self._lgamma_s0 = math.lgamma(s0)
-        # j -> (coefficients of log I_{s0}, of I_{s0+1}/I_{s0}), the
-        # table of this s0 shared across instances; an evicted table stays
-        # bound to the instances that hold it
-        with _PANEL_LOCK:
-            self._cells = _PANEL_TABLES[s0] = _PANEL_TABLES.pop(s0, {})
-            if len(_PANEL_TABLES) > _PANEL_TABLE_CAP:
-                del _PANEL_TABLES[next(iter(_PANEL_TABLES))]
 
     def _read(self, x: float) -> tuple:
         """(log psi, psi'/psi, psi''/psi) at x from one read of z's cell:
@@ -376,7 +365,7 @@ class FundamentalSolution:
             raise NumericalError(f"psi'/psi requested at x={x}, z={d * self._scale}: "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
-        log_panel, ratio_panel = self._cells.get(j) or _cell_pair(self._s0, self._cells, j)
+        log_panel, ratio_panel = _cell(self._s0, j)
         c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = log_panel
         log_psi = c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (c6 + u * (
             c7 + u * (c8 + u * c9))))))))
@@ -399,9 +388,9 @@ class FundamentalSolution:
             raise NumericalError(f"derivative recurrence lost positivity at k=2, x={x}")
         return read
 
-    def rk4_solver(self, p: ModelParams):
-        """The boundary solve of this instance for the parameters ``p``: a
-        closure over its constants, its s0 table and the ODE constants.
+    def rk4_solver(self):
+        """The boundary solve for this instance's ``params``: a closure over
+        its constants and the ODE constants, which reads ``_cell``.
         Each evaluation is the ratio half of ``log_psi_ratios``, raises and
         messages included, the next recurrence step psi'''/psi = drift
         (mu - x) psi''/psi + rec_1 psi'/psi, refused unless positive, and
@@ -410,14 +399,14 @@ class FundamentalSolution:
         when the cell changes: a pair depends on (s0, j) alone."""
         # the parenthesised subexpressions of Rtilde, N and D, each formed
         # once as the formulas in ``boundary`` evaluate it
+        p = self.params
         c, rho, beta, mu_kappa = p.c, p.rho, p.beta, p.mu * p.kappa
         beta_rk2 = p.beta * (p.rho + 2.0 * p.kappa)
         rho_rk, rk = p.rho * (p.rho + p.kappa), p.rho + p.kappa
         rk2_over_rho = (p.rho + 2.0 * p.kappa) / p.rho
         mu, scale, drift_rate, rec0, rec1 = (self._mu, self._scale, self._drift_rate,
                                              self._rec0, self._rec1)
-        s0, cells, cell_scale = self._s0, self._cells, self._cell_scale
-        get, floor = cells.get, math.floor
+        s0, cell_scale, floor = self._s0, self._cell_scale, math.floor
         slope_floor = beta * (1.0 - 1e-9)
 
         def rk4(ys: list, zs: list, ks: list, h: float):
@@ -440,8 +429,7 @@ class FundamentalSolution:
                     raise NumericalError(f"psi'/psi requested at x={z_e}, z={d * scale}: "
                                          f"outside the float64 range") from None
                 if j != jc:
-                    (c9, c8, c7, c6, c5, c4, c3, c2, c1,
-                     c0) = (get(j) or _cell_pair(s0, cells, j))[1]
+                    c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = _cell(s0, j)[1]
                     jc = j
                 u = 2.0 * (zw - j) - 1.0
                 r1 = scale * (c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * (

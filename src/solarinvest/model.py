@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError
 
 # Baseline parameter set used throughout the numerical study; the long-run
 # mean mu is the interesting knob (0.2 / 1.4 / 2.25 produce the three regimes).
@@ -118,6 +118,16 @@ def table_preset(mu: float = 0.2) -> ModelParams:
     data = dict(TABLE_PRESET)
     data["mu"] = mu
     return params_from_dict(data)
+
+
+def check_same_params(params: ModelParams, *built) -> None:
+    """Raise :class:`ConfigurationError` unless each object in ``built`` (a
+    solution, boundary or value function) was built for parameters equal to
+    ``params``; mixing two sets gives wrong numbers, not an error."""
+    for obj in built:
+        if obj.params != params:
+            raise ConfigurationError(
+                f"{type(obj).__name__} was built for {obj.params}, not for {params}")
 
 
 def check_capacity(params: ModelParams, y: float) -> float:

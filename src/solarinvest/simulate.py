@@ -59,7 +59,7 @@ import numpy as np
 
 from .boundary import FreeBoundary, physical_memory_bytes
 from .errors import ConfigurationError, SimulationError
-from .model import ModelParams, at_capacity, r_value
+from .model import ModelParams, at_capacity, check_same_params, r_value
 from .value import ValueFunction
 
 _PATH_BATCH = 4096  # most paths per _run call: a run's working set does not grow with n_paths
@@ -144,6 +144,7 @@ class OptimalReflection(Policy):
     name = "optimal"
 
     def __init__(self, params: ModelParams, fb: FreeBoundary):
+        check_same_params(params, fb)
         self._fb = fb
         self._x_knots = fb.f_grid
         self._y_knots = fb.ys
@@ -704,6 +705,7 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     standard errors need two paths: fewer raise :class:`ConfigurationError`
     before anything is drawn.
     """
+    check_same_params(params, fb, vf)
     _check_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ConfigurationError(

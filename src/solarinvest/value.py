@@ -64,7 +64,7 @@ from .boundary import FreeBoundary, r_tilde, y_star
 from .errors import DomainError, NumericalError
 from .fundamental import FundamentalSolution, checked_exp
 from .interp import CubicHermite
-from .model import ModelParams, check_capacity, r_partials, r_value
+from .model import ModelParams, check_capacity, check_same_params, r_partials, r_value
 
 
 class ValueFunction:
@@ -74,6 +74,7 @@ class ValueFunction:
     """
 
     def __init__(self, params: ModelParams, fs: FundamentalSolution, fb: FreeBoundary):
+        check_same_params(params, fs, fb)
         self.params = params
         self.fs = fs
         self.fb = fb
@@ -118,7 +119,10 @@ class ValueFunction:
         return num / den / (p.beta * p.rho * rk) / checked_exp(log_psi, "psi", f_tilde)
 
     def a(self, y: float) -> float:
-        """Coefficient A(y) >= 0, strictly decreasing, A(y_bar) = 0."""
+        """Interpolated coefficient A(y).  The exact A is positive and
+        strictly decreasing below y_bar, with A(y_bar) = 0; the grid nodes
+        below y_bar are checked positive, but between the last nodes of a
+        coarse grid the cubic can dip below 0 (ROADMAP item 3)."""
         return float(self._a_itp(check_capacity(self.params, y)))
 
     def _a_prime_at(self, y: float, ft: float, read=None) -> float:

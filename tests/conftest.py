@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from solarinvest import (FundamentalSolution, ValueFunction, integrate_boundary,
                          table_preset)
+from solarinvest import fundamental
 
 MUS = (0.2, 1.4, 2.25)
 
@@ -24,6 +27,27 @@ def solved():
 def base(solved):
     """The mu = 1.4 case (boundary intersects the line of means)."""
     return solved[1.4]
+
+
+@pytest.fixture
+def fresh_cells(monkeypatch):
+    """A function that swaps an empty panel-cell cache of ``maxsize``
+    cells (default ``fundamental._CELL_CAP``) in for ``fundamental._cell``
+    and returns the list of the (s0, j) that the new cache builds, in
+    order; each call starts another.  The old cache comes back after the test."""
+    build = fundamental._cell.__wrapped__
+
+    def swap(maxsize=fundamental._CELL_CAP):
+        built = []
+
+        def recorded(s0, j):
+            built.append((s0, j))
+            return build(s0, j)
+
+        monkeypatch.setattr(fundamental, "_cell", functools.lru_cache(maxsize)(recorded))
+        return built
+
+    return swap
 
 
 def rel_err(a, b):

@@ -112,14 +112,14 @@ class TestAnchor:
             floor = params.c * params.rho + params.kappa * params.beta * params.y_bar / (params.rho + params.kappa)
             assert fb.x_bar > floor
 
-    def test_anchor_reads_only_panels_the_path_needs(self, monkeypatch):
+    def test_anchor_reads_only_panels_the_path_needs(self, monkeypatch, fresh_cells):
         # the solve builds the panel pair (log I_s0 and ratio) of exactly the
         # cells that Newton's iterates from mu and the RK4 evaluations span,
         # and the iterates add none to the path's cells (mu = 1.4 lies on
         # the path); an anchor search that evaluated H far from the root
         # would build panels on more cells.
-        # An empty table: earlier solves with this s0 may have filled it
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        # An empty cache: earlier solves with this s0 may have filled it
+        built = fresh_cells()
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         newton = []
@@ -135,14 +135,15 @@ class TestAnchor:
         assert len(newton) > 1 and len(path) == 4 * 800 + 1
         path_cells = set(path)
         newton_cells = {int(np.floor((params.mu - x) * fs._cell_scale)) for x in newton}
-        assert set(fs._cells) == path_cells >= newton_cells
+        assert {s0 for s0, _ in built} == {fs._s0}
+        assert {j for _, j in built} == path_cells >= newton_cells
 
-    def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch):
+    def test_solve_builds_no_s0_plus_one_panel(self, monkeypatch, fresh_cells):
         # a cell's pair takes one quadrature call at s0 and one at s0+1 over
         # its _PANEL_NODES nodes; the s0+1 values go into the ratio panel, and no
         # other order is ever integrated on the solve path (of a solve that
-        # starts on an empty table, so that it builds every pair it reads)
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        # starts on an empty cache, so that it builds every pair it reads)
+        fresh_cells()
         calls = []
         quad = fundamental.log_weighted_integral
 
@@ -301,6 +302,19 @@ def constant_panel(panel, c0):
     return as_tuples(coeffs.tolist())
 
 
+def constant_cells(monkeypatch, log_c0=None, ratio_c0=None):
+    """Patch ``fundamental._cell`` so that every cell's log panel, ratio
+    panel or both read as ``constant_panel(panel, c0)``; a None keeps that
+    panel as built."""
+    cell = fundamental._cell
+
+    def patched(s0, j):
+        return tuple(panel if c0 is None else constant_panel(panel, c0)
+                     for panel, c0 in zip(cell(s0, j), (log_c0, ratio_c0)))
+
+    monkeypatch.setattr(fundamental, "_cell", patched)
+
+
 def ratio_readers(params, fs):
     """The routes that read z's ratio panel: ``log_psi_ratios``, the oracle
     ``ratios3`` that carries it to psi'''/psi, and the solve's evaluation,
@@ -349,20 +363,17 @@ class TestTypedFailures:
         # recurrence is negative, so a large psi'/psi = scale c0 turns
         # psi''/psi negative, and a negative one leaves psi''/psi positive
         # and psi'''/psi negative
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         x = params.mu - 0.3
         # a value function built before the patch, and a waiting state
-        # whose psi point x + beta y is x; psi(x) builds x's cell
+        # whose psi point x + beta y is x
         vf = ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=200))
         y = 0.5 * params.y_bar
         state = (x - params.beta * y, y)
         assert vf.fb.region(*state) is Region.W and state[0] + params.beta * y == x
         unpatched = (fs.psi(x), vf.w(*state))
-        table = fundamental._PANEL_TABLES[params.rho / params.kappa]
-        for j, (log_panel, ratio_panel) in table.items():
-            table[j] = (log_panel, constant_panel(ratio_panel, c0))
+        constant_cells(monkeypatch, ratio_c0=c0)
         # psi and w read the log panel alone and do not check psi''/psi
         assert (fs.psi(x), vf.w(*state)) == unpatched
         readers = ratio_readers(params, fs)
@@ -387,7 +398,6 @@ class TestTypedFailures:
         # constant panels put log psi at 709.5, where psi is finite, and
         # psi'/psi at 2, so psi' = psi r1 overflows; right of mu the drift
         # term keeps psi''/psi positive, so the k = 2 check passes
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
         params = table_preset(1.4)
         fs = FundamentalSolution(params)
         vf = ValueFunction(params, fs, integrate_boundary(params, fs, n_steps=200))
@@ -396,12 +406,8 @@ class TestTypedFailures:
         state = (params.mu - 0.2, y)
         x = state[0] + params.beta * y
         assert vf.fb.region(*state) is Region.W and x > params.mu and vf.a(y) < 1.0
-        fs.psi(x)  # builds x's cell
-        s0 = params.rho / params.kappa
-        table = fundamental._PANEL_TABLES[s0]
-        for j, (log_panel, ratio_panel) in table.items():
-            table[j] = (constant_panel(log_panel, 709.5 + math.lgamma(s0)),
-                        constant_panel(ratio_panel, 2.0 / fs._scale))
+        constant_cells(monkeypatch, 709.5 + math.lgamma(params.rho / params.kappa),
+                       2.0 / fs._scale)
         log_psi, r1, r2 = fs.log_psi_ratios(x)
         assert abs(log_psi - 709.5) < 1e-12 and r1 > 1.5 and r2 > 0.0
         assert math.isfinite(vf.w(*state))
@@ -475,20 +481,20 @@ class TestEvaluatorOracle:
             assert any(o.startswith("IntegrationError: boundary ODE singular")
                        for o in outcomes), mu
 
-    def test_empty_table(self, monkeypatch):
-        # an s0 no other test binds, on an emptied table: the solve's own
+    def test_empty_table(self, fresh_cells):
+        # an s0 no other test reads, on an emptied cache: the solve's own
         # reads build the cells, and the oracle builds its own on a second
         # one (the points come from a third)
         params = replace(table_preset(1.4), rho=0.0437)
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        fresh_cells()
         points = n_d_grid(params, n_d_via_ratios3(params, FundamentalSolution(params)))
         outcomes, tables = [], []
         for make in (partial(partial, ode_rhs), rhs_via_ratios3):
-            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+            built = fresh_cells()
             fs = FundamentalSolution(params)
-            assert not fs._cells
+            assert not built
             outcomes.append(rhs_outcomes(make(params, fs), points))
-            tables.append(fs._cells)
+            tables.append({key: fundamental._cell(*key) for key in built})
         assert outcomes[0] == outcomes[1]
         assert tables[0] and tables[0] == tables[1]
 
@@ -543,17 +549,18 @@ class TestReferenceRK4:
 
 
 class TestCellCache:
-    def test_reference_rk4_on_an_emptied_table(self, monkeypatch):
-        # an s0 no other test binds, on an emptied table: the solve builds
+    def test_reference_rk4_on_an_emptied_table(self, fresh_cells):
+        # an s0 no other test reads, on an emptied cache: the solve builds
         # each cell its path enters, and a stage that crosses a cell edge
         # unpacks the new cell's coefficients before its read
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        built = fresh_cells()
         params = replace(table_preset(0.2), rho=0.0391)
         fs = FundamentalSolution(params)
-        path = record_floors(monkeypatch)
-        fb = integrate_boundary(params, fs, n_steps=800)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as patch:
+            path = record_floors(patch)
+            fb = integrate_boundary(params, fs, n_steps=800)
         assert len(set(path)) > 10
+        assert {j for _, j in built} >= set(path)
         ref = reference_rk4(params, fs, fb.x_tilde, 800)
         assert ref.tobytes() == fb.f_tilde.tobytes()
 

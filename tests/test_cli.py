@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from solarinvest import cli
 from solarinvest.cli import main
 
 MU14 = {"kappa": 0.1, "mu": 1.4, "sigma": 0.5, "rho": 0.05, "c": 0.3,
@@ -217,6 +218,21 @@ class TestSimulateCommand:
         code = main(["--steps", "200", "simulate", "--paths", "10", "--dt", "1e-300"])
         assert code == 2
         assert "2**64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traces", ["-1", "3"])
+    def test_trace_count_outside_paths_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                   traces):
+        # a trace of a path the report never simulates is refused before the
+        # solve, and nothing is written
+        def unreachable(*args):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(cli, "_solve", unreachable)
+        code = main(["--steps", "200", "--out", str(tmp_path / "tr"), "simulate",
+                     "--paths", "2", "--trace-paths", traces])
+        assert code == 2
+        assert "--trace-paths must be in [0, --paths=2]" in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
 
     def test_path_traces_written(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MU14)

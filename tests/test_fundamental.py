@@ -18,9 +18,10 @@ import solarinvest
 from solarinvest import (DomainError, FundamentalSolution, ModelParams,
                          NumericalError, integrate_boundary, table_preset)
 from solarinvest import fundamental
+from solarinvest.cli import sweep_boundaries
 from solarinvest.fundamental import log_weighted_integral
 
-from conftest import central_diff, rel_err
+from conftest import CRITERION_7_SWEEPS, MUS, central_diff, rel_err
 from oracles import (clenshaw, cylinder_d, phi, phi_deriv, psi_deriv_direct, psi_derivs, q,
                      ratio)
 
@@ -250,9 +251,9 @@ class TestChebyshevPanels:
             exact = math.exp(mp_log_psi_deriv(s0, 1, z) - mp_log_psi_deriv(s0, 0, z))
             assert rel_err(fs.log_psi_ratios(-z)[1], exact) <= 1e-13, (s0, z)
 
-    def test_solve_quadrature_budget(self, monkeypatch):
+    def test_solve_quadrature_budget(self, monkeypatch, fresh_cells):
         # quadrature nodes of an 800-step solve, each solve on an empty
-        # table (the three presets share s0 = 0.5): measured 220 (mu=0.2,
+        # cell cache (the three presets share s0 = 0.5): measured 220 (mu=0.2,
         # 11 cells), 120 (mu=1.4, six cells) and 100 (mu=2.25, five cells)
         # on 10-node quarter-width panels; the budgets, 300 and 120, are
         # 1.5x the 200 and 80 nodes that 20-node unit panels took
@@ -266,7 +267,7 @@ class TestChebyshevPanels:
         monkeypatch.setattr(fundamental, "log_weighted_integral", counted)
         for mu, budget in ((0.2, 300), (1.4, 120), (2.25, 120)):
             nodes.clear()
-            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+            fresh_cells()
             params = table_preset(mu)
             integrate_boundary(params, FundamentalSolution(params), n_steps=800)
             assert 0 < sum(nodes) <= budget, mu
@@ -291,18 +292,16 @@ class TestChebyshevPanels:
                     read(x)
 
     def test_horner_reads_match_clenshaw(self):
-        # each stored panel, read by Horner in the power basis, against a
+        # each cached panel, read by Horner in the power basis, against a
         # Clenshaw pass over the Chebyshev coefficients of the same node
         # values: log I_s0, and the ratio I_{s0+1}/I_s0 = exp(g)
         width = fundamental._PANEL_WIDTH
         for s0 in (0.05, 0.3, 3.0):
-            fs = unit_scale_solution(s0)
             for j in range(-24, 24):
-                fs.log_psi_ratios(-width * (j + 0.5))  # builds cell j's pair
                 nodes = width * (j + 0.5 * (1.0 + fundamental._CHEB_NODES))
                 values = log_weighted_integral(s0, nodes)[0]
                 panels = (values, np.exp(log_weighted_integral(s0 + 1, nodes)[0] - values))
-                for stored, node_values in zip(fs._cells[j], panels):
+                for stored, node_values in zip(fundamental._cell(s0, j), panels):
                     assert len(stored) == fundamental._PANEL_NODES
                     chebyshev = fundamental._CHEB_INV @ node_values
                     for u in np.linspace(-1.0, 1.0, 81):
@@ -327,14 +326,14 @@ def solve_grids(params, n_steps):
 
 class TestSharedPanelTable:
     # a cell's pair depends on s0 = rho/kappa and the cell index alone, so
-    # every instance with one s0 reads and fills one module-level table
+    # every instance reads and fills one process-wide cache keyed by (s0, j)
 
     @pytest.mark.parametrize("other", [dict(sigma=0.6), dict(mu=0.3)])
-    def test_same_s0_builds_no_panel(self, monkeypatch, other):
+    def test_same_s0_builds_no_panel(self, monkeypatch, fresh_cells, other):
         # the mu=0.2 preset visits cells -13..-4 and 0 (Newton's start at mu);
         # sigma=0.6 and mu=0.3 (same s0 = 0.5) visit -12..-4 and 0, so their
         # solves find every pair built
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        fresh_cells()
         integrate_boundary(table_preset(0.2), FundamentalSolution(table_preset(0.2)),
                            n_steps=800)
         calls = []
@@ -348,38 +347,44 @@ class TestSharedPanelTable:
         params = replace(table_preset(0.2), **other)
         warm = solve_grids(params, 800)
         assert calls == []
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        fresh_cells()
         assert solve_grids(params, 800) == warm
         assert calls
 
-    def test_evicted_table_stays_valid(self, monkeypatch):
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
-        cap = fundamental._PANEL_TABLE_CAP
+    def test_evicted_cell_is_rebuilt_identically(self, fresh_cells):
+        # a four-cell cache: reads at x = -2.5, -0.4, 0, 1.7 fill it with
+        # cells 10, 1, 0 and -7, and four cells of other s0 evict them all
+        built = fresh_cells(maxsize=4)
         first = unit_scale_solution(0.3)
         xs = (-2.5, -0.4, 0.0, 1.7)
         before = [(first.psi(x), first.log_psi_ratios(x)) for x in xs]
-        for i in range(cap):
-            unit_scale_solution(0.31 + 0.01 * i)
-        assert len(fundamental._PANEL_TABLES) == cap
-        assert 0.3 not in fundamental._PANEL_TABLES
+        evicted = {key: np.array(fundamental._cell(*key)).tobytes() for key in built}
+        assert sorted(evicted) == [(0.3, -7), (0.3, 0), (0.3, 1), (0.3, 10)]
+        for i in range(4):
+            unit_scale_solution(0.31 + 0.01 * i).psi(0.0)
+        built.clear()
+        # the instance made before the eviction answers as before, and
+        # rebuilds each of its cells bit for bit
         assert [(first.psi(x), first.log_psi_ratios(x)) for x in xs] == before
-        # a fresh instance binds a new table; x = 3.2 adds a cell to both
+        assert sorted(built) == sorted(evicted)
+        assert {key: np.array(fundamental._cell(*key)).tobytes() for key in built} == evicted
+        # a fresh instance reads the same cells; x = 3.2 adds one more
         fresh = unit_scale_solution(0.3)
-        assert fresh._cells is not first._cells
         for x in (*xs, 3.2):
             assert ((fresh.psi(x), fresh.log_psi_ratios(x))
                     == (first.psi(x), first.log_psi_ratios(x)))
-        assert len(fundamental._PANEL_TABLES) == cap
+        assert fundamental._cell.cache_info().currsize == 4
 
-    def test_concurrent_solves_match_serial(self, monkeypatch):
-        # eight threads bind, fill and read the tables of three s0 at once,
-        # with thread switches forced often; the grids match a serial run
+    def test_concurrent_solves_match_serial(self, fresh_cells):
+        # eight threads fill and read the cells of three s0 at once, with
+        # thread switches forced often; the grids match a serial run (the
+        # cache is thread-safe, and a race only builds a pair twice)
         base = table_preset(0.2)
         sets = [replace(base, rho=rho, sigma=sigma)
                 for rho in (0.04, 0.045, 0.05) for sigma in (0.5, 0.6)]
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        fresh_cells()
         serial = [solve_grids(p, 200) for p in sets]
-        monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+        built = fresh_cells()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -389,7 +394,25 @@ class TestSharedPanelTable:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial * 3
-        assert sorted(fundamental._PANEL_TABLES) == sorted({p.rho / p.kappa for p in sets})
+        assert {s0 for s0, _ in built} == {p.rho / p.kappa for p in sets}
+
+    def test_second_sweep_cycle_builds_no_cell(self, fresh_cells):
+        # one cycle of the benchmark's sweep mix: the three presets at 2000
+        # steps, then criterion 7's 28 solves at 800 around the mu = 0.2
+        # preset; its 152 cells fit in the cache, so a second cycle finds
+        # every one
+        def cycle():
+            for mu in MUS:
+                sweep_boundaries(table_preset(mu), "mu", [mu], 2000)
+            for name, values in CRITERION_7_SWEEPS.items():
+                sweep_boundaries(table_preset(0.2), name, values, 800)
+
+        built = fresh_cells()
+        cycle()
+        assert 0 < len(built) <= fundamental._CELL_CAP
+        built.clear()
+        cycle()
+        assert built == []
 
 
 class TestVectorisedQuadrature:

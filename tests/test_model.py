@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from solarinvest import (DomainError, ModelParams, ValidationError, params_from_dict,
-                         params_from_json, params_to_dict, r_partials, r_value,
-                         table_preset, validate)
+from solarinvest import (ConfigurationError, DomainError, ModelParams, OptimalReflection,
+                         ValidationError, ValueFunction, classify_regime, dominance_report,
+                         integrate_boundary, ode_rhs, params_from_dict, params_from_json,
+                         params_to_dict, r_partials, r_value, solve_x_tilde, table_preset,
+                         validate, y_star)
 
 from conftest import central_diff, rel_err
 
@@ -143,3 +145,40 @@ class TestPartials:
                     lambda t: r_partials(p, t, float(y))[0], float(x), 1e-6)
                 assert rel_err(r_xy, fd_xy) < 1e-6
 
+
+
+# each takes the (params, fs, fb, vf) of one solve and reads the slots it names
+SOLVE_CALLS = {
+    "solve_x_tilde": lambda p, fs, fb, vf: solve_x_tilde(p, fs),
+    "integrate_boundary": lambda p, fs, fb, vf: integrate_boundary(p, fs, 400),
+    "ode_rhs": lambda p, fs, fb, vf: ode_rhs(p, fs, p.y_bar, fb.x_tilde),
+    "y_star": lambda p, fs, fb, vf: y_star(p, fs),
+    "classify_regime": lambda p, fs, fb, vf: classify_regime(p, fb, fs),
+    "ValueFunction": lambda p, fs, fb, vf: ValueFunction(p, fs, fb),
+    "OptimalReflection": lambda p, fs, fb, vf: OptimalReflection(p, fb),
+    "dominance_report": lambda p, fs, fb, vf: dominance_report(
+        p, fb, vf, [(fb.x0, 0.0)], n_paths=2, dt=0.5, horizon=1.0),
+}
+
+
+class TestSameParams:
+    @pytest.mark.parametrize("call,slot", [
+        ("solve_x_tilde", 1), ("integrate_boundary", 1), ("ode_rhs", 1), ("y_star", 1),
+        ("classify_regime", 1), ("classify_regime", 2), ("ValueFunction", 1),
+        ("ValueFunction", 2), ("OptimalReflection", 2), ("dominance_report", 2),
+        ("dominance_report", 3)])
+    def test_mixed_parameter_sets_refused(self, solved, call, slot):
+        # the mu = 0.2 solve with one object of the mu = 1.4 solve in its
+        # place is refused, naming that object and both sets; an equal but
+        # separate mu = 0.2 parameter set is accepted
+        params, *built = solved[0.2]
+        other = solved[1.4][slot]
+        mixed = [params, *built]
+        mixed[slot] = other
+        with pytest.raises(ConfigurationError) as exc:
+            SOLVE_CALLS[call](*mixed)
+        assert str(exc.value) == (f"{type(other).__name__} was built for "
+                                  f"{other.params}, not for {params}")
+        equal = table_preset(0.2)
+        assert equal == params and equal is not params
+        SOLVE_CALLS[call](equal, *built)

@@ -6,7 +6,7 @@ import pytest
 from solarinvest import (DomainError, FreeBoundary, FundamentalSolution, NumericalError,
                          ValueFunction, integrate_boundary, params_from_dict, r_partials,
                          r_value)
-from solarinvest import fundamental, value
+from solarinvest import value
 from solarinvest.interp import CubicHermite
 
 from conftest import central_diff, fuzz_draw, rel_err
@@ -271,12 +271,12 @@ class TestOneLookup:
                         assert (vf.hjb_residual(x, y)
                                 == hjb_residual_two_pass(vf, x, y)), (mu, x, y)
 
-    def test_cold_table_equals_warm(self, solved, monkeypatch):
-        # built and queried on an emptied panel table, each read builds the
+    def test_cold_table_equals_warm(self, solved, fresh_cells):
+        # built and queried on an emptied cell cache, each read builds the
         # cells it needs: test_equals_two_pass_route's states, bit for bit
         rng = np.random.default_rng(18)
         for mu, (params, _, fb, vf) in solved.items():
-            monkeypatch.setattr(fundamental, "_PANEL_TABLES", {})
+            fresh_cells()
             cold = ValueFunction(params, FundamentalSolution(params), fb)
             assert cold.a_grid.tobytes() == vf.a_grid.tobytes(), mu
             for u, v in rng.random((400, 2)):
