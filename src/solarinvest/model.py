@@ -68,8 +68,9 @@ class ModelParams:
 def validate(params: ModelParams) -> ModelParams:
     """Check parameter constraints and normalize the production factor.
 
-    Every field must be a finite real number (``bool`` is not one).  Returns
-    a new parameter set of floats with the cost rescaled to c/alpha and
+    Every field must be a finite real number (``bool`` is not one, nor an
+    integer beyond the float64 range).  Returns a new parameter set of
+    floats with the cost rescaled to c/alpha, which must be finite too, and
     alpha set to 1; the control problem is invariant under this rescaling.
     Raises :class:`ValidationError` naming the first offending field.
     """
@@ -79,7 +80,10 @@ def validate(params: ModelParams) -> ModelParams:
         value = getattr(params, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(name, f"not a number: {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond float64, as JSON reads a long literal
+            value = math.inf
         if not math.isfinite(value):
             raise ValidationError(name, "must be finite")
         if name in strict_positive and value <= 0.0:
@@ -87,7 +91,10 @@ def validate(params: ModelParams) -> ModelParams:
         values[name] = value
     if values["c"] < 0.0:
         raise ValidationError("c", f"must be >= 0, got {values['c']}")
-    return ModelParams(**{**values, "c": values["c"] / values["alpha"], "alpha": 1.0})
+    c = values["c"] / values["alpha"]
+    if not math.isfinite(c):
+        raise ValidationError("c", f"c/alpha = {values['c']}/{values['alpha']} overflows float64")
+    return ModelParams(**{**values, "c": c, "alpha": 1.0})
 
 
 def params_from_dict(data: dict) -> ModelParams:

@@ -41,9 +41,11 @@ same float operations, so a job's payoffs do not depend on what it runs
 beside.  A recorded path (:func:`simulate_path`) is one job on one path, so
 it skips the arrays and the feed: it steps on Python floats, on its thread,
 through the same path's draws, drawn in chunks sized for one path (how the
-horizon is chunked changes no value), repeating each step's float
-operations in the kernel's order, and so reproduces its estimator path bit
-for bit.  Both check their jobs with the same helpers.
+horizon is chunked changes no value).  It shares with the kernel one
+function for the step constants and one for the installation step (the
+clamp to [current capacity, y_bar] and the threshold read there), which
+also installs at t=0, and so reproduces its estimator path bit for bit.
+Both check their jobs with the same helpers.
 """
 
 from __future__ import annotations
@@ -332,20 +334,36 @@ class _NoiseFeed:
         yield from self._ready(*pending)
 
 
-def _threshold(params, policy, lvl):
-    """Price above which ``policy`` acts at capacity ``lvl`` (+inf at capacity)."""
-    return np.where(at_capacity(params, lvl), math.inf, policy.boundary_at(lvl))
+def _step_constants(params, dt):
+    """(discount per step, revenue weight, kappa dt, price decay, noise
+    scale) of an Euler step of ``dt``; the revenue weight is the exact
+    integral of e^{-rho u} over a step."""
+    p = params
+    disc_step = math.exp(-p.rho * dt)
+    kdt = p.kappa * dt
+    return disc_step, (1.0 - disc_step) / p.rho, kdt, 1.0 - kdt, p.sigma * math.sqrt(dt)
+
+
+def _install(params, policy, y_old, requested):
+    """The installation step: the capacity ``requested`` (broadcast to the
+    array ``y_old``) clamped to [y_old, y_bar], and the price above which
+    ``policy`` acts there (+inf at capacity).  A NaN request passes the
+    clamp, and only a NaN request makes a NaN capacity."""
+    lvl = np.maximum(requested, y_old)
+    np.minimum(lvl, params.y_bar, out=lvl)
+    return lvl, np.where(at_capacity(params, lvl), math.inf, policy.boundary_at(lvl))
 
 
 def _check_jobs(params, jobs):
     """Refuse an impossible (policy, x, y) job before any draw; return each
-    job's t = 0 installation and its threshold at the capacity after it.
+    job's t = 0 installation and the threshold at the level it installs to.
 
-    A NaN threshold would switch its job off silently, since no price
-    exceeds it, so one at t = 0 is refused here.
+    Every start is NaN-checked before any ``boundary_at`` is read.  A NaN
+    threshold would switch its job off silently, since no price exceeds
+    it, so one at t = 0 is refused here.
     """
     p = params
-    lumps = []
+    starts = []
     for j, job in enumerate(jobs):
         if not (isinstance(job, tuple) and len(job) == 3):
             raise ConfigurationError(f"job {j}: {job!r} is not a (policy, x, y) tuple")
@@ -359,17 +377,18 @@ def _check_jobs(params, jobs):
         if not 0.0 <= y0 <= p.y_bar:
             raise ConfigurationError(
                 f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
-        lumps.append(float(min(max(policy.start(x0, y0), y0), p.y_bar) - y0))
-        if math.isnan(lumps[-1]):  # the clamp passes NaN
+        starts.append(policy.start(x0, y0))
+        if math.isnan(starts[-1]):
             raise ConfigurationError(
                 f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
-    thresholds = []
-    for j, ((policy, _, y0), lump) in enumerate(zip(jobs, lumps)):
-        lvl = float(y0) + lump
-        thresholds.append(float(_threshold(p, policy, np.array([lvl]))[0]))
-        if math.isnan(thresholds[-1]):
+    lumps, thresholds = [], []
+    for j, ((policy, _, y0), start) in enumerate(zip(jobs, starts)):
+        lvl, thr = (a.item() for a in _install(p, policy, np.array([float(y0)]), start))
+        if math.isnan(thr):
             raise ConfigurationError(
                 f"job {j} ({policy.name}): boundary_at({lvl}) returned NaN at t = 0")
+        lumps.append(float(lvl - y0))
+        thresholds.append(thr)
     return lumps, thresholds
 
 
@@ -404,8 +423,9 @@ def _run(params, jobs, dt, n_steps, seed, indices):
     policy object owns a contiguous block; every row sees the same draws
     (common random numbers) and the same float operations, so a job's
     payoffs are bit-identical whether it runs alone or in a batch.
-    :func:`simulate_path` repeats these operations in the same order on
-    Python floats, so a traced path equals its row here bit for bit.
+    :func:`simulate_path` takes its step constants from
+    :func:`_step_constants` and its installations from :func:`_install`, as
+    this kernel does, so a traced path equals its row here bit for bit.
     ``thr`` caches the price above which a row's policy acts (+inf once
     capacity is exhausted), so crossing-free steps cost one comparison per
     block plus the price recursion.
@@ -418,22 +438,18 @@ def _run(params, jobs, dt, n_steps, seed, indices):
     order = [i for _, ids in blocks.values() for i in ids]
     nb = len(indices)
 
-    def rows(values):
-        return np.repeat(np.array(values, dtype=float)[:, None], nb, axis=1)
+    def rows(values):  # one row per job, in block order
+        return np.repeat(np.array(values, dtype=float)[order, None], nb, axis=1)
 
     # a (job, 1) column, not a state array: it broadcasts into y and into
     # the callers' installed capacity y - y_start
-    y_start = np.array([jobs[i][2] for i in order], dtype=float)[:, None]
-    lump_rows = [lumps[i] for i in order]
-    x = rows([jobs[i][1] for i in order])
-    y = y_start + rows(lump_rows)
-    pay = rows([-p.c * lump for lump in lump_rows])
-    first = rows([0.0 if lump > 0.0 else math.nan for lump in lump_rows])
-    thr = rows([thresholds[i] for i in order])
-    disc_step = math.exp(-p.rho * dt)
-    rev_weight = (1.0 - disc_step) / p.rho  # exact int of e^{-rho u} per step
-    kdt = p.kappa * dt
-    decay = 1.0 - kdt
+    y_start = np.array([y0 for _, _, y0 in jobs], dtype=float)[order, None]
+    x = rows([x0 for _, x0, _ in jobs])
+    y = y_start + rows(lumps)
+    pay = rows([-p.c * lump for lump in lumps])
+    first = rows([0.0 if lump > 0.0 else math.nan for lump in lumps])
+    thr = rows(thresholds)
+    disc_step, rev_weight, kdt, decay, scale = _step_constants(p, dt)
     adds = kdt * (p.mu - p.beta * y)
 
     active = []  # (policy, flat views of x, y, thr, adds, pay, first) per block
@@ -449,21 +465,19 @@ def _run(params, jobs, dt, n_steps, seed, indices):
 
     disc = 1.0
     step = 0
-    with _NoiseFeed(seed, indices, n_steps, p.sigma * math.sqrt(dt)) as feed:
+    with _NoiseFeed(seed, indices, n_steps, scale) as feed:
         for z in feed:
             for policy, xb, yb, tb, ab, pb, firstb in active:
                 idx = (xb > tb).nonzero()[0]
                 if idx.size:
                     y_old = yb[idx]
-                    lvl = np.maximum(policy.target(xb[idx], y_old), y_old)
-                    np.minimum(lvl, p.y_bar, out=lvl)
+                    lvl, tb[idx] = _install(p, policy, y_old, policy.target(xb[idx], y_old))
                     dy = lvl - y_old
                     pb[idx] -= (disc * p.c) * dy
                     fresh = idx[(dy > 0.0) & np.isnan(firstb[idx])]
                     firstb[fresh] = step * dt
                     yb[idx] = lvl
                     ab[idx] = kdt * (p.mu - p.beta * lvl)
-                    tb[idx] = _threshold(p, policy, lvl)
             np.multiply(x, y, out=tmp)
             tmp *= disc * rev_weight
             pay += tmp
@@ -485,7 +499,8 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     same seed and step settings, payoff included bit for bit: it steps on
     Python floats through the same draws, drawn in chunks sized for one
     path (how the horizon is chunked changes no value), with the kernel's
-    float operations in the kernel's order, and starts no thread.  ``x``
+    step constants (:func:`_step_constants`) and installation step
+    (:func:`_install`), and starts no thread.  ``x``
     and ``y`` are recorded after any installation at each step;
     ``max_overshoot`` is the largest pre-installation excess of the price
     over the policy's threshold (0 when the threshold is never finite).
@@ -512,12 +527,8 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     xt, yt = float(x), float(y) + lump
     pay = -p.c * lump
     first = 0.0 if lump > 0.0 else math.nan
-    disc_step = math.exp(-p.rho * dt)
-    rev_weight = (1.0 - disc_step) / p.rho
-    kdt = p.kappa * dt
-    decay = 1.0 - kdt
+    disc_step, rev_weight, kdt, decay, scale = _step_constants(p, dt)
     add = kdt * (p.mu - p.beta * yt)
-    scale = p.sigma * math.sqrt(dt)
     disc = 1.0
     over = -math.inf  # an excess is NaN only on a path _check_end refuses
     gen = _path_generators(seed, [path_index])[0]
@@ -529,17 +540,15 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
             if excess > over:
                 over = excess
             if xt > thr:
-                y_old = yt
-                # broadcast as the kernel's np.maximum does: a scalar target too
-                lvl = np.broadcast_to(policy.target(np.array([xt]), np.array([y_old])), 1)[0]
-                lvl = min(max(float(lvl), y_old), p.y_bar)  # a NaN target passes
-                dy = lvl - y_old
+                y_arr = np.array([yt])
+                lvl, thr = (a.item() for a in
+                            _install(p, policy, y_arr, policy.target(np.array([xt]), y_arr)))
+                dy = lvl - yt
                 pay -= (disc * p.c) * dy
                 if dy > 0.0 and math.isnan(first):
                     first = step * dt
                 yt = lvl
                 add = kdt * (p.mu - p.beta * lvl)
-                thr = float(_threshold(p, policy, np.array([lvl]))[0])
             x_rec[step] = xt
             y_rec[step] = yt
             pay += (xt * yt) * (disc * rev_weight)
@@ -567,6 +576,10 @@ def _check_integer(name: str, value) -> None:
 def _check_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name}={value!r} must be a real number")
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float64, where math.isfinite raises too
+        raise ConfigurationError(f"{name} must be finite, got {value}") from None
 
 
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:

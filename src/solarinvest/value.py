@@ -31,9 +31,10 @@ A is sampled on the boundary grid from the closed form, with its derivative
 
 and interpolated by cubic Hermite on those exact slopes, as F is on the
 ODE's; ``partials`` reads A' in closed form (not re-integrated), so the
-interpolated A and the A' it reads agree at the nodes.  Both A and A' are
-evaluated from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), all from
-one ``log_psi_ratios`` call, which a grid node shares between the two, e.g.
+interpolated A and the A' it reads agree at the nodes.  One private method,
+``_a_pair``, forms both, and the grid build and ``partials`` call it.  It
+evaluates them from r_k = psi^(k)(Ft)/psi(Ft), k = 1, 2, and psi(Ft), read
+by one ``log_psi_ratios`` call and exponentiated once, e.g.
 A' = [r2 (c - Rtilde) + r1/(rho+kappa)] / (psi(Ft) (r2 - r1^2)), so neither
 forms a product of raw derivatives that overflows where psi(Ft) is large.
 ``partials`` and ``hjb_residual`` share one private read of the state,
@@ -80,16 +81,15 @@ class ValueFunction:
         self.fb = fb
         # on Python floats, where a zero divisor or an overflow raises instead
         # of passing on as inf or NaN
-        a_list, slopes = [], []
+        pairs = []
         for y, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist()):
             try:
-                read = self.fs.log_psi_ratios(ft)
-                a_list.append(self._a_closed_form(y, ft, read))
-                slopes.append(self._a_prime_at(y, ft, read))
+                pairs.append(self._a_pair(y, ft))
             except (ZeroDivisionError, OverflowError) as exc:
                 raise NumericalError(
                     f"coefficient A(y) is not finite at y={y:.6g} (y_bar={params.y_bar}) "
                     f"on the {fb.ys.size - 1}-step grid: {exc}") from None
+        a_list, slopes = zip(*pairs)
         self.a_grid = np.array(a_list)
         # A > 0 below y_bar is a theorem; a coarse grid that misplaces a steep
         # F near y_bar can flip its sign there, and clamping would hide that
@@ -104,19 +104,19 @@ class ValueFunction:
 
     # -- coefficient function -------------------------------------------------
 
-    def _a_closed_form(self, y: float, f_tilde: float, read=None) -> float:
-        # smooth-fit representation with the explicit R-terms, numerator and
-        # denominator divided by psi(Ft) and psi(Ft)^2: the ratios stay finite
-        # where the psi-derivatives themselves would overflow to inf/inf;
-        # ``read`` is log_psi_ratios(f_tilde) if the caller has it
+    def _a_pair(self, y: float, ft: float):
+        """Closed-form (A(y), A'(y)) in ratio form (module docstring), given
+        ft = Ftilde(y), from one ``log_psi_ratios`` read and one psi(ft):
+        numerators and denominators divided by powers of psi(ft) stay
+        finite where the psi-derivatives themselves would overflow."""
         p = self.params
-        f_val = f_tilde - p.beta * y
-        log_psi, r1, r2 = read or self.fs.log_psi_ratios(f_tilde)
+        log_psi, r1, r2 = self.fs.log_psi_ratios(ft)
+        psi = checked_exp(log_psi, "psi", ft)
         rk = p.rho + p.kappa
-        num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - f_val) * r1
+        num = (rk * (p.c * p.rho + p.kappa * p.beta * y / rk - (ft - p.beta * y)) * r1
                + 0.5 * p.sigma**2 * r2)
-        den = r1 ** 2 - r2
-        return num / den / (p.beta * p.rho * rk) / checked_exp(log_psi, "psi", f_tilde)
+        a_val = num / (r1 ** 2 - r2) / (p.beta * p.rho * rk) / psi
+        return a_val, (r2 * (p.c - r_tilde(p, ft, y)) + r1 / rk) / (psi * (r2 - r1 ** 2))
 
     def a(self, y: float) -> float:
         """Interpolated coefficient A(y).  The exact A is positive and
@@ -124,15 +124,6 @@ class ValueFunction:
         below y_bar are checked positive, but between the last nodes of a
         coarse grid the cubic can dip below 0 (ROADMAP item 3)."""
         return float(self._a_itp(check_capacity(self.params, y)))
-
-    def _a_prime_at(self, y: float, ft: float, read=None) -> float:
-        """Closed-form A'(y) < 0 on [0, y_bar), in ratio form (module
-        docstring), given ft = Ftilde(y) and, if the caller has it, its
-        ``read`` = log_psi_ratios(ft)."""
-        p = self.params
-        log_psi, r1, r2 = read or self.fs.log_psi_ratios(ft)
-        return ((r2 * (p.c - r_tilde(p, ft, y)) + r1 / (p.rho + p.kappa))
-                / (checked_exp(log_psi, "psi", ft) * (r2 - r1 ** 2)))
 
     # -- value and derivatives -------------------------------------------------
 
@@ -166,7 +157,7 @@ class ValueFunction:
         a_val = self.a(y_hit)
         # Ftilde(y) from the F(y) the classification read
         w_y = (p.c if y_hit > y else
-               self._a_prime_at(y, f_y + p.beta * y) * psi + p.beta * a_val * d[1] + r_y)
+               self._a_pair(y, f_y + p.beta * y)[1] * psi + p.beta * a_val * d[1] + r_y)
         return y_hit, a_val * psi, (a_val * d[1] + r_x, a_val * d[2], w_y)
 
     def partials(self, x: float, y: float):

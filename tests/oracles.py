@@ -164,7 +164,7 @@ def install_region_pde_closed_form(params, x, y):
 
 def a_prime(vf, y):
     """Closed-form A'(y) at its own read of Ftilde(y)."""
-    return vf._a_prime_at(y, f_tilde_at(vf.fb, y))
+    return vf._a_pair(y, f_tilde_at(vf.fb, y))[1]
 
 
 def partials_two_lookup(vf, x, y):

@@ -91,6 +91,19 @@ class TestClassifyCommand:
         assert main(["--steps", steps, "classify"]) == 2
         assert "--steps" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_is_a_configuration_error(self, tmp_path, capsys):
+        # a JSON integer literal float64 cannot hold: float() raised OverflowError
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**MU14, "kappa": "big"}).replace('"big"', "1" + "0" * 400))
+        assert main(["--config", str(path), "classify"]) == 2
+        assert "kappa: must be finite" in capsys.readouterr().err
+
+    def test_overflowing_effective_cost_is_a_configuration_error(self, tmp_path, capsys):
+        # c/alpha = inf reached the anchor solve, which exited 4
+        cfg = write_config(tmp_path, {**MU14, "c": 1e10, "alpha": 1e-300})
+        assert main(["--config", cfg, "classify"]) == 2
+        assert "c/alpha" in capsys.readouterr().err
+
     def test_grid_beyond_physical_memory_is_a_configuration_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["--steps", "100000000000", "--out", str(out), "boundary"]) == 2

@@ -60,6 +60,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             validate(ModelParams(**{**TABLE, "mu": math.nan}))
 
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
+    def test_integer_beyond_float_range_rejected(self, value, tmp_path):
+        # float() raises OverflowError on it, and JSON reads such a literal as an int
+        with pytest.raises(ValidationError, match="must be finite") as exc:
+            params_from_dict({**TABLE, "kappa": value})
+        assert exc.value.field == "kappa"
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**TABLE, "kappa": "big"}).replace('"big"', str(value)))
+        with pytest.raises(ValidationError, match="kappa: must be finite"):
+            params_from_json(path)
+
+    def test_overflowing_effective_cost_rejected(self):
+        with pytest.raises(ValidationError, match=r"c/alpha = 10000000000.0/1e-300") as exc:
+            params_from_dict({**TABLE, "c": 1e10, "alpha": 1e-300})
+        assert exc.value.field == "c"
+
     @pytest.mark.parametrize("value", [True, False, "0.05", None, [0.05]])
     def test_non_numeric_rejected_naming_field(self, value):
         with pytest.raises(ValidationError) as exc:

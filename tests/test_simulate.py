@@ -574,7 +574,8 @@ class TestEstimator:
 
     @pytest.mark.parametrize("x,y,bad", [(1.0, 7.5, "y"), (1.0, -1.0, "y"),
                                          (1.0, math.nan, "y"), (math.nan, 1.0, "x"),
-                                         (math.inf, 1.0, "x")])
+                                         (math.inf, 1.0, "x"),
+                                         pytest.param(10**400, 1.0, "x", id="int_beyond_float64")])
     def test_impossible_state_rejected_before_drawing(self, setup, monkeypatch, x, y, bad):
         params, fb, _ = setup
         assert params.y_bar == 5.0
@@ -786,7 +787,9 @@ class TestEstimator:
             simulate_path(params, NeverInstall(), 1.0, 1.0, dt=1e-300, horizon=100.0,
                           seed=0)
 
-    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    # an int that float64 cannot hold, where math.isfinite raises OverflowError
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan,
+                                         pytest.param(10**400, id="int_beyond_float64")])
     def test_non_finite_horizon_rejected(self, setup, horizon):
         params, fb, _ = setup
         with pytest.raises(ConfigurationError, match="horizon"):

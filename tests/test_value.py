@@ -34,7 +34,7 @@ class TestCoefficient:
         # smooth-fit form with explicit R-terms vs the Rtilde/Q0 form
         params, _, fb, vf = base
         for y in fb.ys[::100]:
-            a_main = vf._a_closed_form(float(y), f_tilde_at(fb, float(y)))
+            a_main = vf._a_pair(float(y), f_tilde_at(fb, float(y)))[0]
             # absolute floor handles the zero at y_bar, where both forms vanish
             assert abs(a_main - a_alt(vf, float(y))) < 1e-9 * (1.0 + abs(a_main))
 
@@ -68,7 +68,7 @@ class TestCoefficient:
         rebuilt = ValueFunction(params, fs, fb)
         [(x, y, slopes)] = built
         assert x is fb.ys and y is rebuilt.a_grid
-        want = [vf._a_prime_at(yi, ft) for yi, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist())]
+        want = [vf._a_pair(yi, ft)[1] for yi, ft in zip(fb.ys.tolist(), fb.f_tilde.tolist())]
         assert np.array(slopes).tobytes() == np.array(want).tobytes()
 
     def test_midpoints_match_a_finer_solve(self, solved):
