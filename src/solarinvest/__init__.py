@@ -13,8 +13,8 @@ from .errors import (ConfigurationError, DomainError, IntegrationError,
                      NumericalError, SimulationError, SolarInvestError,
                      SolverError, ValidationError)
 from .fundamental import FundamentalSolution
-from .model import (ModelParams, params_from_dict, params_from_json,
-                    params_to_dict, r_partials, r_value, table_preset, validate)
+from .model import (ModelParams, params_from_dict, params_from_json, r_partials,
+                    r_value, table_preset, validate)
 from .simulate import (FixedThreshold, ImmediateFull, NeverInstall,
                        OptimalReflection, PathRecord, SimulationResult,
                        dominance_report, estimate_value, estimate_value_many,
@@ -32,7 +32,7 @@ __all__ = [
     "ValueFunction", "classify_regime",
     "dominance_report", "estimate_value", "estimate_value_many",
     "integrate_boundary", "ode_rhs", "params_from_dict",
-    "params_from_json", "params_to_dict", "r_partials", "r_tilde", "r_value",
+    "params_from_json", "r_partials", "r_tilde", "r_value",
     "simulate_path", "solve_x_tilde", "table_preset", "validate",
     "verification_states", "y_star",
 ]

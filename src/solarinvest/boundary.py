@@ -180,8 +180,10 @@ class FreeBoundary:
     def _classify(self, x: float, y: float):
         """(region, F(y)) at (x, y), F(y) as ``f`` reads it below x_bar and
         None from x_bar up; at capacity only waiting applies, also where
-        x >= F(y)."""
+        x >= F(y).  A price that is not finite raises :class:`DomainError`."""
         check_capacity(self.params, y)
+        if not -math.inf < x < math.inf:  # math.isfinite raises on an int beyond float64
+            raise DomainError(f"price x={x} must be finite")
         if x >= self.x_bar:
             return (Region.W if at_capacity(self.params, y) else Region.I2), None
         f_y = self.f(y)
@@ -264,11 +266,3 @@ def classify_regime(params: ModelParams, fb: FreeBoundary,
     if params.y_bar >= y_star(params, fs):
         return Regime.INTERSECTS_BOUNDARY
     return Regime.INTERSECTS_UPPER_BOUND
-
-
-def export_grid_csv(fb: FreeBoundary, path) -> None:
-    """Write the grid as CSV with header y,F_tilde,F at 12 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("y,F_tilde,F\n")
-        for y, ft, fv in zip(fb.ys, fb.f_tilde, fb.f_grid):
-            fh.write(f"{y:.12g},{ft:.12g},{fv:.12g}\n")

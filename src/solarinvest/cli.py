@@ -5,6 +5,13 @@ Subcommands: ``boundary`` (solve and export the installation threshold),
 line of means), ``simulate`` (Monte Carlo verification report), and
 ``sensitivity`` (comparative-statics sweep of the boundary).
 
+Each subparser binds its handler through ``set_defaults``.  ``main`` checks
+``--steps``, loads the parameters once (``--config`` or the built-in
+preset) and calls the handler with them.  Every CSV artefact
+(``boundary_grid.csv``, ``path_NNNN.csv``, ``sensitivity_<param>.csv``) is
+written by one function, each value at 12 significant digits; the library
+itself writes no files.
+
 Every command is deterministic given (config, seed).  Exit codes:
 0 success, 2 configuration problem (invalid parameters, unreadable input,
 unwritable output), 3 verification failure, 4 any other solver failure.
@@ -13,6 +20,7 @@ unwritable output), 3 verification failure, 4 any other solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,12 +55,6 @@ SWEEP_DIRECTIONS = {
     "rho": "decreasing",
     "kappa": "crossing",
 }
-
-
-def _load_params(args) -> model.ModelParams:
-    if args.config:
-        return model.params_from_json(args.config)
-    return model.table_preset()
 
 
 def _solve(params, n_steps):
@@ -92,13 +94,20 @@ def _dump_json(payload, path=None):
         Path(path).write_text(text + "\n")
 
 
-def cmd_boundary(args) -> int:
-    params = _load_params(args)
+def _write_csv(path, header, rows):
+    """Write ``header`` and one line per row, each value at 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+
+
+def cmd_boundary(args, params) -> int:
     fs, fb = _solve(params, args.steps)
     vf = ValueFunction(params, fs, fb)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    bd.export_grid_csv(fb, out / "boundary_grid.csv")
+    _write_csv(out / "boundary_grid.csv", "y,F_tilde,F", zip(fb.ys, fb.f_tilde, fb.f_grid))
     _dump_json(vf.summary_dict(), out / "value_function.json")
     payload = _regime_payload(params, fs, fb)
     payload.update({"x_tilde": fb.x_tilde, "x0": fb.x0, "x_bar": fb.x_bar,
@@ -108,15 +117,13 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    params = _load_params(args)
+def cmd_classify(args, params) -> int:
     fs, fb = _solve(params, args.steps)
     _dump_json(_regime_payload(params, fs, fb))
     return EXIT_OK
 
 
-def cmd_value(args) -> int:
-    params = _load_params(args)
+def cmd_value(args, params) -> int:
     x, y = args.x, args.y
     if not np.isfinite(x):
         raise ConfigurationError(f"--x must be finite, got {x}")
@@ -144,8 +151,7 @@ def cmd_value(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    params = _load_params(args)
+def cmd_simulate(args, params) -> int:
     if not 0 <= args.trace_paths <= args.paths:
         raise ConfigurationError(
             f"--trace-paths must be in [0, --paths={args.paths}], got {args.trace_paths}")
@@ -164,10 +170,8 @@ def cmd_simulate(args) -> int:
         for i in range(args.trace_paths):
             rec = simulate_path(params, policy, x0, y0, dt=args.dt,
                                 horizon=horizon, seed=args.seed, path_index=i)
-            with open(out / f"path_{i:04d}.csv", "w", newline="") as fh:
-                fh.write("t,X,Y,cum_cost\n")
-                for t, xv, yv, cc in zip(rec.t, rec.x, rec.y, rec.cum_cost):
-                    fh.write(f"{t:.12g},{xv:.12g},{yv:.12g},{cc:.12g}\n")
+            _write_csv(out / f"path_{i:04d}.csv", "t,X,Y,cum_cost",
+                       zip(rec.t, rec.x, rec.y, rec.cum_cost))
     _dump_json(report)
     if not report["all_passed"]:
         failing = next(c for c in report["checks"] if not c["passed"])
@@ -181,10 +185,12 @@ def cmd_simulate(args) -> int:
 def sweep_boundaries(params, name, values, n_steps):
     """Solve the boundary for each parameter value; aborts naming the value
     whose solve failed."""
+    if name not in model.PARAM_FIELDS:
+        raise ValidationError(name, "unknown parameter")
     solved = []
     for v in values:
         try:
-            p = model.params_from_dict({**model.params_to_dict(params), name: v})
+            p = model.validate(dataclasses.replace(params, **{name: v}))
             fs, fb = _solve(p, n_steps)
         except SolarInvestError as exc:
             exc.args = (f"sweep {name}={v}: {exc}",)
@@ -194,22 +200,22 @@ def sweep_boundaries(params, name, values, n_steps):
 
 
 def sweep_verdict(name, solved) -> dict:
-    """Direction of the pointwise-in-y shift of F across consecutive values."""
+    """Direction of the pointwise-in-y shift of F across consecutive values:
+    increasing (decreasing) when every shift is positive (negative) at every
+    y, crossing otherwise and always for kappa.  Fewer than two solved
+    curves raise :class:`ConfigurationError`."""
+    if len(solved) < 2:
+        raise ConfigurationError(f"sweep {name}: needs two or more curves, got {len(solved)}")
     y_lo = min(fb.params.y_bar for _, fb in solved)
     y_common = np.linspace(0.0, y_lo, 201)
     curves = [fb.f_values(y_common) for _, fb in solved]
-    ups, downs = 0, 0
-    for lo, hi in zip(curves, curves[1:]):
-        diff = hi - lo
-        if np.all(diff > 0):
-            ups += 1
-        elif np.all(diff < 0):
-            downs += 1
-    n = len(curves) - 1
-    if name == "kappa" or (ups and downs) or ups + downs < n:
-        observed = "crossing"
+    shifts = [hi - lo for lo, hi in zip(curves, curves[1:])]
+    if name != "kappa" and all(np.all(d > 0) for d in shifts):
+        observed = "increasing"
+    elif name != "kappa" and all(np.all(d < 0) for d in shifts):
+        observed = "decreasing"
     else:
-        observed = "increasing" if ups == n else "decreasing"
+        observed = "crossing"
     return {
         "param": name,
         "observed": observed,
@@ -218,8 +224,7 @@ def sweep_verdict(name, solved) -> dict:
     }
 
 
-def cmd_sensitivity(args) -> int:
-    params = _load_params(args)
+def cmd_sensitivity(args, params) -> int:
     name = args.param
     if name not in SWEEP_DIRECTIONS:
         raise ConfigurationError(
@@ -236,11 +241,8 @@ def cmd_sensitivity(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sensitivity_{name}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("param_value,y,F\n")
-        for v, fb in solved:
-            for y, f_val in zip(fb.ys, fb.f_grid):
-                fh.write(f"{v:.12g},{y:.12g},{f_val:.12g}\n")
+    _write_csv(csv_path, "param_value,y,F",
+               ((v, y, f_val) for v, fb in solved for y, f_val in zip(fb.ys, fb.f_grid)))
     verdict = sweep_verdict(name, solved)
     verdict["csv"] = str(csv_path)
     _dump_json(verdict)
@@ -259,14 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boundary ODE grid steps (default 2000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("boundary", help="solve the free boundary, export CSV/JSON")
-    sub.add_parser("classify", help="report the line-of-means regime")
+    sub.add_parser("boundary", help="solve the free boundary, export CSV/JSON").set_defaults(
+        handler=cmd_boundary)
+    sub.add_parser("classify", help="report the line-of-means regime").set_defaults(
+        handler=cmd_classify)
 
     p_value = sub.add_parser("value", help="evaluate the value function at a state")
+    p_value.set_defaults(handler=cmd_value)
     p_value.add_argument("--x", type=float, required=True)
     p_value.add_argument("--y", type=float, required=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo verification report")
+    p_sim.set_defaults(handler=cmd_simulate)
     p_sim.add_argument("--paths", type=int, default=10000)
     p_sim.add_argument("--dt", type=float, default=0.01)
     p_sim.add_argument("--horizon", type=float, default=None)
@@ -274,19 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write t,X,Y,cum_cost traces for the first k paths")
 
     p_sens = sub.add_parser("sensitivity", help="boundary sweep over one parameter")
+    p_sens.set_defaults(handler=cmd_sensitivity)
     p_sens.add_argument("--param", required=True)
     p_sens.add_argument("--values", required=True,
                         help="comma-separated parameter values")
     return parser
-
-
-_COMMANDS = {
-    "boundary": cmd_boundary,
-    "classify": cmd_classify,
-    "value": cmd_value,
-    "simulate": cmd_simulate,
-    "sensitivity": cmd_sensitivity,
-}
 
 
 def main(argv=None) -> int:
@@ -299,7 +297,8 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"--steps must be <= {bd.max_steps()}, the finest grid that fits in "
                 f"physical memory, got {args.steps}")
-        return _COMMANDS[args.command](args)
+        params = model.params_from_json(args.config) if args.config else model.table_preset()
+        return args.handler(args, params)
     except (ValidationError, ConfigurationError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError, ValidationError
 
@@ -98,7 +98,11 @@ def validate(params: ModelParams) -> ModelParams:
 
 
 def params_from_dict(data: dict) -> ModelParams:
-    """Build validated parameters from a flat mapping (missing alpha -> 1)."""
+    """Build validated parameters from a flat mapping (missing alpha -> 1);
+    anything but a dict (a JSON object) raises :class:`ValidationError`
+    for ``<root>``."""
+    if not isinstance(data, dict):
+        raise ValidationError("<root>", f"must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - set(PARAM_FIELDS)
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown parameter")
@@ -111,13 +115,7 @@ def params_from_dict(data: dict) -> ModelParams:
 def params_from_json(path) -> ModelParams:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValidationError("<root>", "parameter file must hold a JSON object")
     return params_from_dict(data)
-
-
-def params_to_dict(params: ModelParams) -> dict:
-    return asdict(params)
 
 
 def table_preset(mu: float = 0.2) -> ModelParams:

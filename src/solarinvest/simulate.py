@@ -358,7 +358,8 @@ def _check_jobs(params, jobs):
     """Refuse an impossible (policy, x, y) job before any draw; return each
     job's t = 0 installation and the threshold at the level it installs to.
 
-    Every start is NaN-checked before any ``boundary_at`` is read.  A NaN
+    Every start is checked to be a real number that is not NaN (``math.inf``
+    fills capacity) before any ``boundary_at`` is read.  A NaN
     threshold would switch its job off silently, since no price exceeds
     it, so one at t = 0 is refused here.
     """
@@ -378,6 +379,7 @@ def _check_jobs(params, jobs):
             raise ConfigurationError(
                 f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
         starts.append(policy.start(x0, y0))
+        _check_real(f"job {j} ({policy.name}): start({x0}, {y0})", starts[-1])
         if math.isnan(starts[-1]):
             raise ConfigurationError(
                 f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
@@ -582,6 +584,12 @@ def _check_real(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be finite, got {value}") from None
 
 
+def _mean_se(values):
+    """Mean of ``values`` and its standard error (0 for a single value)."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     """Validate Monte Carlo settings; return the number of time steps."""
     _check_integer("n_paths", n_paths)
@@ -676,9 +684,7 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
         del out  # no two batches are held at once
     results = []
     for (_, x, _), lump, pay, inst, first in zip(jobs, lumps, pays, installed, firsts):
-        estimate = float(np.mean(pay))
-        std_error = (float(np.std(pay, ddof=1) / math.sqrt(n_paths))
-                     if n_paths > 1 else 0.0)
+        estimate, std_error = _mean_se(pay)
         frac = float(np.mean(inst > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,
@@ -710,26 +716,29 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
                      seed: int = 0) -> dict:
     """Analytic-vs-Monte-Carlo comparison across policies at the given states.
 
-    The optimal policy is checked against the closed-form value within
-    3 standard errors plus a dt-bias allowance 2 sqrt(dt); the
-    never-install policy against the closed form of its payoff within
-    3 standard errors plus the tail bound; and, under common random
-    numbers, the optimal policy must dominate both baselines.  Those paired
-    standard errors need two paths: fewer raise :class:`ConfigurationError`
-    before anything is drawn.
+    ``states`` is read once, so a one-shot iterator serves as well as a
+    list.  Anything but an iterable of (x, y) pairs, and an empty one (no
+    job to run), raise :class:`ConfigurationError` before anything is
+    drawn.  Four checks per state: the optimal policy against the
+    closed-form value within 3 standard errors plus a dt-bias allowance
+    2 sqrt(dt); the never-install policy against the closed form of its
+    payoff within 3 standard errors plus the tail bound; and, under common
+    random numbers, the optimal policy must dominate each baseline within
+    3 paired standard errors.  Those need two paths: fewer raise
+    :class:`ConfigurationError` before anything is drawn.
     """
     check_same_params(params, fb, vf)
     _check_integer("n_paths", n_paths)
     if n_paths < 2:
         raise ConfigurationError(
             f"n_paths must be >= 2 for the paired standard errors, got {n_paths}")
-    policies = {
-        "optimal": OptimalReflection(params, fb),
-        "never_install": NeverInstall(),
-        "immediate_full": ImmediateFull(),
-    }
-    names = list(policies)
-    jobs = [(policies[name], x, y) for x, y in states for name in names]
+    try:
+        states = [(x, y) for x, y in states]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"states={states!r} must be an iterable of (x, y) pairs") from None
+    policies = (OptimalReflection(params, fb), NeverInstall(), ImmediateFull())
+    jobs = [(policy, x, y) for x, y in states for policy in policies]
     all_results = estimate_value_many(params, jobs, n_paths, dt, horizon,
                                       seed=seed, keep_payoffs=True)
     allowance = 2.0 * math.sqrt(dt)  # dt is checked by now
@@ -739,37 +748,34 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
         region = fb.region(x, y).value
         w_val = vf.w(x, y)
         r_val = r_value(params, x, y)
-        results = dict(zip(names, all_results[i * len(names):(i + 1) * len(names)]))
-        opt = results["optimal"]
-        never = results["never_install"]
+        results = all_results[i * len(policies):(i + 1) * len(policies)]
+        opt, never, _ = results
         row = {
             "state": {"x": x, "y": y},
             "region": region,
             "analytic_w": w_val,
             "analytic_r": r_val,
         }
-        for name, res in results.items():
-            row[name] = res.summary_dict()
+        for policy, res in zip(policies, results):
+            row[policy.name] = res.summary_dict()
         gaps = {}
-        for name in ("never_install", "immediate_full"):
-            diff = opt.payoffs - results[name].payoffs
-            se = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
-            gaps[name] = {"mean": float(np.mean(diff)), "std_error": se}
+        for policy, res in zip(policies[1:], results[1:]):
+            mean, se = _mean_se(opt.payoffs - res.payoffs)
+            gaps[policy.name] = {"mean": mean, "std_error": se}
         row["gap_optimal_minus"] = gaps
         rows.append(row)
 
+        # (name, gap, tolerance, two-sided): a one-sided check fails only below -tolerance
         bands = [("never_install matches closed form", never.estimate - r_val,
-                  3.0 * never.std_error + never.discount_tail_bound),
+                  3.0 * never.std_error + never.discount_tail_bound, True),
                  ("optimal matches analytic value", opt.estimate - w_val,
-                  3.0 * opt.std_error + opt.discount_tail_bound + allowance)]
-        for name, gap, tol in bands:
+                  3.0 * opt.std_error + opt.discount_tail_bound + allowance, True)]
+        bands += [(f"optimal dominates {name}", gap["mean"], 3.0 * gap["std_error"], False)
+                  for name, gap in gaps.items()]
+        for name, gap, tol, two_sided in bands:
             checks.append({"name": f"{name} at ({x:.6g}, {y:.6g})",
-                           "passed": bool(abs(gap) <= tol), "gap": gap, "tolerance": tol})
-        for name, gap in gaps.items():
-            tol = 3.0 * gap["std_error"]
-            checks.append({"name": f"optimal dominates {name} at ({x:.6g}, {y:.6g})",
-                           "passed": bool(gap["mean"] >= -tol), "gap": gap["mean"],
-                           "tolerance": tol})
+                           "passed": bool(abs(gap) <= tol if two_sided else gap >= -tol),
+                           "gap": gap, "tolerance": tol})
     return {
         "settings": {"n_paths": n_paths, "dt": dt, "horizon": all_results[0].horizon,
                      "seed": seed, "dt_bias_allowance": allowance},

@@ -12,8 +12,7 @@ from solarinvest import (DomainError, FundamentalSolution, IntegrationError,
                          integrate_boundary, ode_rhs, params_from_dict, r_tilde,
                          r_value, solve_x_tilde, table_preset, y_star)
 from solarinvest import boundary, fundamental
-from solarinvest.boundary import export_grid_csv
-from solarinvest.cli import sweep_boundaries
+from solarinvest.cli import _write_csv, sweep_boundaries
 from solarinvest.interp import CubicHermite
 from solarinvest.model import at_capacity
 
@@ -732,8 +731,8 @@ class TestExport:
     def test_csv_format_and_determinism(self, base, tmp_path):
         _, _, fb, _ = base
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_grid_csv(fb, p1)
-        export_grid_csv(fb, p2)
+        _write_csv(p1, "y,F_tilde,F", zip(fb.ys, fb.f_tilde, fb.f_grid))
+        _write_csv(p2, "y,F_tilde,F", zip(fb.ys, fb.f_tilde, fb.f_grid))
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         assert lines[0] == "y,F_tilde,F"

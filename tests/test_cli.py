@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from solarinvest import cli
+from solarinvest import ConfigurationError, ValidationError, cli, table_preset
 from solarinvest.cli import main
 
 MU14 = {"kappa": 0.1, "mu": 1.4, "sigma": 0.5, "rho": 0.05, "c": 0.3,
@@ -311,3 +311,15 @@ class TestSensitivityCommand:
         assert main(["--steps", "200", "--out", str(tmp_path), "sensitivity",
                      "--param", "sigma", "--values", values]) == 2
         assert "two distinct" in capsys.readouterr().err
+
+    def test_verdict_refuses_fewer_than_two_curves(self):
+        # one curve used to read "increasing" and consistent; none raised ValueError
+        solved = cli.sweep_boundaries(table_preset(0.2), "sigma", [0.5], 200)
+        for curves in (solved, []):
+            with pytest.raises(ConfigurationError, match="two or more curves"):
+                cli.sweep_verdict("sigma", curves)
+
+    def test_sweep_of_unknown_field_names_it(self):
+        with pytest.raises(ValidationError) as exc:
+            cli.sweep_boundaries(table_preset(0.2), "nope", [1.0], 200)
+        assert exc.value.field == "nope"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from solarinvest import (ConfigurationError, DomainError, ModelParams, OptimalReflection,
                          ValidationError, ValueFunction, classify_regime, dominance_report,
                          integrate_boundary, ode_rhs, params_from_dict, params_from_json,
-                         params_to_dict, r_partials, r_value, solve_x_tilde, table_preset,
-                         validate, y_star)
+                         r_partials, r_value, solve_x_tilde, table_preset, validate, y_star)
 
 from conftest import central_diff, rel_err
 
@@ -90,7 +90,19 @@ class TestValidation:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(TABLE))
         p = params_from_json(path)
-        assert params_to_dict(p) == params_to_dict(params_from_dict(TABLE))
+        assert asdict(p) == asdict(params_from_dict(TABLE))
+
+    @pytest.mark.parametrize("data", [None, [1.0, 2.0], "kappa", 3.0])
+    def test_non_object_rejected_at_root(self, data, tmp_path):
+        # one check serves a direct call and a file that holds no JSON object
+        with pytest.raises(ValidationError) as exc:
+            params_from_dict(data)
+        assert exc.value.field == "<root>"
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as exc:
+            params_from_json(path)
+        assert exc.value.field == "<root>"
 
 
 @pytest.fixture(scope="module")

@@ -601,6 +601,27 @@ class TestEstimator:
         with pytest.raises(ConfigurationError, match=r"job 0 \(nan_start\): start"):
             simulate_path(params, NanStart(), 1.2, 1.0, dt=0.1, horizon=1.0, seed=0)
 
+    @pytest.mark.parametrize("start,match", [
+        (10**400, r"start\(1.2, 1.0\) must be finite"),
+        ("1.0", r"start\(1.2, 1.0\)='1.0' must be a real number")],
+        ids=["int_beyond_float64", "string"])
+    def test_non_real_start_rejected_before_drawing(self, setup, monkeypatch, start, match):
+        # an int beyond float64 used to escape as OverflowError, a string as TypeError
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+
+        class BadStart(NeverInstall):
+            name = "bad_start"
+
+            def start(self, x, y):
+                return start
+
+        jobs = [(ImmediateFull(), 1.0, 1.0), (BadStart(), 1.2, 1.0)]
+        with pytest.raises(ConfigurationError, match=r"^job 1 \(bad_start\): " + match):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+        with pytest.raises(ConfigurationError, match=r"^job 0 \(bad_start\): " + match):
+            simulate_path(params, BadStart(), 1.2, 1.0, dt=0.1, horizon=1.0, seed=0)
+
     def test_nan_target_names_job_and_capacity(self, setup):
         params, fb, _ = setup
         pattern = (r"job {} \(nan_target\): non-finite price state encountered; "
@@ -1268,6 +1289,31 @@ class TestDominance:
             with pytest.raises(ConfigurationError, match=r"n_paths must be >= 2"):
                 dominance_report(params, fb, vf, verification_states(fb), n_paths=n_paths,
                                  dt=0.05, horizon=20.0)
+
+    def test_report_reads_one_shot_states(self, setup):
+        # the job list used to exhaust an iterator, so the report held no
+        # state and no check, and all_passed read True
+        params, fb, vf = setup
+        kwargs = dict(n_paths=8, dt=0.1, horizon=5.0, seed=7)
+        rep = dominance_report(params, fb, vf, (s for s in verification_states(fb)), **kwargs)
+        assert len(rep["states"]) == 3 and len(rep["checks"]) == 12
+        listed = dominance_report(params, fb, vf, verification_states(fb), **kwargs)
+        assert json.dumps(rep, sort_keys=True) == json.dumps(listed, sort_keys=True)
+
+    @pytest.mark.parametrize("states,match", [
+        (None, "must be an iterable of"), (3.0, "must be an iterable of"),
+        ([(1.0,)], "must be an iterable of"), ([(1.0, 1.0, 1.0)], "must be an iterable of"),
+        ([1.0], "must be an iterable of"), ([], "at least one")],
+        ids=["none", "float", "short_pair", "triple", "bare_float", "empty"])
+    def test_report_refuses_bad_states_before_drawing(self, setup, monkeypatch, states, match):
+        params, fb, vf = setup
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulate, "_run", no_run)
+        with pytest.raises(ConfigurationError, match=match):
+            dominance_report(params, fb, vf, states, n_paths=4, dt=0.1, horizon=1.0)
 
     def test_report_structure(self, setup):
         params, fb, vf = setup

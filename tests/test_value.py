@@ -123,6 +123,15 @@ class TestValue:
         with pytest.raises(DomainError):
             vf.w(1.0, params.y_bar + 1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_refused(self, base, x):
+        # every query classifies the state first: NaN used to read as waiting,
+        # and inf gave w = inf and a NaN HJB term
+        _, _, fb, vf = base
+        for query in (fb.region, fb.lump_target, vf.w, vf.partials, vf.hjb_residual):
+            with pytest.raises(DomainError, match="must be finite"):
+                query(x, 1.0)
+
     def test_lump_never_below_capacity_just_above_boundary(self, solved):
         # right above F(y) the interpolated inverse can fall below y; w and
         # its partials must then read the waiting side at y_hit >= y
