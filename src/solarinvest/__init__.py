@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, DomainError, IntegrationError,
                      SolverError, ValidationError)
 from .fundamental import FundamentalSolution
 from .model import (ModelParams, params_from_dict, params_from_json, r_partials,
-                    r_value, table_preset, validate)
+                    r_value, table_preset)
 from .simulate import (FixedThreshold, ImmediateFull, NeverInstall,
                        OptimalReflection, PathRecord, SimulationResult,
                        dominance_report, estimate_value, estimate_value_many,
@@ -33,6 +33,6 @@ __all__ = [
     "dominance_report", "estimate_value", "estimate_value_many",
     "integrate_boundary", "ode_rhs", "params_from_dict",
     "params_from_json", "r_partials", "r_tilde", "r_value",
-    "simulate_path", "solve_x_tilde", "table_preset", "validate",
+    "simulate_path", "solve_x_tilde", "table_preset",
     "verification_states", "y_star",
 ]

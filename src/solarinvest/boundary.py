@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import CubicHermite
-from .model import ModelParams, at_capacity, check_capacity, check_same_params
+from .model import _FLOAT_MAX, ModelParams, at_capacity, check_capacity, check_same_params
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _MAX_ROOT_ITER = 100
@@ -172,7 +172,11 @@ class FreeBoundary:
     def f_inverse(self, x: float) -> float:
         """Capacity level at which price x sits exactly on the boundary."""
         eps = 1e-9 * (1.0 + abs(self.x_bar))
-        if not self.x0 - eps <= x <= self.x_bar + eps:
+        try:
+            inside = self.x0 - eps <= x <= self.x_bar + eps
+        except TypeError:
+            raise DomainError(f"f_inverse({x!r}): price must be a real number") from None
+        if not inside:
             raise DomainError(
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
         return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
@@ -180,10 +184,15 @@ class FreeBoundary:
     def _classify(self, x: float, y: float):
         """(region, F(y)) at (x, y), F(y) as ``f`` reads it below x_bar and
         None from x_bar up; at capacity only waiting applies, also where
-        x >= F(y).  A price that is not finite raises :class:`DomainError`."""
+        x >= F(y).  A price that is not a finite real number raises
+        :class:`DomainError`."""
         check_capacity(self.params, y)
-        if not -math.inf < x < math.inf:  # math.isfinite raises on an int beyond float64
-            raise DomainError(f"price x={x} must be finite")
+        try:  # math.isfinite raises on an int beyond float64, and on a str
+            finite = -_FLOAT_MAX <= x <= _FLOAT_MAX
+        except TypeError:
+            finite = False
+        if not finite:
+            raise DomainError(f"price x={x!r} must be finite")
         if x >= self.x_bar:
             return (Region.W if at_capacity(self.params, y) else Region.I2), None
         f_y = self.f(y)

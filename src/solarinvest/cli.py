@@ -44,7 +44,7 @@ EXIT_NUMERICAL = 4
 
 _TIE_TOL = 1e-9
 
-# parameters eligible for sweeps, with the boundary-shift direction the sweep
+# the parameters a sweep accepts, with the boundary-shift direction the sweep
 # reports; kappa's effect is non-monotone and is always reported as "crossing"
 SWEEP_DIRECTIONS = {
     "sigma": "increasing",
@@ -160,18 +160,17 @@ def cmd_simulate(args, params) -> int:
     states = verification_states(fb)
     report = dominance_report(params, fb, vf, states, n_paths=args.paths,
                               dt=args.dt, horizon=args.horizon, seed=args.seed)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _dump_json(report, out / "simulation_report.json")
-        policy = OptimalReflection(params, fb)
-        x0, y0 = states[0]
-        horizon = report["settings"]["horizon"]
-        for i in range(args.trace_paths):
-            rec = simulate_path(params, policy, x0, y0, dt=args.dt,
-                                horizon=horizon, seed=args.seed, path_index=i)
-            _write_csv(out / f"path_{i:04d}.csv", "t,X,Y,cum_cost",
-                       zip(rec.t, rec.x, rec.y, rec.cum_cost))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _dump_json(report, out / "simulation_report.json")
+    policy = OptimalReflection(params, fb)
+    x0, y0 = states[0]
+    horizon = report["settings"]["horizon"]
+    for i in range(args.trace_paths):
+        rec = simulate_path(params, policy, x0, y0, dt=args.dt,
+                            horizon=horizon, seed=args.seed, path_index=i)
+        _write_csv(out / f"path_{i:04d}.csv", "t,X,Y,cum_cost",
+                   zip(rec.t, rec.x, rec.y, rec.cum_cost))
     _dump_json(report)
     if not report["all_passed"]:
         failing = next(c for c in report["checks"] if not c["passed"])
@@ -182,16 +181,20 @@ def cmd_simulate(args, params) -> int:
     return EXIT_OK
 
 
+def _check_swept(name) -> None:
+    if name not in SWEEP_DIRECTIONS:
+        raise ValidationError(name, f"not a swept parameter, one of {sorted(SWEEP_DIRECTIONS)}")
+
+
 def sweep_boundaries(params, name, values, n_steps):
     """Solve the boundary for each parameter value; aborts naming the value
-    whose solve failed."""
-    if name not in model.PARAM_FIELDS:
-        raise ValidationError(name, "unknown parameter")
+    whose solve failed.  A name outside ``SWEEP_DIRECTIONS`` raises
+    :class:`ValidationError`."""
+    _check_swept(name)
     solved = []
     for v in values:
         try:
-            p = model.validate(dataclasses.replace(params, **{name: v}))
-            fs, fb = _solve(p, n_steps)
+            fs, fb = _solve(dataclasses.replace(params, **{name: v}), n_steps)
         except SolarInvestError as exc:
             exc.args = (f"sweep {name}={v}: {exc}",)
             raise
@@ -202,8 +205,10 @@ def sweep_boundaries(params, name, values, n_steps):
 def sweep_verdict(name, solved) -> dict:
     """Direction of the pointwise-in-y shift of F across consecutive values:
     increasing (decreasing) when every shift is positive (negative) at every
-    y, crossing otherwise and always for kappa.  Fewer than two solved
-    curves raise :class:`ConfigurationError`."""
+    y, crossing otherwise and always for kappa.  A name outside
+    ``SWEEP_DIRECTIONS`` raises :class:`ValidationError`, fewer than two
+    solved curves :class:`ConfigurationError`."""
+    _check_swept(name)
     if len(solved) < 2:
         raise ConfigurationError(f"sweep {name}: needs two or more curves, got {len(solved)}")
     y_lo = min(fb.params.y_bar for _, fb in solved)
@@ -226,9 +231,6 @@ def sweep_verdict(name, solved) -> dict:
 
 def cmd_sensitivity(args, params) -> int:
     name = args.param
-    if name not in SWEEP_DIRECTIONS:
-        raise ConfigurationError(
-            f"--param must be one of {sorted(SWEEP_DIRECTIONS)}, got {name!r}")
     try:
         # ascending and distinct, so the verdict reads the same for any order
         values = sorted({float(v) for v in args.values.split(",") if v.strip()})

@@ -357,12 +357,12 @@ class FundamentalSolution:
         by psi, psi''/psi = drift (mu - x) psi'/psi + rec_0, whose sign is
         not checked.  Raises :class:`NumericalError` at a z whose cell lies
         outside the float64 range."""
-        d = self._mu - x
-        zw = d * self._cell_scale
         try:
+            d = self._mu - x  # OverflowError for an int beyond float64
+            zw = d * self._cell_scale
             j = _floor(zw)
         except (ValueError, OverflowError):
-            raise NumericalError(f"psi'/psi requested at x={x}, z={d * self._scale}: "
+            raise NumericalError(f"psi'/psi requested at x={x}, whose cell in z lies "
                                  f"outside the float64 range") from None
         u = 2.0 * (zw - j) - 1.0
         log_panel, ratio_panel = _cell(self._s0, j)
@@ -426,8 +426,8 @@ class FundamentalSolution:
                 try:
                     j = floor(zw)
                 except (ValueError, OverflowError):
-                    raise NumericalError(f"psi'/psi requested at x={z_e}, z={d * scale}: "
-                                         f"outside the float64 range") from None
+                    raise NumericalError(f"psi'/psi requested at x={z_e}, whose cell in z "
+                                         f"lies outside the float64 range") from None
                 if j != jc:
                     c9, c8, c7, c6, c5, c4, c3, c2, c1, c0 = _cell(s0, j)[1]
                     jc = j

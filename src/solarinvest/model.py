@@ -13,6 +13,11 @@ never installing anything admits the closed form
               - kappa*beta*y^2/(rho*(rho+kappa)),
 
 which is linear in the price and concave quadratic in capacity.
+
+A :class:`ModelParams` checks itself when it is built: every field a finite
+float within its bounds, and the production factor ``alpha`` folded into the
+effective cost c/alpha, so every parameter set in use is valid and
+normalised.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, DomainError, ValidationError
 
@@ -37,12 +43,15 @@ TABLE_PRESET = {
     "alpha": 1.0,
 }
 
-PARAM_FIELDS = ("kappa", "mu", "sigma", "rho", "c", "beta", "y_bar", "alpha")
+# largest finite float, as a Python float: a numpy one would itself raise
+# OverflowError when compared with an int beyond float64
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Economic and dynamical constants.
+    """Economic and dynamical constants, checked and normalised at
+    construction.
 
     kappa : mean-reversion speed (1/time), > 0
     mu    : long-run price level
@@ -51,8 +60,16 @@ class ModelParams:
     c     : unit installation cost, >= 0
     beta  : permanent price impact per unit of installed power, > 0
     y_bar : maximum installable power, > 0
-    alpha : production proportionality (power -> revenue), > 0; rescaled away
-            by :func:`validate`, which folds it into an effective cost c/alpha.
+    alpha : production proportionality (power -> revenue), > 0; folded into
+            the cost at construction, which stores c/alpha and alpha = 1.
+
+    Every field must be a finite real number (``bool`` is not one, nor an
+    integer beyond the float64 range) and is stored as a float.  The
+    effective cost c/alpha must be finite too; the control problem is
+    invariant under this rescaling, so every constructor (a direct call,
+    :func:`params_from_dict`, :func:`table_preset`, ``dataclasses.replace``)
+    yields the same normalised set.  Raises :class:`ValidationError` naming
+    the first offending field in declaration order.
     """
 
     kappa: float
@@ -64,52 +81,42 @@ class ModelParams:
     y_bar: float
     alpha: float = 1.0
 
-
-def validate(params: ModelParams) -> ModelParams:
-    """Check parameter constraints and normalize the production factor.
-
-    Every field must be a finite real number (``bool`` is not one, nor an
-    integer beyond the float64 range).  Returns a new parameter set of
-    floats with the cost rescaled to c/alpha, which must be finite too, and
-    alpha set to 1; the control problem is invariant under this rescaling.
-    Raises :class:`ValidationError` naming the first offending field.
-    """
-    strict_positive = ("kappa", "sigma", "rho", "beta", "y_bar", "alpha")
-    values = {}
-    for name in PARAM_FIELDS:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(name, f"not a number: {value!r}")
-        try:
+    def __post_init__(self):
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(name, f"not a number: {value!r}")
+            # also NaN, and an int beyond float64 (as JSON reads a long
+            # literal), on which float() and math.isfinite raise
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise ValidationError(name, "must be finite")
             value = float(value)
-        except OverflowError:  # an int beyond float64, as JSON reads a long literal
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValidationError(name, "must be finite")
-        if name in strict_positive and value <= 0.0:
-            raise ValidationError(name, f"must be > 0, got {value}")
-        values[name] = value
-    if values["c"] < 0.0:
-        raise ValidationError("c", f"must be >= 0, got {values['c']}")
-    c = values["c"] / values["alpha"]
-    if not math.isfinite(c):
-        raise ValidationError("c", f"c/alpha = {values['c']}/{values['alpha']} overflows float64")
-    return ModelParams(**{**values, "c": c, "alpha": 1.0})
+            # mu is free, c >= 0 and every other field > 0
+            if name != "mu" and (value < 0.0 or value == 0.0 and name != "c"):
+                bound = ">=" if name == "c" else ">"
+                raise ValidationError(name, f"must be {bound} 0, got {value}")
+            object.__setattr__(self, name, value)
+        c = self.c / self.alpha
+        if not math.isfinite(c):
+            raise ValidationError("c", f"c/alpha = {self.c}/{self.alpha} overflows float64")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "alpha", 1.0)
 
 
 def params_from_dict(data: dict) -> ModelParams:
-    """Build validated parameters from a flat mapping (missing alpha -> 1);
-    anything but a dict (a JSON object) raises :class:`ValidationError`
-    for ``<root>``."""
+    """Build parameters from a flat mapping (missing alpha -> 1); anything
+    but a dict (a JSON object) raises :class:`ValidationError` for
+    ``<root>``, an unknown or missing key one for that key."""
     if not isinstance(data, dict):
         raise ValidationError("<root>", f"must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(PARAM_FIELDS)
+    names = {f.name for f in fields(ModelParams)}
+    unknown = set(data) - names
     if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown parameter")
-    missing = set(PARAM_FIELDS) - {"alpha"} - set(data)
+        raise ValidationError(sorted(unknown, key=str)[0], "unknown parameter")
+    missing = names - {"alpha"} - set(data)
     if missing:
         raise ValidationError(sorted(missing)[0], "missing required parameter")
-    return validate(ModelParams(**data))
+    return ModelParams(**data)
 
 
 def params_from_json(path) -> ModelParams:
@@ -119,7 +126,7 @@ def params_from_json(path) -> ModelParams:
 
 
 def table_preset(mu: float = 0.2) -> ModelParams:
-    """Validated baseline preset with the requested long-run mean."""
+    """Baseline preset with the requested long-run mean."""
     data = dict(TABLE_PRESET)
     data["mu"] = mu
     return params_from_dict(data)
@@ -136,8 +143,13 @@ def check_same_params(params: ModelParams, *built) -> None:
 
 
 def check_capacity(params: ModelParams, y: float) -> float:
-    """y clamped to [0, y_bar]; DomainError beyond a 1e-12 relative slack."""
-    if not 0.0 <= y <= params.y_bar * (1.0 + 1e-12):
+    """y clamped to [0, y_bar]; DomainError beyond a 1e-12 relative slack,
+    and for a y that is not a real number."""
+    try:
+        inside = 0.0 <= y <= params.y_bar * (1.0 + 1e-12)
+    except TypeError:
+        raise DomainError(f"installed power y={y!r} must be a real number") from None
+    if not inside:
         raise DomainError(f"installed power y={y} outside [0, {params.y_bar}]")
     return min(y, params.y_bar)
 

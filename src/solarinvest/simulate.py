@@ -168,6 +168,7 @@ class FixedThreshold(Policy):
     name = "fixed_threshold"
 
     def __init__(self, threshold: float):
+        _check_real("threshold", threshold)
         self.threshold = threshold
 
     def start(self, x, y):

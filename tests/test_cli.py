@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from solarinvest import ConfigurationError, ValidationError, cli, table_preset
+from solarinvest import (ConfigurationError, SolarInvestError, ValidationError, cli,
+                         table_preset)
 from solarinvest.cli import main
 
 MU14 = {"kappa": 0.1, "mu": 1.4, "sigma": 0.5, "rho": 0.05, "c": 0.3,
@@ -259,6 +260,17 @@ class TestSimulateCommand:
             assert lines[0] == "t,X,Y,cum_cost"
             assert len(lines) == 202
 
+    def test_empty_out_writes_into_working_directory(self, tmp_path, capsys, monkeypatch):
+        # "" is the working directory, as for boundary and sensitivity; the
+        # report and traces used to be skipped without a message
+        monkeypatch.chdir(tmp_path)
+        code = main(["--steps", "200", "--out", "", "simulate", "--paths", "20",
+                     "--dt", "0.5", "--trace-paths", "1"])
+        assert code in (0, 3)  # statistical checks are not the point here
+        report = json.loads((tmp_path / "simulation_report.json").read_text())
+        assert report == last_json(capsys)
+        assert (tmp_path / "path_0000.csv").read_text().startswith("t,X,Y,cum_cost\n")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # discount far below the supported ratio to the reversion speed makes
         # the fundamental-solution quadrature refuse, surfacing exit code 4
@@ -290,6 +302,13 @@ class TestSensitivityCommand:
     def test_unknown_param_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "sensitivity",
                      "--param", "nope", "--values", "1,2"]) == 2
+
+    def test_field_outside_sweep_table_rejected(self, tmp_path, capsys):
+        # alpha is a field, but no sweep direction is known for it
+        assert main(["--out", str(tmp_path), "sensitivity",
+                     "--param", "alpha", "--values", "1,2"]) == 2
+        assert "alpha: not a swept parameter" in capsys.readouterr().err
+        assert not (tmp_path / "sensitivity_alpha.csv").exists()
 
     def test_bad_values_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "sensitivity",
@@ -323,3 +342,16 @@ class TestSensitivityCommand:
         with pytest.raises(ValidationError) as exc:
             cli.sweep_boundaries(table_preset(0.2), "nope", [1.0], 200)
         assert exc.value.field == "nope"
+
+    def test_sweep_of_field_outside_sweep_table_names_it(self):
+        # sweep_verdict used to raise KeyError for alpha after the sweep had run
+        solved = cli.sweep_boundaries(table_preset(0.2), "sigma", [0.5, 0.6], 200)
+        for call in (lambda: cli.sweep_boundaries(table_preset(0.2), "alpha", [1.0, 2.0], 200),
+                     lambda: cli.sweep_verdict("alpha", solved)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert exc.value.field == "alpha"
+
+    def test_failed_solve_names_swept_value(self):
+        with pytest.raises(SolarInvestError, match=r"^sweep rho=0\.001: "):
+            cli.sweep_boundaries(table_preset(0.2), "rho", [0.05, 0.001], 200)

@@ -70,6 +70,11 @@ class TestCylinderD:
         with pytest.raises(DomainError):
             cylinder_d(alpha, 0.0)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_nonpositive_integral_order_rejected(self, s):
+        with pytest.raises(DomainError, match=r"order s=.* must be positive"):
+            log_weighted_integral(s, 1.0)
+
     def test_positive(self):
         for alpha in (-0.3, -1.2, -2.5):
             for z in (-4.0, 0.0, 4.0):

@@ -1,14 +1,15 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from solarinvest import (ConfigurationError, DomainError, ModelParams, OptimalReflection,
-                         ValidationError, ValueFunction, classify_regime, dominance_report,
-                         integrate_boundary, ode_rhs, params_from_dict, params_from_json,
-                         r_partials, r_value, solve_x_tilde, table_preset, validate, y_star)
+from solarinvest import (ConfigurationError, DomainError, FundamentalSolution, ModelParams,
+                         OptimalReflection, ValidationError, ValueFunction, classify_regime,
+                         dominance_report, integrate_boundary, ode_rhs, params_from_dict,
+                         params_from_json, r_partials, r_value, solve_x_tilde, table_preset,
+                         y_star)
 
 from conftest import central_diff, rel_err
 
@@ -49,6 +50,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             params_from_dict({**TABLE, "gamma": 1.0})
 
+    def test_unknown_keys_of_mixed_types_rejected(self):
+        # sorting a str and an int key used to escape as TypeError
+        with pytest.raises(ValidationError, match="unknown parameter") as exc:
+            params_from_dict({**TABLE, 1: 2.0, "zz": 3.0})
+        assert exc.value.field == 1
+
     def test_missing_key_rejected(self):
         data = dict(TABLE)
         del data["beta"]
@@ -58,7 +65,7 @@ class TestValidation:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            validate(ModelParams(**{**TABLE, "mu": math.nan}))
+            ModelParams(**{**TABLE, "mu": math.nan})
 
     @pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
     def test_integer_beyond_float_range_rejected(self, value, tmp_path):
@@ -85,6 +92,38 @@ class TestValidation:
     def test_numpy_scalars_accepted_as_floats(self):
         p = params_from_dict({**TABLE, "kappa": np.float64(0.1), "y_bar": np.int64(5)})
         assert type(p.kappa) is float and type(p.y_bar) is float and p.y_bar == 5.0
+
+    def test_direct_construction_checked_and_normalised(self):
+        # a set built directly folds alpha as params_from_dict does, and
+        # solves with the effective cost c/alpha = 0.15
+        data = {**TABLE, "mu": 1.4, "alpha": 2.0}
+        p = ModelParams(**data)
+        assert p == params_from_dict(data)
+        assert (p.c, p.alpha) == (0.15, 1.0)
+        fb = integrate_boundary(p, FundamentalSolution(p), n_steps=2000)
+        assert fb.x_tilde == 2.352738238595615
+
+    @pytest.mark.parametrize("field,value", [("c", -1.0), ("c", True), ("kappa", "0.1"),
+                                             ("mu", math.inf)])
+    def test_direct_construction_refused_naming_field(self, field, value):
+        with pytest.raises(ValidationError) as exc:
+            ModelParams(**{**TABLE, field: value})
+        assert exc.value.field == field
+
+    def test_replace_is_checked_and_keeps_the_folded_cost(self):
+        p = params_from_dict({**TABLE, "alpha": 2.0})
+        assert replace(p, mu=1.4) == params_from_dict({**TABLE, "mu": 1.4, "alpha": 2.0})
+        with pytest.raises(ValidationError) as exc:
+            replace(p, sigma=-0.5)
+        assert exc.value.field == "sigma"
+
+    def test_first_offending_field_in_declaration_order(self):
+        with pytest.raises(ValidationError) as exc:
+            ModelParams(**{**TABLE, "c": -1.0, "beta": 0.0, "kappa": math.nan})
+        assert exc.value.field == "kappa"
+        with pytest.raises(ValidationError) as exc:
+            ModelParams(**{**TABLE, "c": -1.0, "beta": 0.0})
+        assert exc.value.field == "c"
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "params.json"

@@ -836,6 +836,12 @@ class TestEstimator:
         with pytest.raises(ConfigurationError, match="jobs"):
             estimate_value_many(params, [], n_paths=4, dt=0.1, horizon=1.0)
 
+    @pytest.mark.parametrize("jobs", [None, 3.0])
+    def test_non_iterable_jobs_rejected(self, setup, jobs):
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match=r"must be an iterable of \(policy, x, y\)"):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+
     @pytest.mark.parametrize("job", [
         (NeverInstall(), 1.0), (NeverInstall(), 1.0, 1.0, 0.0), [NeverInstall(), 1.0, 1.0],
         NeverInstall(), (NeverInstall(), "1.0", 1.0), (NeverInstall(), 1.0, True),
@@ -889,6 +895,13 @@ class TestEstimator:
         assert rec.initial_lump == params.y_bar - 1.0
         rec2 = simulate_path(params, pol, 0.2, 1.0, dt=0.01, horizon=5.0, seed=2)
         assert rec2.initial_lump == 0.0
+
+    @pytest.mark.parametrize("threshold", ["1.0", None, True])
+    def test_fixed_threshold_not_real_rejected(self, threshold):
+        # refused where it is built; a str used to escape as TypeError from
+        # the first estimate
+        with pytest.raises(ConfigurationError, match="threshold=.* must be a real number"):
+            FixedThreshold(threshold)
 
     def test_immediate_full_policy(self, setup):
         params, fb, _ = setup

@@ -123,14 +123,35 @@ class TestValue:
         with pytest.raises(DomainError):
             vf.w(1.0, params.y_bar + 1.0)
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, pytest.param("1", id="str"),
+                                   pytest.param(10**400, id="int_beyond_float64")])
     def test_non_finite_price_refused(self, base, x):
         # every query classifies the state first: NaN used to read as waiting,
-        # and inf gave w = inf and a NaN HJB term
+        # and inf gave w = inf and a NaN HJB term; a str escaped as TypeError
+        # and an int beyond float64 as OverflowError
         _, _, fb, vf = base
         for query in (fb.region, fb.lump_target, vf.w, vf.partials, vf.hjb_residual):
             with pytest.raises(DomainError, match="must be finite"):
                 query(x, 1.0)
+
+    def test_non_real_state_refused(self, base):
+        # each used to escape as TypeError where the state is compared
+        params, fs, fb, vf = base
+        for query, args in ((vf.w, (1.0, "1")), (vf.a, ("1",)), (fb.f, ("1",)),
+                            (fb.f_inverse, ("1",)), (r_value, (params, 1.0, "a"))):
+            with pytest.raises(DomainError, match="must be a real number"):
+                query(*args)
+
+    def test_psi_of_int_beyond_float64_refused(self, base):
+        # used to escape as OverflowError from mu - x
+        _, fs, _, _ = base
+        with pytest.raises(NumericalError, match="outside the float64 range"):
+            fs.psi(10**400)
+
+    def test_hjb_residual_at_capacity_refused(self, base):
+        params, _, _, vf = base
+        with pytest.raises(DomainError, match="defined for y < y_bar"):
+            vf.hjb_residual(1.0, params.y_bar)
 
     def test_lump_never_below_capacity_just_above_boundary(self, solved):
         # right above F(y) the interpolated inverse can fall below y; w and
