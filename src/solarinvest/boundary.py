@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -57,7 +56,8 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .fundamental import FundamentalSolution
 from .interp import CubicHermite
-from .model import _FLOAT_MAX, ModelParams, at_capacity, check_capacity, check_same_params
+from .model import (ModelParams, at_capacity, check_capacity, check_integer, check_real,
+                    check_same_params)
 
 MIN_STEPS = 100           # coarsest RK4 grid accepted for the boundary ODE
 _MAX_ROOT_ITER = 100
@@ -170,13 +170,12 @@ class FreeBoundary:
         return np.asarray(self._f_itp(np.clip(y_arr, 0.0, self.params.y_bar)))
 
     def f_inverse(self, x: float) -> float:
-        """Capacity level at which price x sits exactly on the boundary."""
+        """Capacity level at which price x sits exactly on the boundary;
+        :class:`DomainError` outside the boundary's range and for an x that
+        ``model.check_real`` refuses."""
+        x = check_real("price x", x, DomainError)
         eps = 1e-9 * (1.0 + abs(self.x_bar))
-        try:
-            inside = self.x0 - eps <= x <= self.x_bar + eps
-        except TypeError:
-            raise DomainError(f"f_inverse({x!r}): price must be a real number") from None
-        if not inside:
+        if not self.x0 - eps <= x <= self.x_bar + eps:
             raise DomainError(
                 f"f_inverse({x}) outside boundary range [{self.x0}, {self.x_bar}]")
         return float(self._finv_itp(min(max(x, self.x0), self.x_bar)))
@@ -184,14 +183,11 @@ class FreeBoundary:
     def _classify(self, x: float, y: float):
         """(region, F(y)) at (x, y), F(y) as ``f`` reads it below x_bar and
         None from x_bar up; at capacity only waiting applies, also where
-        x >= F(y).  A price that is not a finite real number raises
+        x >= F(y).  A state that ``model.check_capacity`` refuses, and a
+        price that ``model.check_real`` refuses or that is not finite, raise
         :class:`DomainError`."""
         check_capacity(self.params, y)
-        try:  # math.isfinite raises on an int beyond float64, and on a str
-            finite = -_FLOAT_MAX <= x <= _FLOAT_MAX
-        except TypeError:
-            finite = False
-        if not finite:
+        if not math.isfinite(check_real("price x", x, DomainError)):
             raise DomainError(f"price x={x!r} must be finite")
         if x >= self.x_bar:
             return (Region.W if at_capacity(self.params, y) else Region.I2), None
@@ -234,9 +230,8 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     ``n_steps`` is an integer (not a bool) from ``MIN_STEPS`` to
     :func:`max_steps`.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-        raise DomainError(f"n_steps={n_steps!r} must be an integer")
-    n_steps = int(n_steps)  # a numpy integer would make h and every stage a numpy scalar
+    # an int: a numpy integer would make h and every stage a numpy scalar
+    n_steps = check_integer("n_steps", n_steps, DomainError)
     if n_steps < MIN_STEPS:
         raise DomainError(f"n_steps={n_steps} too coarse; need >= {MIN_STEPS}")
     if n_steps > max_steps():

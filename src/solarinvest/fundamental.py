@@ -79,7 +79,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, IntegrationError, NumericalError
-from .model import ModelParams
+from .model import ModelParams, check_real
 
 _LOG2 = math.log(2.0)
 _REL_TOL = 1e-12     # agreement of successive levels' logs that ends doubling
@@ -355,11 +355,12 @@ class FundamentalSolution:
         one Horner expression per panel, psi'/psi = (sqrt(2 kappa)/sigma)
         I_{s0+1}/I_{s0}, and one step of the generator recurrence divided
         by psi, psi''/psi = drift (mu - x) psi'/psi + rec_0, whose sign is
-        not checked.  Raises :class:`NumericalError` at a z whose cell lies
-        outside the float64 range."""
+        not checked.  Raises :class:`DomainError` for an x that
+        ``model.check_real`` refuses, and :class:`NumericalError` at a z
+        whose cell lies outside the float64 range (NaN and +-inf included)."""
+        d = self._mu - check_real("x", x, DomainError)
+        zw = d * self._cell_scale
         try:
-            d = self._mu - x  # OverflowError for an int beyond float64
-            zw = d * self._cell_scale
             j = _floor(zw)
         except (ValueError, OverflowError):
             raise NumericalError(f"psi'/psi requested at x={x}, whose cell in z lies "

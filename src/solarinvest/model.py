@@ -18,6 +18,12 @@ A :class:`ModelParams` checks itself when it is built: every field a finite
 float within its bounds, and the production factor ``alpha`` folded into the
 effective cost c/alpha, so every parameter set in use is valid and
 normalised.
+
+Every other scalar a public call takes (a price, a capacity, a step count,
+a Monte Carlo setting) is typed by one rule, :func:`check_real` or
+:func:`check_integer`: a real number (an integer) that is not a ``bool``
+and, if real, that float64 can hold, refused with the caller's error type
+otherwise.  NaN and +-inf pass, for the caller's own finiteness test.
 """
 
 from __future__ import annotations
@@ -142,16 +148,35 @@ def check_same_params(params: ModelParams, *built) -> None:
                 f"{type(obj).__name__} was built for {obj.params}, not for {params}")
 
 
-def check_capacity(params: ModelParams, y: float) -> float:
-    """y clamped to [0, y_bar]; DomainError beyond a 1e-12 relative slack,
-    and for a y that is not a real number."""
+def check_real(name: str, value, error) -> float:
+    """``value`` as a float; ``error`` naming ``name`` unless it is a real
+    number, not a ``bool``, that float64 can hold.  NaN and +-inf pass."""
+    if type(value) is float:  # the query path: no ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name}={value!r} must be a real number")
     try:
-        inside = 0.0 <= y <= params.y_bar * (1.0 + 1e-12)
-    except TypeError:
-        raise DomainError(f"installed power y={y!r} must be a real number") from None
-    if not inside:
-        raise DomainError(f"installed power y={y} outside [0, {params.y_bar}]")
-    return min(y, params.y_bar)
+        return float(value)
+    except OverflowError:  # an int beyond float64, where math.isfinite raises too
+        raise error(f"{name} must be finite, got {value}") from None
+
+
+def check_integer(name: str, value, error) -> int:
+    """``value`` as an int; ``error`` naming ``name`` unless it is an
+    integer, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name}={value!r} must be an integer")
+    return int(value)
+
+
+def check_capacity(params: ModelParams, y: float) -> float:
+    """y as a float clamped to [0, y_bar]; DomainError for a y that
+    :func:`check_real` refuses, NaN, or one beyond a 1e-12 relative slack."""
+    y = check_real("installed power y", y, DomainError)
+    y_bar = params.y_bar  # one attribute read and no min(): a query checks ~10 capacities
+    if not 0.0 <= y <= y_bar * (1.0 + 1e-12):
+        raise DomainError(f"installed power y={y} outside [0, {y_bar}]")
+    return y_bar if y > y_bar else y
 
 
 def at_capacity(params: ModelParams, y):
@@ -161,7 +186,9 @@ def at_capacity(params: ModelParams, y):
 
 
 def r_value(params: ModelParams, x: float, y: float) -> float:
-    """Expected discounted profit of the never-install strategy from (x, y)."""
+    """Expected discounted profit of the never-install strategy from (x, y);
+    the price may be NaN or infinite."""
+    check_real("price x", x, DomainError)
     check_capacity(params, y)
     rk = params.rho + params.kappa
     return (
@@ -172,7 +199,10 @@ def r_value(params: ModelParams, x: float, y: float) -> float:
 
 
 def r_partials(params: ModelParams, x: float, y: float):
-    """Closed-form partials (R_y, R_xy, R_x) of the no-installation payoff."""
+    """Closed-form partials (R_y, R_xy, R_x) of the no-installation payoff;
+    the arguments are checked as by :func:`r_value`."""
+    check_real("price x", x, DomainError)
+    check_capacity(params, y)
     rk = params.rho + params.kappa
     r_y = (
         x / rk

@@ -45,13 +45,14 @@ horizon is chunked changes no value).  It shares with the kernel one
 function for the step constants and one for the installation step (the
 clamp to [current capacity, y_bar] and the threshold read there), which
 also installs at t=0, and so reproduces its estimator path bit for bit.
-Both check their jobs with the same helpers.
+Both check their jobs with the same helpers, which type every state and
+setting by ``model``'s one scalar rule (``check_real``, ``check_integer``)
+and refuse it with :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -61,7 +62,8 @@ import numpy as np
 
 from .boundary import FreeBoundary, physical_memory_bytes
 from .errors import ConfigurationError, SimulationError
-from .model import ModelParams, at_capacity, check_same_params, r_value
+from .model import (ModelParams, at_capacity, check_integer, check_real, check_same_params,
+                    r_value)
 from .value import ValueFunction
 
 _PATH_BATCH = 4096  # most paths per _run call: a run's working set does not grow with n_paths
@@ -163,13 +165,14 @@ class OptimalReflection(Policy):
 
 class FixedThreshold(Policy):
     """Install the full remaining capacity the first time the price
-    reaches ``threshold``."""
+    reaches ``threshold``: a real number, stored as a float, or
+    :class:`ConfigurationError`.  +inf never installs; a run refuses a NaN
+    threshold at t = 0."""
 
     name = "fixed_threshold"
 
     def __init__(self, threshold: float):
-        _check_real("threshold", threshold)
-        self.threshold = threshold
+        self.threshold = check_real("threshold", threshold, ConfigurationError)
 
     def start(self, x, y):
         return math.inf if x >= self.threshold else y
@@ -372,15 +375,15 @@ def _check_jobs(params, jobs):
         policy, x0, y0 = job
         if not isinstance(policy, Policy):
             raise ConfigurationError(f"job {j}: policy {policy!r} is not a Policy")
-        _check_real(f"job {j} ({policy.name}): x", x0)
-        _check_real(f"job {j} ({policy.name}): y", y0)
+        check_real(f"job {j} ({policy.name}): x", x0, ConfigurationError)
+        check_real(f"job {j} ({policy.name}): y", y0, ConfigurationError)
         if not math.isfinite(x0):
             raise ConfigurationError(f"job {j} ({policy.name}): x must be finite, got {x0}")
         if not 0.0 <= y0 <= p.y_bar:
             raise ConfigurationError(
                 f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
         starts.append(policy.start(x0, y0))
-        _check_real(f"job {j} ({policy.name}): start({x0}, {y0})", starts[-1])
+        check_real(f"job {j} ({policy.name}): start({x0}, {y0})", starts[-1], ConfigurationError)
         if math.isnan(starts[-1]):
             raise ConfigurationError(
                 f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
@@ -510,7 +513,7 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     """
     p = params
     n_steps = _check_mc_config(1, dt, horizon, seed)
-    _check_integer("path_index", path_index)
+    check_integer("path_index", path_index, ConfigurationError)
     if not 0 <= path_index < 2**192:
         raise ConfigurationError(f"path_index must lie in [0, 2**192), got {path_index!r}")
     (lump,), (thr,) = _check_jobs(p, [(policy, x, y)])
@@ -571,20 +574,6 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
         max_overshoot=max(over, 0.0) if math.isfinite(over) else 0.0)
 
 
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name}={value!r} must be an integer")
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name}={value!r} must be a real number")
-    try:
-        float(value)
-    except OverflowError:  # an int beyond float64, where math.isfinite raises too
-        raise ConfigurationError(f"{name} must be finite, got {value}") from None
-
-
 def _mean_se(values):
     """Mean of ``values`` and its standard error (0 for a single value)."""
     se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -593,11 +582,11 @@ def _mean_se(values):
 
 def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     """Validate Monte Carlo settings; return the number of time steps."""
-    _check_integer("n_paths", n_paths)
+    check_integer("n_paths", n_paths, ConfigurationError)
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    _check_real("dt", dt)
-    _check_real("horizon", horizon)
+    check_real("dt", dt, ConfigurationError)
+    check_real("horizon", horizon, ConfigurationError)
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if not math.isfinite(horizon):
@@ -605,7 +594,7 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     if not horizon > dt:
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
     # Philox would truncate a float key, so 1.5 or True would share seed 1's streams
-    _check_integer("seed", seed)
+    check_integer("seed", seed, ConfigurationError)
     if not 0 <= seed < 2**128:
         raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
     ratio = horizon / dt
@@ -729,7 +718,7 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     :class:`ConfigurationError` before anything is drawn.
     """
     check_same_params(params, fb, vf)
-    _check_integer("n_paths", n_paths)
+    check_integer("n_paths", n_paths, ConfigurationError)
     if n_paths < 2:
         raise ConfigurationError(
             f"n_paths must be >= 2 for the paired standard errors, got {n_paths}")

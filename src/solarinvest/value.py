@@ -167,7 +167,7 @@ class ValueFunction:
     def hjb_residual(self, x: float, y: float):
         """(pde_term, gradient_term) of the variational inequality at (x, y)."""
         p = self.params
-        if y >= p.y_bar:
+        if check_capacity(p, y) >= p.y_bar:
             raise DomainError("HJB residual defined for y < y_bar")
         y_hit, psi_term, (w_x, w_xx, w_y) = self._partials(x, y)
         # ``w``'s value: psi_term is A(y_hit) psi as ``w`` forms it, bit for bit

@@ -212,6 +212,12 @@ class TestPartials:
                     lambda t: r_partials(p, t, float(y))[0], float(x), 1e-6)
                 assert rel_err(r_xy, fd_xy) < 1e-6
 
+    def test_out_of_range_capacity(self, params):
+        # r_partials used to answer beyond y_bar, where r_value refuses
+        for y in (params.y_bar + 0.5, -0.1):
+            with pytest.raises(DomainError, match="outside"):
+                r_partials(params, 1.0, y)
+
 
 
 # each takes the (params, fs, fb, vf) of one solve and reads the slots it names
