@@ -127,7 +127,7 @@ def solve_x_tilde(params: ModelParams, fs: FundamentalSolution) -> float:
                       f"Newton steps; last step {step:.3e} at x = {x}")
 
 
-# perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
+# perfbench/tracing.py patches this by name: it stays until ROADMAP item 10
 def ode_rhs(params: ModelParams, fs: FundamentalSolution, y: float, z: float) -> float:
     """Right-hand side beta*N/D of the boundary ODE in shifted coordinates:
     the slope the solve records on the one-node grid (y, z), which is one
@@ -231,9 +231,7 @@ def integrate_boundary(params: ModelParams, fs: FundamentalSolution,
     :func:`max_steps`.
     """
     # an int: a numpy integer would make h and every stage a numpy scalar
-    n_steps = check_integer("n_steps", n_steps, DomainError)
-    if n_steps < MIN_STEPS:
-        raise DomainError(f"n_steps={n_steps} too coarse; need >= {MIN_STEPS}")
+    n_steps = check_integer("n_steps", n_steps, DomainError, MIN_STEPS)
     if n_steps > max_steps():
         raise DomainError(
             f"n_steps={n_steps} needs about {_NODE_BYTES * (n_steps + 1)} bytes, more than "

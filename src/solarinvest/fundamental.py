@@ -476,7 +476,7 @@ class FundamentalSolution:
 
         return rk4
 
-    # perfbench/tracing.py patches this by name: it stays until ROADMAP item 5
+    # perfbench/tracing.py patches this by name: it stays until ROADMAP item 10
     def log_psi_deriv(self, k: int, x: float) -> float:
         """log psi^(k)(x) from one quadrature call on the differentiated
         integral; builds no panel."""

@@ -22,8 +22,13 @@ normalised.
 Every other scalar a public call takes (a price, a capacity, a step count,
 a Monte Carlo setting) is typed by one rule, :func:`check_real` or
 :func:`check_integer`: a real number (an integer) that is not a ``bool``
-and, if real, that float64 can hold, refused with the caller's error type
-otherwise.  NaN and +-inf pass, for the caller's own finiteness test.
+and that float64 can hold, refused with the caller's error type otherwise.
+NaN and +-inf pass, for the caller's own finiteness test.  An integer
+setting's range is checked there too, ``lo <= value < hi``.  Each returns
+the Python ``float`` (``int``) it checked, and callers compute with that,
+so a numpy scalar neither changes a result's precision nor reaches a
+report.  A refusal never prints the digits of a number beyond float64,
+which Python refuses to print beyond 4300 digits.
 """
 
 from __future__ import annotations
@@ -158,15 +163,25 @@ def check_real(name: str, value, error) -> float:
     try:
         return float(value)
     except OverflowError:  # an int beyond float64, where math.isfinite raises too
-        raise error(f"{name} must be finite, got {value}") from None
+        # not its digits: Python refuses to print an int of more than 4300 digits
+        raise error(f"{name} must be finite, got a number beyond the float64 range") from None
 
 
-def check_integer(name: str, value, error) -> int:
+def check_integer(name: str, value, error, lo: int, hi: int | None = None) -> int:
     """``value`` as an int; ``error`` naming ``name`` unless it is an
-    integer, not a ``bool``."""
+    integer, not a ``bool``, that float64 can hold (:func:`check_real`),
+    with ``lo <= value`` and, given ``hi``, ``value < hi``.  A power-of-two
+    ``hi`` is named as ``2**k``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name}={value!r} must be an integer")
-    return int(value)
+    value = int(value)
+    check_real(name, value, error)
+    if hi is None and value < lo:
+        raise error(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and not lo <= value < hi:
+        bound = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
+        raise error(f"{name} must lie in [{lo}, {bound}), got {value}")
+    return value
 
 
 def check_capacity(params: ModelParams, y: float) -> float:
@@ -188,7 +203,7 @@ def at_capacity(params: ModelParams, y):
 def r_value(params: ModelParams, x: float, y: float) -> float:
     """Expected discounted profit of the never-install strategy from (x, y);
     the price may be NaN or infinite."""
-    check_real("price x", x, DomainError)
+    x, y = check_real("price x", x, DomainError), check_real("installed power y", y, DomainError)
     check_capacity(params, y)
     rk = params.rho + params.kappa
     return (
@@ -201,7 +216,7 @@ def r_value(params: ModelParams, x: float, y: float) -> float:
 def r_partials(params: ModelParams, x: float, y: float):
     """Closed-form partials (R_y, R_xy, R_x) of the no-installation payoff;
     the arguments are checked as by :func:`r_value`."""
-    check_real("price x", x, DomainError)
+    x, y = check_real("price x", x, DomainError), check_real("installed power y", y, DomainError)
     check_capacity(params, y)
     rk = params.rho + params.kappa
     r_y = (

@@ -45,9 +45,15 @@ horizon is chunked changes no value).  It shares with the kernel one
 function for the step constants and one for the installation step (the
 clamp to [current capacity, y_bar] and the threshold read there), which
 also installs at t=0, and so reproduces its estimator path bit for bit.
-Both check their jobs with the same helpers, which type every state and
-setting by ``model``'s one scalar rule (``check_real``, ``check_integer``)
-and refuse it with :class:`ConfigurationError`.
+
+A run is admitted once, before anything is allocated or drawn: its
+settings by :func:`_check_mc_config`, which types and range-checks each by
+``model``'s one scalar rule (``check_real``, ``check_integer``) and returns
+the Python numbers the run then computes and reports with, and its jobs
+by :func:`_check_jobs`, once per run, each job judged whole in job order,
+before the memory guard.  Both refuse with :class:`ConfigurationError`.
+The kernel (:func:`_run`) only steps, and hands back its results in job
+order, whatever order it steps its rows in.
 """
 
 from __future__ import annotations
@@ -362,73 +368,75 @@ def _check_jobs(params, jobs):
     """Refuse an impossible (policy, x, y) job before any draw; return each
     job's t = 0 installation and the threshold at the level it installs to.
 
-    Every start is checked to be a real number that is not NaN (``math.inf``
-    fills capacity) before any ``boundary_at`` is read.  A NaN
-    threshold would switch its job off silently, since no price exceeds
-    it, so one at t = 0 is refused here.
+    Each job is judged whole, in job order, before the next, so a refusal
+    names the first bad job: its form, its state (typed by ``model``'s
+    scalar rule, the price finite, the capacity in [0, y_bar]), its start
+    (a real number that is not NaN; ``math.inf`` fills capacity), and the
+    threshold at the level it installs to.  A NaN threshold would switch
+    its job off silently, since no price exceeds it, so one at t = 0 is
+    refused here.  ``start`` sees the state as the Python floats checked.
     """
     p = params
-    starts = []
+    lumps, thresholds = [], []
     for j, job in enumerate(jobs):
         if not (isinstance(job, tuple) and len(job) == 3):
             raise ConfigurationError(f"job {j}: {job!r} is not a (policy, x, y) tuple")
         policy, x0, y0 = job
         if not isinstance(policy, Policy):
             raise ConfigurationError(f"job {j}: policy {policy!r} is not a Policy")
-        check_real(f"job {j} ({policy.name}): x", x0, ConfigurationError)
-        check_real(f"job {j} ({policy.name}): y", y0, ConfigurationError)
+        name = f"job {j} ({policy.name})"
+        x0 = check_real(f"{name}: x", x0, ConfigurationError)
+        y0 = check_real(f"{name}: y", y0, ConfigurationError)
         if not math.isfinite(x0):
-            raise ConfigurationError(f"job {j} ({policy.name}): x must be finite, got {x0}")
+            raise ConfigurationError(f"{name}: x must be finite, got {x0}")
         if not 0.0 <= y0 <= p.y_bar:
-            raise ConfigurationError(
-                f"job {j} ({policy.name}): y must lie in [0, y_bar = {p.y_bar}], got {y0}")
-        starts.append(policy.start(x0, y0))
-        check_real(f"job {j} ({policy.name}): start({x0}, {y0})", starts[-1], ConfigurationError)
-        if math.isnan(starts[-1]):
-            raise ConfigurationError(
-                f"job {j} ({policy.name}): start({x0}, {y0}) returned NaN capacity")
-    lumps, thresholds = [], []
-    for j, ((policy, _, y0), start) in enumerate(zip(jobs, starts)):
-        lvl, thr = (a.item() for a in _install(p, policy, np.array([float(y0)]), start))
+            raise ConfigurationError(f"{name}: y must lie in [0, y_bar = {p.y_bar}], got {y0}")
+        start = check_real(f"{name}: start({x0}, {y0})", policy.start(x0, y0),
+                           ConfigurationError)
+        if math.isnan(start):
+            raise ConfigurationError(f"{name}: start({x0}, {y0}) returned NaN capacity")
+        lvl, thr = (a.item() for a in _install(p, policy, np.array([y0]), start))
         if math.isnan(thr):
-            raise ConfigurationError(
-                f"job {j} ({policy.name}): boundary_at({lvl}) returned NaN at t = 0")
-        lumps.append(float(lvl - y0))
+            raise ConfigurationError(f"{name}: boundary_at({lvl}) returned NaN at t = 0")
+        lumps.append(lvl - y0)
         thresholds.append(thr)
     return lumps, thresholds
 
 
-def _check_end(jobs, x, y, thr, back):
+def _check_end(jobs, x, y, thr):
     """Refuse a finished run, naming the first job whose price is not finite
-    or whose threshold is NaN; ``x``, ``y`` and ``thr`` hold job j in row
-    ``back[j]``, and each test reduces a row to one value (min and max pass NaN).
+    or whose threshold is NaN.  ``x``, ``y`` and ``thr`` hold one row per
+    job, in job order (a (job, path) array, or a list of row views), and
+    each test reduces a row to one value (min and max pass NaN).
 
     A NaN threshold set by a crossing is never replaced, since no later
     price exceeds it, so checking once after the last step finds it.
     """
-    finite = (np.isfinite(x.min(axis=1)) & np.isfinite(x.max(axis=1)))[back]
-    if not finite.all():
-        j = int(np.argmin(finite))
-        nan_cap = "NaN" if np.isnan(y[back[j]]).any() else "not NaN"
-        raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
-                              f"encountered; its capacity is {nan_cap}")
-    stuck = np.isnan(thr.max(axis=1))[back]
-    if stuck.any():
-        j = int(np.argmax(stuck))
-        row = back[j]
-        lvl = float(y[row][np.isnan(thr[row])][0])
-        raise SimulationError(
-            f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
-            "installation, so the policy stopped acting")
+    for j, row in enumerate(x):
+        if not (math.isfinite(row.min()) and math.isfinite(row.max())):
+            nan_cap = "NaN" if np.isnan(y[j]).any() else "not NaN"
+            raise SimulationError(f"job {j} ({jobs[j][0].name}): non-finite price state "
+                                  f"encountered; its capacity is {nan_cap}")
+    for j, row in enumerate(thr):
+        if math.isnan(row.max()):
+            lvl = float(y[j][np.isnan(row)][0])
+            raise SimulationError(
+                f"job {j} ({jobs[j][0].name}): boundary_at({lvl}) returned NaN after an "
+                "installation, so the policy stopped acting")
 
 
-def _run(params, jobs, dt, n_steps, seed, indices):
-    """Advance every (policy, x, y) job through one shared noise stream.
+def _run(params, jobs, lumps, thresholds, dt, n_steps, seed, indices):
+    """Advance every (policy, x, y) job through one shared noise stream;
+    return its (payoffs, installed capacity, first install time) as
+    (job, path) arrays, in job order, over the paths ``indices``.
 
-    Jobs are stacked as rows of (job, path) arrays, ordered so that each
-    policy object owns a contiguous block; every row sees the same draws
-    (common random numbers) and the same float operations, so a job's
-    payoffs are bit-identical whether it runs alone or in a batch.
+    The jobs, their t = 0 ``lumps`` and ``thresholds`` and the settings
+    come checked (:func:`_check_jobs`, :func:`_check_mc_config`): the
+    kernel only steps.  Jobs are stacked as rows of (job, path) arrays,
+    ordered so that each policy object owns a contiguous block; that order
+    stays inside this function.  Every row sees the same draws (common
+    random numbers) and the same float operations, so a job's payoffs are
+    bit-identical whether it runs alone or in a batch.
     :func:`simulate_path` takes its step constants from
     :func:`_step_constants` and its installations from :func:`_install`, as
     this kernel does, so a traced path equals its row here bit for bit.
@@ -437,7 +445,6 @@ def _run(params, jobs, dt, n_steps, seed, indices):
     block plus the price recursion.
     """
     p = params
-    lumps, thresholds = _check_jobs(p, jobs)
     blocks = {}
     for i, (policy, _, _) in enumerate(jobs):
         blocks.setdefault(id(policy), (policy, []))[1].append(i)
@@ -492,9 +499,14 @@ def _run(params, jobs, dt, n_steps, seed, indices):
             x += z
             disc *= disc_step
             step += 1
-    _check_end(jobs, x, y, thr, back)
-    return {"rows": back, "payoffs": pay, "lumps": lumps, "y_start": y_start, "y": y,
-            "first_install_time": first}
+    # each job's rows as views, in job order: no state array is copied to check them
+    _check_end(jobs, *([a[r] for r in back] for a in (x, y, thr)))
+    y -= y_start
+    # reordered into three arrays the run is done with, unbuffered (every
+    # row index is valid): copies would add to a peak the noise chunks
+    # still hold
+    return tuple(np.take(a, back, axis=0, out=spare, mode="clip")
+                 for a, spare in ((pay, tmp), (y, x), (first, adds)))
 
 
 def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
@@ -512,11 +524,10 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     over the policy's threshold (0 when the threshold is never finite).
     """
     p = params
-    n_steps = _check_mc_config(1, dt, horizon, seed)
-    check_integer("path_index", path_index, ConfigurationError)
-    if not 0 <= path_index < 2**192:
-        raise ConfigurationError(f"path_index must lie in [0, 2**192), got {path_index!r}")
+    _, dt, seed, n_steps = _check_mc_config(1, dt, horizon, seed)
+    path_index = check_integer("path_index", path_index, ConfigurationError, 0, 2**192)
     (lump,), (thr,) = _check_jobs(p, [(policy, x, y)])
+    x, y = float(x), float(y)  # as checked
     # the record is t, x, y and cum_cost; under overcommit one beyond
     # physical memory is allocated anyway and the loop then pages without
     # end, so refuse it first
@@ -530,7 +541,7 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     x_rec = np.empty(n_rec)
     y_rec = np.empty(n_rec)
 
-    xt, yt = float(x), float(y) + lump
+    xt, yt = x, y + lump
     pay = -p.c * lump
     first = 0.0 if lump > 0.0 else math.nan
     disc_step, rev_weight, kdt, decay, scale = _step_constants(p, dt)
@@ -564,7 +575,7 @@ def simulate_path(params: ModelParams, policy: Policy, x: float, y: float,
     x_rec[n_steps] = xt
     y_rec[n_steps] = yt
     _check_end([(policy, x, y)], x_rec[None, n_steps:], y_rec[None, n_steps:],
-               np.array([[thr]]), [0])
+               np.array([[thr]]))
     t = np.linspace(0.0, n_steps * dt, n_rec)
     cum_cost = y_rec - y
     cum_cost *= p.c
@@ -580,13 +591,13 @@ def _mean_se(values):
     return float(np.mean(values)), se
 
 
-def _check_mc_config(n_paths, dt, horizon, seed) -> int:
-    """Validate Monte Carlo settings; return the number of time steps."""
-    check_integer("n_paths", n_paths, ConfigurationError)
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    check_real("dt", dt, ConfigurationError)
-    check_real("horizon", horizon, ConfigurationError)
+def _check_mc_config(n_paths, dt, horizon, seed):
+    """Check Monte Carlo settings by ``model``'s scalar rule; return the
+    checked ``(n_paths, dt, seed, n_steps)`` as Python numbers, which the
+    caller computes and reports with."""
+    n_paths = check_integer("n_paths", n_paths, ConfigurationError, 1)
+    dt = check_real("dt", dt, ConfigurationError)
+    horizon = check_real("horizon", horizon, ConfigurationError)
     if not dt > 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if not math.isfinite(horizon):
@@ -594,15 +605,13 @@ def _check_mc_config(n_paths, dt, horizon, seed) -> int:
     if not horizon > dt:
         raise ConfigurationError(f"horizon {horizon} must exceed dt {dt}")
     # Philox would truncate a float key, so 1.5 or True would share seed 1's streams
-    check_integer("seed", seed, ConfigurationError)
-    if not 0 <= seed < 2**128:
-        raise ConfigurationError(f"seed must lie in [0, 2**128), got {seed}")
+    seed = check_integer("seed", seed, ConfigurationError, 0, 2**128)
     ratio = horizon / dt
     if not ratio < 2.0**64:  # the Philox counters a path's stream owns
         raise ConfigurationError(
             f"horizon {horizon} / dt {dt} = {ratio} steps; a path's stream holds "
             "fewer than 2**64")
-    return int(round(ratio))
+    return n_paths, dt, seed, int(round(ratio))
 
 
 def _check_run_memory(jobs, n_paths: int, n_steps: int) -> None:
@@ -618,8 +627,7 @@ def _check_run_memory(jobs, n_paths: int, n_steps: int) -> None:
     nb = min(n_paths, _PATH_BATCH)
     chunk = _chunk_size(nb, n_steps)
     batch = (_BATCH_ARRAYS * len(jobs) + min(2, -(-n_steps // chunk)) * chunk) * nb
-    # in Python integers: a numpy n_paths would wrap around int64
-    run_bytes = (3 * len(jobs) * int(n_paths) + batch) * np.dtype(float).itemsize + _FEED_BYTES
+    run_bytes = (3 * len(jobs) * n_paths + batch) * np.dtype(float).itemsize + _FEED_BYTES
     phys_bytes = physical_memory_bytes()
     if run_bytes > phys_bytes:
         raise ConfigurationError(
@@ -654,7 +662,7 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
     p = params
     if horizon is None:
         horizon = 10.0 / p.rho
-    n_steps = _check_mc_config(n_paths, dt, horizon, seed)
+    n_paths, dt, seed, n_steps = _check_mc_config(n_paths, dt, horizon, seed)
     horizon = n_steps * dt  # the horizon simulated
     try:
         jobs = list(jobs)
@@ -663,22 +671,20 @@ def estimate_value_many(params: ModelParams, jobs, n_paths: int, dt: float,
             f"jobs={jobs!r} must be an iterable of (policy, x, y) tuples") from None
     if not jobs:
         raise ConfigurationError("jobs must hold at least one (policy, x, y)")
+    lumps, thresholds = _check_jobs(p, jobs)  # once per run, before any batch
     _check_run_memory(jobs, n_paths, n_steps)
     pays, installed, firsts = (np.empty((len(jobs), n_paths)) for _ in range(3))
     for lo in range(0, n_paths, _PATH_BATCH):
-        out = _run(params, jobs, dt, n_steps, seed, range(lo, min(lo + _PATH_BATCH, n_paths)))
-        rows, batch, lumps = out["rows"], slice(lo, lo + _PATH_BATCH), out["lumps"]
-        pays[:, batch] = out["payoffs"][rows]  # job j's payoffs are row rows[j] of the batch
-        installed[:, batch] = (out["y"] - out["y_start"])[rows]
-        firsts[:, batch] = out["first_install_time"][rows]
-        del out  # no two batches are held at once
+        hi = min(lo + _PATH_BATCH, n_paths)
+        pays[:, lo:hi], installed[:, lo:hi], firsts[:, lo:hi] = _run(
+            p, jobs, lumps, thresholds, dt, n_steps, seed, range(lo, hi))
     results = []
     for (_, x, _), lump, pay, inst, first in zip(jobs, lumps, pays, installed, firsts):
         estimate, std_error = _mean_se(pay)
         frac = float(np.mean(inst > 0.0))
         results.append(SimulationResult(
             estimate=estimate, std_error=std_error, n_paths=n_paths, dt=dt,
-            horizon=horizon, discount_tail_bound=discount_tail_bound(p, x, horizon),
+            horizon=horizon, discount_tail_bound=discount_tail_bound(p, float(x), horizon),
             initial_lump=lump, mean_total_installed=float(np.mean(inst)),
             fraction_installing=frac,
             mean_first_install_time=float(np.nanmean(first)) if frac > 0 else math.nan,
@@ -718,10 +724,7 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     :class:`ConfigurationError` before anything is drawn.
     """
     check_same_params(params, fb, vf)
-    check_integer("n_paths", n_paths, ConfigurationError)
-    if n_paths < 2:
-        raise ConfigurationError(
-            f"n_paths must be >= 2 for the paired standard errors, got {n_paths}")
+    n_paths = check_integer("n_paths", n_paths, ConfigurationError, 2)
     try:
         states = [(x, y) for x, y in states]
     except (TypeError, ValueError):
@@ -731,7 +734,9 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
     jobs = [(policy, x, y) for x, y in states for policy in policies]
     all_results = estimate_value_many(params, jobs, n_paths, dt, horizon,
                                       seed=seed, keep_payoffs=True)
-    allowance = 2.0 * math.sqrt(dt)  # dt is checked by now
+    # the settings as the run checked and used them: Python numbers
+    dt, horizon, seed = all_results[0].dt, all_results[0].horizon, int(seed)
+    allowance = 2.0 * math.sqrt(dt)
     rows = []
     checks = []
     for i, (x, y) in enumerate(states):
@@ -767,7 +772,7 @@ def dominance_report(params: ModelParams, fb: FreeBoundary, vf: ValueFunction,
                            "passed": bool(abs(gap) <= tol if two_sided else gap >= -tol),
                            "gap": gap, "tolerance": tol})
     return {
-        "settings": {"n_paths": n_paths, "dt": dt, "horizon": all_results[0].horizon,
+        "settings": {"n_paths": n_paths, "dt": dt, "horizon": horizon,
                      "seed": seed, "dt_bias_allowance": allowance},
         "states": rows,
         "checks": checks,

@@ -65,7 +65,15 @@ from .boundary import FreeBoundary, r_tilde, y_star
 from .errors import DomainError, NumericalError
 from .fundamental import FundamentalSolution, checked_exp
 from .interp import CubicHermite
-from .model import ModelParams, check_capacity, check_same_params, r_partials, r_value
+from .model import (ModelParams, check_capacity, check_real, check_same_params, r_partials,
+                    r_value)
+
+
+def _state(x, y):
+    """(x, y) as the floats ``model``'s scalar rule returns, y first as the
+    classification checks it: a public entry computes with these."""
+    y = check_real("installed power y", y, DomainError)
+    return check_real("price x", x, DomainError), y
 
 
 class ValueFunction:
@@ -130,6 +138,7 @@ class ValueFunction:
     def w(self, x: float, y: float) -> float:
         """Value of optimally installing from state (x, y)."""
         p = self.params
+        x, y = _state(x, y)
         y_hit = self.fb.lump_target(x, y)
         # A(y_bar) = 0: from x_bar up, drop the psi term, which may overflow
         psi_term = (0.0 if x >= self.fb.x_bar
@@ -162,11 +171,12 @@ class ValueFunction:
 
     def partials(self, x: float, y: float):
         """(w_x, w_xx, w_y) from the closed forms at the lump target."""
-        return self._partials(x, y)[2]
+        return self._partials(*_state(x, y))[2]
 
     def hjb_residual(self, x: float, y: float):
         """(pde_term, gradient_term) of the variational inequality at (x, y)."""
         p = self.params
+        x, y = _state(x, y)
         if check_capacity(p, y) >= p.y_bar:
             raise DomainError("HJB residual defined for y < y_bar")
         y_hit, psi_term, (w_x, w_xx, w_y) = self._partials(x, y)

@@ -69,7 +69,10 @@ def test_extreme_field_solves_finite_or_raises_typed(name, value):
 # values a scalar argument may be handed that are not usable real numbers
 NON_NUMBERS = {"str": "1", "Decimal": Decimal("1.2"), "bool": True, "int_beyond_float64": 10**400,
                "nan": math.nan, "inf": math.inf, "array": np.array([1.0]), "None": None,
-               "complex": 1 + 0j}
+               "complex": 1 + 0j,
+               # beyond the 4300 digits Python prints by default: a refusal
+               # that formats its digits raises ValueError instead
+               "int_beyond_print_limit": 10**5000}
 # the price of R and its partials, and a fixed threshold, may be NaN or infinite
 ANSWERED = {(entry, name) for entry in ("r_value x", "r_partials x", "FixedThreshold")
             for name in ("nan", "inf")}

@@ -321,7 +321,7 @@ class TestPaths:
 
         def recorded(*args):  # each job's first install times, batch by batch
             out = run(*args)
-            batches.append(out["first_install_time"][out["rows"]])
+            batches.append(out[2])
             return out
 
         monkeypatch.setattr(simulate, "_run", recorded)
@@ -581,6 +581,8 @@ class TestEstimator:
         assert params.y_bar == 5.0
         monkeypatch.setattr(simulate, "_path_generators", no_streams)
         value = x if bad == "x" else y
+        if isinstance(value, int):  # beyond float64: refused without its digits
+            value = "a number beyond the float64 range"
         pattern = rf"job 1 \(never_install\): {bad} .*got {value}"
         jobs = [(ImmediateFull(), 1.0, 1.0), (NeverInstall(), x, y)]
         with pytest.raises(ConfigurationError, match=pattern):
@@ -798,7 +800,7 @@ class TestEstimator:
         # a path's stream owns 2**64 Philox counters; 2**64 - 2048 is the
         # largest double below 2**64
         params, fb, _ = setup
-        assert simulate._check_mc_config(1, 1.0, 2.0**64 - 2048, 0) == 2**64 - 2048
+        assert simulate._check_mc_config(1, 1.0, 2.0**64 - 2048, 0)[-1] == 2**64 - 2048
         for horizon in (2.0**64, 1e300):
             with pytest.raises(ConfigurationError, match=r"fewer than 2\*\*64"):
                 simulate._check_mc_config(1, 1.0, horizon, 0)
@@ -1203,17 +1205,18 @@ class TestReferenceMC:
         n_paths, dt, n_steps, seed = 16, 0.01, 2000, 2024
         many = estimate_value_many(params, jobs, n_paths, dt, n_steps * dt, seed=seed,
                                    keep_payoffs=True)
-        out = simulate._run(params, jobs, dt, n_steps, seed, np.arange(n_paths))
+        out = simulate._run(params, jobs, *simulate._check_jobs(params, jobs), dt, n_steps, seed,
+                            np.arange(n_paths))
         ref = np.empty((3, len(jobs), n_paths))
         for i in range(n_paths):
             z = reference_draws(params, dt, n_steps, seed, i)
             for j, (pol, x, y) in enumerate(jobs):
                 ref[:, j, i] = reference_mc(params, pol, x, y, dt, z)[:3]
         assert np.stack([r.payoffs for r in many]).tobytes() == ref[0].tobytes()
-        rows = out["rows"]  # job j's row in the kernel's arrays
-        assert out["payoffs"][rows].tobytes() == ref[0].tobytes()
-        assert (out["y"] - out["y_start"])[rows].tobytes() == ref[1].tobytes()
-        assert out["first_install_time"][rows].tobytes() == ref[2].tobytes()
+        payoffs, installed, first_install_time = out  # (job, path), in job order
+        assert payoffs.tobytes() == ref[0].tobytes()
+        assert installed.tobytes() == ref[1].tobytes()
+        assert first_install_time.tobytes() == ref[2].tobytes()
         assert (ref[2] > 0.0).any() and np.isnan(ref[2]).any()
 
     def test_recorded_path(self, setup):
@@ -1239,6 +1242,90 @@ class TestReferenceMC:
         # turns +inf
         assert {"optimal", "fixed_threshold"} <= set(filled)
         assert simulate._chunk_size(1, n_steps) < n_steps
+
+
+class CountingStart(NeverInstall):
+    """Counts its ``start`` calls: how often a run judges its jobs."""
+
+    name = "counting_start"
+
+    def __init__(self):
+        self.calls = 0
+
+    def start(self, x, y):
+        self.calls += 1
+        return y
+
+
+class TestAdmission:
+    """A run is admitted once: its jobs judged once, in job order, and its
+    settings used as the Python numbers checked."""
+
+    def test_jobs_judged_once_per_run(self, setup, monkeypatch):
+        # 20 paths in batches of 7 are three batches; each job's start is
+        # read once, not once per batch
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_PATH_BATCH", 7)
+        counting = CountingStart()
+        estimate_value_many(params, [(counting, 1.0, 1.0), (counting, 2.0, 1.0)], 20,
+                            dt=0.1, horizon=1.0)
+        assert counting.calls == 2
+
+    def test_numpy_step_used_as_its_float(self, setup):
+        # a float32 dt used to reach the step constants raw, so kappa dt and
+        # the price decay were rounded to float32
+        params, fb, _ = setup
+        x, y = verification_states(fb)[1]
+        kwargs = dict(n_paths=8, horizon=2.0, seed=4, keep_payoffs=True)
+        policy = OptimalReflection(params, fb)
+        a = estimate_value(params, policy, x, y, dt=np.float32(0.1), **kwargs)
+        b = estimate_value(params, policy, x, y, dt=float(np.float32(0.1)), **kwargs)
+        assert a.payoffs.tobytes() == b.payoffs.tobytes()
+        assert a.summary_dict() == b.summary_dict()
+
+    def test_numpy_settings_reported_as_python_numbers(self, setup):
+        params, fb, vf = setup
+        res = estimate_value(params, NeverInstall(), 1.0, 1.0, n_paths=np.int64(4),
+                             dt=np.float32(0.1), horizon=1.0, seed=np.uint64(3))
+        json.dumps(res.summary_dict())
+        rep = dominance_report(params, fb, vf, verification_states(fb), n_paths=np.int64(4),
+                               dt=np.float32(0.5), horizon=5.0, seed=np.uint64(3))
+        json.dumps(rep)
+        assert rep["settings"]["seed"] == 3 and rep["settings"]["dt"] == 0.5
+
+    def test_first_bad_job_named(self, setup, monkeypatch):
+        # job 0's threshold at t = 0 is NaN and job 1's start is NaN: each
+        # job is judged whole before the next, so job 0 is named
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "_path_generators", no_streams)
+        jobs = [(NanBoundary(), 1.2, 1.0), (NanStart(), 1.2, 1.0)]
+        with pytest.raises(ConfigurationError,
+                           match=r"^job 0 \(nan_boundary\): boundary_at\(1.0\) returned NaN"):
+            estimate_value_many(params, jobs, n_paths=4, dt=0.1, horizon=1.0)
+
+    def test_bad_job_refused_before_memory(self, setup, monkeypatch):
+        params, fb, _ = setup
+        monkeypatch.setattr(simulate, "physical_memory_bytes", lambda: 0)
+        with pytest.raises(ConfigurationError, match=r"^job 0 \(nan_start\): start"):
+            estimate_value_many(params, [(NanStart(), 1.2, 1.0)], n_paths=4, dt=0.1,
+                                horizon=1.0)
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda p: estimate_value(p, NeverInstall(), 1.0, 1.0, 4, 0.1, 1.0, seed=2**128),
+         r"seed must lie in [0, 2**128), got " + str(2**128)),
+        (lambda p: simulate_path(p, NeverInstall(), 1.0, 1.0, 0.1, 1.0, 0, path_index=-1),
+         "path_index must lie in [0, 2**192), got -1"),
+        (lambda p: estimate_value(p, NeverInstall(), 1.0, 1.0, 0, 0.1, 1.0),
+         "n_paths must be >= 1, got 0"),
+        (lambda p: estimate_value(p, NeverInstall(), 1.0, 1.0, 10**5000, 0.1, 1.0),
+         "n_paths must be finite, got a number beyond the float64 range")],
+        ids=["seed", "path_index", "n_paths", "n_paths_beyond_float64"])
+    def test_range_refusal_names_setting_and_bound(self, setup, call, match):
+        # a power-of-two bound reads 2**k, and an integer beyond float64 is
+        # refused without its digits, which Python will not print past 4300
+        params, fb, _ = setup
+        with pytest.raises(ConfigurationError, match="^" + re.escape(match) + "$"):
+            call(params)
 
 
 class TestDominance:

@@ -144,6 +144,21 @@ class TestValue:
             with pytest.raises(DomainError, match="must be a real number"):
                 query(*args)
 
+    def test_float32_state_computes_as_its_float(self, base):
+        # a float32 state used to enter x + beta y_hit, R, its partials and
+        # the PDE term raw, so the results came out float32 and differed
+        params, _, fb, vf = base
+        y = np.float32(1.1)
+        entries = (vf.w, vf.partials, vf.hjb_residual,
+                   lambda x, y: r_value(params, x, y), lambda x, y: r_partials(params, x, y))
+        for x in (fb.f(1.1) - 0.5, 0.5 * (fb.f(1.1) + fb.x_bar), fb.x_bar + 0.5):
+            x = np.float32(x)
+            for query in entries:
+                got, want = query(x, y), query(float(x), float(y))
+                got = got if isinstance(got, tuple) else (got,)
+                assert all(type(v) is float for v in got), query
+                assert np.array(got).tobytes() == np.array(want).tobytes(), query
+
     def test_psi_of_int_beyond_float64_refused(self, base):
         # used to escape as OverflowError from mu - x; refused as w refuses it
         _, fs, _, _ = base
